@@ -36,8 +36,8 @@ def _run(name: str, body: Callable[[], str]) -> CheckResult:
     try:
         detail = body()
         passed = True
-    except AssertionError as exc:
-        detail = str(exc) or "assertion failed"
+    except Exception as exc:  # any error inside a check is that check's FAIL
+        detail = type(exc).__name__ + (f": {exc}" if str(exc) else "")
         passed = False
     return CheckResult(name, passed, detail, time.perf_counter() - start)
 

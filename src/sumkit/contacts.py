@@ -54,7 +54,7 @@ class ContactMultiset:
     tables and serialized as ``a^count(i)`` groups.
     """
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "_hash")
 
     def __init__(self, counts: Iterable[tuple[ContactPair, int]] = ()):
         merged: dict[ContactPair, int] = {}
@@ -64,7 +64,9 @@ class ContactMultiset:
                 raise ContactError("counts must be nonnegative")
             if n:
                 merged[(a, i)] = merged.get((a, i), 0) + n
-        object.__setattr__(self, "items", tuple(sorted(merged.items())))
+        items = tuple(sorted(merged.items()))
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "_hash", hash(items))
 
     def __setattr__(self, name, value):
         raise AttributeError("ContactMultiset is immutable")
@@ -94,7 +96,7 @@ class ContactMultiset:
         return isinstance(other, ContactMultiset) and self.items == other.items
 
     def __hash__(self):
-        return hash(self.items)
+        return self._hash
 
     def __lt__(self, other):
         return self.items < other.items
@@ -140,10 +142,6 @@ def multiset_stats(m: ContactMultiset) -> tuple[int, int, int, int]:
 
 def multiset_degree(m: ContactMultiset) -> int:
     return sum(a * n for (a, _), n in m)
-
-
-def multiset_length(m: ContactMultiset) -> int:
-    return sum(n for _, n in m)
 
 
 def ordered_multiplicity(m: ContactMultiset) -> int:
@@ -225,7 +223,7 @@ class SingularMatrix(ContactError):
 class IntersectionMatrix:
     """Square rational pairing on the chosen divisor homology basis."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_hash")
 
     def __init__(self, rows: Sequence[Sequence[Fraction | int]]):
         n = len(rows)
@@ -234,6 +232,7 @@ class IntersectionMatrix:
             if len(row) != n:
                 raise ContactError("intersection matrix must be square")
         object.__setattr__(self, "rows", data)
+        object.__setattr__(self, "_hash", hash(data))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionMatrix is immutable")
@@ -249,7 +248,7 @@ class IntersectionMatrix:
         return isinstance(other, IntersectionMatrix) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return self._hash
 
     def __repr__(self):
         return f"IntersectionMatrix({[[str(x) for x in r] for r in self.rows]})"

@@ -36,7 +36,6 @@ from sumkit.contacts import (
     enumerate_multisets,
     multiset_binomial,
     multiset_degree,
-    multiset_length,
     multiset_stats,
 )
 from sumkit.series import Series, VariableContext
@@ -179,6 +178,12 @@ class RelKey:
     def __post_init__(self):
         if self.chi % 2:
             raise GluingError("Euler characteristic must be even")
+        # keys are looked up far more often than built; hash the fields once
+        object.__setattr__(self, "_hash", hash(
+            (self.class_key, self.chi, self.contacts, self.tag)))
+
+    def __hash__(self):
+        return self._hash
 
     def to_json(self) -> dict:
         return {
@@ -206,23 +211,35 @@ class RelSeries:
             raise GluingError("end_count must be 0, 1 or 2")
         clean: dict[RelKey, Fraction] = {}
         if terms:
+            # the class checks depend only on the class key and the degree
+            # only on the multiset, so each is worked out once per call
+            class_degree: dict[ClassKey, int] = {}
+            contact_degree: dict[ContactMultiset, int] = {}
             for key, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if not c:
                     continue
-                if len(key.class_key) != geometry.class_dim:
+                deg_v = class_degree.get(key.class_key)
+                if deg_v is None and len(key.class_key) != geometry.class_dim:
                     raise GluingError("class key has wrong dimension")
                 if len(key.contacts) != end_count:
                     raise GluingError("key has wrong number of ends")
-                if geometry.grade(key.class_key) > cutoff:
-                    raise GluingError("term beyond cutoff")
-                if geometry.grade(key.class_key) < 0:
-                    raise GluingError("negative grading")
-                deg_v = geometry.pair_v(key.class_key)
+                if deg_v is None:
+                    grade = geometry.grade(key.class_key)
+                    if grade > cutoff:
+                        raise GluingError("term beyond cutoff")
+                    if grade < 0:
+                        raise GluingError("negative grading")
+                    deg_v = geometry.pair_v(key.class_key)
+                    class_degree[key.class_key] = deg_v
                 for m in key.contacts:
-                    if multiset_degree(m) != deg_v:
+                    deg = contact_degree.get(m)
+                    if deg is None:
+                        deg = contact_degree[m] = multiset_degree(m)
+                    if deg != deg_v:
                         raise GluingError(
-                            f"contact degree {multiset_degree(m)} != class "
+                            f"contact degree {deg} != class "
                             f"pairing {deg_v} for key {key}"
                         )
                 clean[key] = c
@@ -280,10 +297,13 @@ class RelSeries:
     def __add__(self, other: "RelSeries") -> "RelSeries":
         self._compatible(other)
         cutoff = min(self.cutoff, other.cutoff)
+        grade = self.geometry.grade
+        # a side whose own cutoff is not above the result's needs no filter
         out = {k: c for k, c in self.terms.items()
-               if self.geometry.grade(k.class_key) <= cutoff}
+               if self.cutoff == cutoff or grade(k.class_key) <= cutoff}
+        trim_other = other.cutoff > cutoff
         for k, c in other.terms.items():
-            if self.geometry.grade(k.class_key) > cutoff:
+            if trim_other and grade(k.class_key) > cutoff:
                 continue
             s = out.get(k, Fraction(0)) + c
             if s:
@@ -435,47 +455,59 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
         raise GluingError("output would have more than two ends")
     cutoff = min(x.cutoff, y.cutoff)
 
-    # Index both factors by (class key, glued-end multiset).
-    x_index: dict[tuple[ClassKey, ContactMultiset], list[tuple[RelKey, Fraction]]] = {}
+    # Index both factors by class key, then by glued-end multiset; group the
+    # classes of y by their divisor degree.
+    x_index: dict[ClassKey, dict[ContactMultiset, list[tuple[RelKey, Fraction]]]] = {}
     for k, c in x.terms.items():
-        x_index.setdefault((k.class_key, k.contacts[-1]), []).append((k, c))
-    y_index: dict[tuple[ClassKey, ContactMultiset], list[tuple[RelKey, Fraction]]] = {}
+        x_index.setdefault(k.class_key, {}).setdefault(
+            k.contacts[-1], []).append((k, c))
+    y_index: dict[ClassKey, dict[ContactMultiset, list[tuple[RelKey, Fraction]]]] = {}
     for k, c in y.terms.items():
-        y_index.setdefault((k.class_key, k.contacts[0]), []).append((k, c))
+        y_index.setdefault(k.class_key, {}).setdefault(
+            k.contacts[0], []).append((k, c))
+    y_by_degree: dict[int, list[tuple[ClassKey, dict]]] = {}
+    for ay, y_ends in y_index.items():
+        y_by_degree.setdefault(y.geometry.pair_v(ay), []).append((ay, y_ends))
 
-    x_classes = {k.class_key for k in x.terms}
-    y_classes = {k.class_key for k in y.terms}
-
+    tags: dict[tuple[str, str], str] = {}
     out: dict[RelKey, Fraction] = {}
-    for ax in x_classes:
+    for ax, x_ends in x_index.items():
         deg_m = x.geometry.pair_v(ax)
         if deg_m < 0:
             continue
-        for ay in y_classes:
-            if y.geometry.pair_v(ay) != deg_m:
+        y_classes = y_by_degree.get(deg_m)
+        if not y_classes:
+            continue
+        # everything that depends only on the glued multiset m
+        glued = []
+        for m in enumerate_multisets(deg_m, q.size):
+            left = x_ends.get(m)
+            if not left:
                 continue
-            for m in enumerate_multisets(deg_m, q.size):
-                left = x_index.get((ax, m))
-                if not left:
-                    continue
-                length, _, product, fact = multiset_stats(m)
-                weight = Fraction(product, fact)
-                for m_dual, w_dual in dual_multiset(m, q).items():
-                    right = y_index.get((ay, m_dual))
+            length, _, product, fact = multiset_stats(m)
+            glued.append((length, Fraction(product, fact),
+                          dual_multiset(m, q).items(), left))
+        for ay, y_ends in y_classes:
+            out_class = glue(ax, ay, deg_m)
+            if out_geometry.grade(out_class) > cutoff:
+                continue
+            for length, weight, duals, left in glued:
+                for m_dual, w_dual in duals:
+                    right = y_ends.get(m_dual)
                     if not right:
                         continue
                     for kx, cx in left:
+                        head = kx.contacts[:-1]
+                        chi = kx.chi - 2 * length
+                        cw = weight * w_dual * cx
                         for ky, cy in right:
-                            key = RelKey(
-                                glue(ax, ay, deg_m),
-                                kx.chi + ky.chi - 2 * length,
-                                kx.contacts[:-1] + ky.contacts[1:],
-                                tag_mul(kx.tag, ky.tag),
-                            )
-                            if out_geometry.grade(key.class_key) > cutoff:
-                                continue
-                            s = out.get(key, Fraction(0)) \
-                                + weight * w_dual * cx * cy
+                            tag = tags.get((kx.tag, ky.tag))
+                            if tag is None:
+                                tag = tags[kx.tag, ky.tag] = \
+                                    tag_mul(kx.tag, ky.tag)
+                            key = RelKey(out_class, chi + ky.chi,
+                                         head + ky.contacts[1:], tag)
+                            s = out.get(key, Fraction(0)) + cw * cy
                             if s:
                                 out[key] = s
                             else:
@@ -698,14 +730,6 @@ def neck_identity(twf: RelSeries, n: int, q: IntersectionMatrix) -> RelSeries:
             break
         total = total + power.scale((-1) ** (k - 1) * math.comb(2 * n, k))
     return total
-
-
-def inclusion_exclusion_check(length: int) -> int:
-    """Alternating binomial sum ``l - C(l,2) + C(l,3) - ... (+-) C(l,l)``."""
-    if length < 1:
-        raise GluingError("need length >= 1")
-    return sum((-1) ** (k - 1) * math.comb(length, k)
-               for k in range(1, length + 1))
 
 
 # -- dimension bookkeeping ----------------------------------------------------

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from sumkit import checks
 from sumkit.cli import ENGINE_VERSION, ValueCache, run
+from sumkit.gluing import GluingError
 
 
 def invoke(capsys, *argv):
@@ -89,6 +91,27 @@ class TestVerbs:
         code, out, _ = invoke(capsys, "oracle", "sigma", "--n", "6",
                               "--format", "csv")
         assert code == 0 and out.startswith("n,")
+
+
+class TestCheckVerb:
+    @pytest.mark.parametrize("error", [GluingError("bad series"),
+                                       ZeroDivisionError("division")])
+    def test_raising_check_reported_as_fail(self, capsys, monkeypatch, error):
+        def good():
+            return checks._run("good", lambda: "fine")
+
+        def bad():
+            def body():
+                raise error
+            return checks._run("bad", body)
+
+        monkeypatch.setattr(checks, "ALL_CHECKS", (good, bad))
+        code, out, _ = invoke(capsys, "check")
+        rows = json.loads(out)
+        assert code == 1
+        assert [(r["check"], r["status"]) for r in rows] == \
+            [("good", "pass"), ("bad", "FAIL")]
+        assert type(error).__name__ in rows[1]["detail"]
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from sumkit.gluing import (
     glue_add,
     gw_from_tw,
     identity_element,
-    inclusion_exclusion_check,
     moduli_dimension,
     neck_geometry,
     neck_identity,
@@ -63,6 +63,53 @@ class TestRelSeries:
         with pytest.raises(GluingError):
             RelSeries(geo, 2, 3, {
                 RelKey((4,), 2, (single(4), single(4))): 1})
+
+    # Validation is memoized per class key and per multiset inside one
+    # constructor call; the per-term checks must still see every term.
+    @pytest.mark.parametrize("second, message", [
+        (RelKey((2,), 0, (single(3), single(2))), "contact degree 3"),
+        (RelKey((2,), 0, (single(2), single(1))), "contact degree 1"),
+        (RelKey((2,), 0, (single(2),)), "wrong number of ends"),
+        (RelKey((3,), 2, (single(3), single(2))), "contact degree 2"),
+    ])
+    def test_every_term_checked_after_its_class(self, second, message):
+        geo = riemann_surface_geometry()
+        first = RelKey((2,), 2, (single(2), single(2)))
+        with pytest.raises(GluingError, match=message):
+            RelSeries(geo, 2, 5, {first: 1, second: 1})
+
+    def test_keys_built_apart_are_equal_and_hash_equal(self):
+        a = ContactMultiset.from_seq([(1, 0), (2, 1), (1, 0)])
+        b = ContactMultiset([((2, 1), 1), ((1, 0), 2)])
+        c = ContactMultiset.from_string("1^2(0) 2^1(1)")
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c) == hash(a.items)
+        k1 = RelKey((3, 1), -2, (a, ContactMultiset()), "p")
+        k2 = RelKey((3, 1), -2, (c, ContactMultiset.from_string("-")), "p")
+        assert k1 == k2 and hash(k1) == hash(k2)
+        assert {k1: 1}[k2] == 1
+        assert k1 != RelKey((3, 1), -2, (a, ContactMultiset()), "q")
+
+    def test_relkey_fields_repr_and_json(self):
+        assert [f.name for f in dataclasses.fields(RelKey)] == \
+            ["class_key", "chi", "contacts", "tag"]
+        key = RelKey((1, 0), 2, (single(1), single(1, 1)))
+        assert repr(key) == (
+            "RelKey(class_key=(1, 0), chi=2, contacts=(ContactMultiset("
+            "'1^1(0)'), ContactMultiset('1^1(1)')), tag='1')")
+        assert key.to_json() == {"class": [1, 0], "chi": 2,
+                                 "contacts": ["1^1(0)", "1^1(1)"],
+                                 "tag": "1"}
+        assert key < RelKey((1, 0), 2, (single(1, 1), single(1)))
+
+    def test_sum_truncates_to_smaller_cutoff(self):
+        geo = riemann_surface_geometry()
+        low = identity_element(geo, POINT, 2)
+        high = identity_element(geo, POINT, 4)
+        assert len(high.terms) > len(low.terms)
+        for total in (low + high, high + low, high - low.scale(-1)):
+            assert total.cutoff == 2
+            assert total == low.scale(2)
 
     def test_json_roundtrip(self):
         geo = neck_geometry(base_dim=1, v_basis=2)
@@ -270,19 +317,6 @@ class TestScattering:
             RelKey((1, 0), 2, (single(1), single(1))): 7})
         with pytest.raises(GluingError):
             s_matrix(bad, POINT)
-
-
-class TestInclusionExclusion:
-    def test_small_values(self):
-        assert inclusion_exclusion_check(1) == 1
-        assert inclusion_exclusion_check(2) == 1
-
-    def test_ten(self):
-        assert inclusion_exclusion_check(10) == 1
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(GluingError):
-            inclusion_exclusion_check(0)
 
 
 class TestDimensions:
