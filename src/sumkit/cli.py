@@ -39,8 +39,9 @@ class ValueCache:
         if directory:
             try:
                 os.makedirs(directory, exist_ok=True)
-                probe = os.path.join(directory, ".probe")
-                with open(probe, "w") as fh:
+                # a probe of its own, so concurrent processes do not race
+                fd, probe = tempfile.mkstemp(dir=directory, suffix=".probe")
+                with os.fdopen(fd, "w") as fh:
                     fh.write("ok")
                 os.remove(probe)
                 self.enabled = True
@@ -135,13 +136,17 @@ def _series_rows(series: Series) -> list[dict]:
     return rows
 
 
-def _parse_profile(text: str | None) -> tuple[int, ...]:
+def _parse_profile(text: str | None, flag: str) -> tuple[int, ...]:
     """``k:c,...`` pairs into a multiplicity vector."""
     if not text:
         return ()
     out: list[int] = []
     for item in text.split(","):
-        k, _, c = item.partition(":")
+        k, _, c = (part.strip() for part in item.partition(":"))
+        if not (k.isdecimal() and c.isdecimal() and int(k) >= 1):
+            raise ValueError(
+                f"{flag} expects comma-separated k:count pairs with k >= 1 "
+                f"and count >= 0, e.g. 2:1,1:3; got {text!r}")
         k, c = int(k), int(c)
         while len(out) < k:
             out.append(0)
@@ -152,8 +157,8 @@ def _parse_profile(text: str | None) -> tuple[int, ...]:
 # -- verbs ---------------------------------------------------------------------
 
 def _cmd_severi(args, cache: ValueCache) -> list[dict]:
-    alpha = _parse_profile(args.alpha)
-    beta = _parse_profile(args.beta) if args.beta else None
+    alpha = _parse_profile(args.alpha, "--alpha")
+    beta = _parse_profile(args.beta, "--beta") if args.beta else None
     if args.table:
         rows = severi.severi_table(args.degree, args.delta)
     else:
@@ -196,7 +201,13 @@ def _cmd_hurwitz(args, cache: ValueCache) -> list[dict]:
     return [row]
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError(f"--order expects an integer >= 0; got {order}")
+
+
 def _cmd_elliptic(args, _cache: ValueCache) -> list[dict]:
+    _check_order(args.order)
     if args.check:
         rows = []
         ode = elliptic.f0_via_ode(args.order)
@@ -221,6 +232,7 @@ def _cmd_catalog(args, _cache: ValueCache) -> list[dict]:
         raise SystemExit(
             f"unknown catalog entry {args.name!r}; "
             f"available: {', '.join(sorted(entries))}")
+    _check_order(args.order)
     produced = entries[args.name].producer(args.order)
     if isinstance(produced, Series):
         return _series_rows(produced)

@@ -71,6 +71,10 @@ class ContactMultiset:
     def __setattr__(self, name, value):
         raise AttributeError("ContactMultiset is immutable")
 
+    def __reduce__(self):
+        # rebuild through the constructor, so the cached hash is recomputed
+        return ContactMultiset, (self.items,)
+
     @classmethod
     def from_seq(cls, s: Sequence[ContactPair]) -> "ContactMultiset":
         return cls(((pair, 1) for pair in s))
@@ -237,6 +241,9 @@ class IntersectionMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionMatrix is immutable")
 
+    def __reduce__(self):
+        return IntersectionMatrix, (self.rows,)
+
     @property
     def size(self) -> int:
         return len(self.rows)
@@ -339,6 +346,20 @@ def _dual_multiset_cached(m: ContactMultiset, q: IntersectionMatrix
         else:
             out.pop(ms, None)
     return tuple(sorted(out.items()))
+
+
+@functools.lru_cache(maxsize=65536)
+def glue_weights(m: ContactMultiset, q: IntersectionMatrix
+                 ) -> tuple[int, tuple[tuple[ContactMultiset, Fraction], ...]]:
+    """Per-multiset data of a gluing sum: ``len(m)`` and the dual expansion.
+
+    Each dual weight comes already multiplied by ``|m|/m!``, the product of
+    the multiplicities over the factorial of the counts.
+    """
+    length, _, product, fact = multiset_stats(m)
+    weight = Fraction(product, fact)
+    return length, tuple((dual, weight * w)
+                         for dual, w in dual_multiset(m, q).items())
 
 
 def dual_combination(comb: dict[ContactMultiset, Fraction], q: IntersectionMatrix

@@ -32,8 +32,8 @@ from typing import Callable, Iterable, Mapping
 from sumkit.contacts import (
     ContactMultiset,
     IntersectionMatrix,
-    dual_multiset,
     enumerate_multisets,
+    glue_weights,
     multiset_binomial,
     multiset_degree,
     multiset_stats,
@@ -185,6 +185,11 @@ class RelKey:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # rebuild through the constructor: a string tag hashes differently
+        # in another process, so the cached hash must not travel
+        return RelKey, (self.class_key, self.chi, self.contacts, self.tag)
+
     def to_json(self) -> dict:
         return {
             "class": list(self.class_key),
@@ -201,6 +206,19 @@ class RelSeries:
     each; every stored key satisfies ``grade(class) <= cutoff`` and, on each
     end, ``deg(contacts) == pair_v(class)``.  Values are nonzero Fractions.
     Immutable.
+
+    The constructor checks every term; it is the boundary for caller data
+    (:meth:`unit`, :meth:`zero`, :func:`relseries_from_json`, catalog tables,
+    unpickled series).  ``+``, ``-``, :meth:`scale`, :meth:`disjoint_mul`
+    and :func:`convolve` build their results through :meth:`_trusted`
+    instead, without revalidating: their inputs already hold the
+    invariants, and each operation keeps them.  Sums and scalings keep the
+    keys, disjoint products add classes and contact degrees (both pairings
+    are linear), and grades are filtered against the result's cutoff.
+    Exact Fraction arithmetic on nonzero Fractions gives nonzero Fractions,
+    and accumulated sums that cancel are dropped.  ``convolve`` accepts any
+    ``glue`` map, so it still checks each glued class, once per pair of
+    input classes.
     """
 
     __slots__ = ("geometry", "end_count", "cutoff", "terms")
@@ -248,8 +266,24 @@ class RelSeries:
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, geometry: Geometry, end_count: int, cutoff: int,
+                 terms: dict[RelKey, Fraction]) -> "RelSeries":
+        """Wrap ``terms`` without checks; see the class docstring for when."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "end_count", end_count)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("RelSeries is immutable")
+
+    def __reduce__(self):
+        # unpickled data is caller data: it goes through the checks again
+        return RelSeries, (self.geometry, self.end_count, self.cutoff,
+                           self.terms)
 
     # -- basics -------------------------------------------------------------
 
@@ -305,19 +339,24 @@ class RelSeries:
         for k, c in other.terms.items():
             if trim_other and grade(k.class_key) > cutoff:
                 continue
-            s = out.get(k, Fraction(0)) + c
-            if s:
+            s = out.get(k)
+            if s is None:
+                out[k] = c
+            elif s := s + c:
                 out[k] = s
             else:
-                out.pop(k, None)
-        return RelSeries(self.geometry, self.end_count, cutoff, out)
+                del out[k]
+        return RelSeries._trusted(self.geometry, self.end_count, cutoff, out)
 
     def __sub__(self, other: "RelSeries") -> "RelSeries":
         return self + other.scale(-1)
 
     def scale(self, c: Fraction | int) -> "RelSeries":
-        return RelSeries(self.geometry, self.end_count, self.cutoff,
-                         {k: v * c for k, v in self.terms.items()})
+        c = Fraction(c)
+        if not c:
+            return RelSeries.zero(self.geometry, self.end_count, self.cutoff)
+        return RelSeries._trusted(self.geometry, self.end_count, self.cutoff,
+                                  {k: v * c for k, v in self.terms.items()})
 
     def _compatible(self, other: "RelSeries") -> None:
         if self.geometry != other.geometry or self.end_count != other.end_count:
@@ -350,12 +389,15 @@ class RelSeries:
                 key = RelKey(geo.add(k1.class_key, k2.class_key),
                              k1.chi + k2.chi, contacts,
                              tag_mul(k1.tag, k2.tag))
-                s = out.get(key, Fraction(0)) + weight * c1 * c2
-                if s:
+                c = weight * c1 * c2
+                s = out.get(key)
+                if s is None:
+                    out[key] = c
+                elif s := s + c:
                     out[key] = s
                 else:
                     del out[key]
-        return RelSeries(geo, self.end_count, cutoff, out)
+        return RelSeries._trusted(geo, self.end_count, cutoff, out)
 
     def _positive_grading_part(self) -> "RelSeries":
         geo = self.geometry
@@ -471,6 +513,9 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
 
     tags: dict[tuple[str, str], str] = {}
     out: dict[RelKey, Fraction] = {}
+    # Every surviving end has degree deg_m, because x and y are valid; the
+    # glued class is checked against it once per class pair.
+    trusted = True
     for ax, x_ends in x_index.items():
         deg_m = x.geometry.pair_v(ax)
         if deg_m < 0:
@@ -482,16 +527,17 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
         glued = []
         for m in enumerate_multisets(deg_m, q.size):
             left = x_ends.get(m)
-            if not left:
-                continue
-            length, _, product, fact = multiset_stats(m)
-            glued.append((length, Fraction(product, fact),
-                          dual_multiset(m, q).items(), left))
+            if left:
+                glued.append((*glue_weights(m, q), left))
         for ay, y_ends in y_classes:
             out_class = glue(ax, ay, deg_m)
-            if out_geometry.grade(out_class) > cutoff:
+            grade = out_geometry.grade(out_class)  # checks the dimension
+            if grade > cutoff:
                 continue
-            for length, weight, duals, left in glued:
+            if grade < 0 or (out_ends
+                             and out_geometry.pair_v(out_class) != deg_m):
+                trusted = False
+            for length, duals, left in glued:
                 for m_dual, w_dual in duals:
                     right = y_ends.get(m_dual)
                     if not right:
@@ -499,7 +545,7 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
                     for kx, cx in left:
                         head = kx.contacts[:-1]
                         chi = kx.chi - 2 * length
-                        cw = weight * w_dual * cx
+                        cw = w_dual * cx
                         for ky, cy in right:
                             tag = tags.get((kx.tag, ky.tag))
                             if tag is None:
@@ -507,12 +553,19 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
                                     tag_mul(kx.tag, ky.tag)
                             key = RelKey(out_class, chi + ky.chi,
                                          head + ky.contacts[1:], tag)
-                            s = out.get(key, Fraction(0)) + cw * cy
-                            if s:
+                            c = cw * cy
+                            s = out.get(key)
+                            if s is None:
+                                out[key] = c
+                            elif s := s + c:
                                 out[key] = s
                             else:
                                 del out[key]
-    return RelSeries(out_geometry, out_ends, cutoff, out)
+    if not trusted:
+        # a bad glued class is an error only if one of its terms survives;
+        # the validating constructor raises for the first such term
+        return RelSeries(out_geometry, out_ends, cutoff, out)
+    return RelSeries._trusted(out_geometry, out_ends, cutoff, out)
 
 
 def convolve_via_operator(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -93,6 +94,39 @@ class TestVerbs:
         assert code == 0 and out.startswith("n,")
 
 
+class TestInputLimits:
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "1"), ("--alpha", "0:1"), ("--alpha", "1:"),
+        ("--alpha", "1:1,"), ("--beta", "2:-1"), ("--beta", "x:1"),
+        ("--beta", "1.5:1")])
+    def test_malformed_profile(self, capsys, flag, value):
+        code, out, err = invoke(capsys, "severi", "--degree", "3",
+                                "--delta", "0", flag, value)
+        assert code == 1 and out == ""
+        assert f"{flag} expects comma-separated k:count pairs" in err
+        assert repr(value) in err
+
+    @pytest.mark.parametrize("argv", [
+        ("elliptic", "--order", "-1"),
+        ("elliptic", "--order", "-2", "--check"),
+        ("catalog", "p1", "--order", "-1"),
+        ("catalog", "torus", "--order", "-1")])
+    def test_negative_order(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "--order expects an integer >= 0" in err
+
+    def test_profile_limits_admit_zero_counts_and_spaces(self, capsys):
+        plain = invoke(capsys, "severi", "--degree", "2", "--delta", "0",
+                       "--beta", "2:1")
+        padded = invoke(capsys, "severi", "--degree", "2", "--delta", "0",
+                        "--beta", " 2 : 1 , 1:0")
+        assert plain == padded and plain[0] == 0
+
+    def test_order_zero_allowed(self, capsys):
+        assert invoke(capsys, "catalog", "torus", "--order", "0")[0] == 0
+
+
 class TestCheckVerb:
     @pytest.mark.parametrize("error", [GluingError("bad series"),
                                        ZeroDivisionError("division")])
@@ -160,6 +194,17 @@ class TestCache:
         # computation still proceeds
         assert cache.load("severi") == {}
         cache.store("severi", {"k": "1"})
+
+    def test_probe_name_is_per_process(self, tmp_path, capsys):
+        # another process's probe (here a directory in its place) must not
+        # disable this one's cache
+        (tmp_path / ".probe").mkdir()
+        cache = ValueCache(str(tmp_path))
+        assert cache.enabled
+        assert "cache disabled" not in capsys.readouterr().err
+        assert os.listdir(tmp_path) == [".probe"]
+        cache.store("severi", {"k": "5"})
+        assert cache.load("severi") == {"k": "5"}
 
     def test_atomic_rewrite_keeps_other_entries(self, tmp_path):
         cache = ValueCache(str(tmp_path))

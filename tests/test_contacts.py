@@ -11,6 +11,7 @@ from sumkit.contacts import (
     dual_combination,
     dual_multiset,
     enumerate_multisets,
+    glue_weights,
     multiset_binomial,
     multiset_stats,
     ordered_multiplicity,
@@ -112,6 +113,32 @@ class TestDual:
         with pytest.raises(SingularMatrix):
             dual_multiset(ContactMultiset([((1, 0), 1)]),
                           IntersectionMatrix([[1, 1], [1, 1]]))
+
+
+class TestGlueWeights:
+    def test_length_and_weighted_dual(self):
+        q = IntersectionMatrix([[0, 1], [1, Fraction(1, 2)]])
+        for m in enumerate_multisets(4, 2):
+            length, _, product, fact = multiset_stats(m)
+            got_length, duals = glue_weights(m, q)
+            assert got_length == length
+            assert dict(duals) == {d: Fraction(product, fact) * w
+                                   for d, w in dual_multiset(m, q).items()}
+
+    def test_memo_is_filled_through_dual_multiset(self, monkeypatch):
+        import sumkit.contacts as contacts
+        calls = []
+        original = contacts.dual_multiset
+
+        def counting(m, q):
+            calls.append(m)
+            return original(m, q)
+
+        monkeypatch.setattr(contacts, "dual_multiset", counting)
+        q = IntersectionMatrix([[0, 1], [1, Fraction(1, 11)]])  # a fresh key
+        m = ContactMultiset([((2, 0), 1), ((1, 1), 2)])
+        assert glue_weights(m, q) == glue_weights(m, q)
+        assert calls == [m]
 
 
 class TestProperties:

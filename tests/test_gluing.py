@@ -1,5 +1,11 @@
+import copy
 import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -383,3 +389,189 @@ def _random_partition(rng, n):
         parts.append(p)
         n -= p
     return parts
+
+
+# -- results built without revalidation ------------------------------------------
+
+def _empty_contacts_pair():
+    """Two contact-free terms whose cross products cancel.
+
+    ``a * b`` and ``b * a`` land on the same key with opposite signs, in
+    the disjoint product and in the convolution alike.
+    """
+    geo = neck_geometry(base_dim=1, v_basis=2)
+    none = (ContactMultiset(), ContactMultiset())
+    a, b = RelKey((0, 1), 0, none), RelKey((0, 2), 0, none)
+    return (RelSeries(geo, 2, 4, {a: 1, b: 1}),
+            RelSeries(geo, 2, 4, {a: 1, b: -1}))
+
+
+def _sums(rng, geo, ident):
+    x = random_two_ended(rng, geo, 3, 2)
+    y = random_two_ended(rng, geo, 4, 2)
+    # the unit at cutoff 4 has terms of grade 4 that a cutoff-3 sum drops
+    return [x + y, y + x, ident + x, x + ident, x - x, x + x.scale(-1),
+            ident - ident.scale(2)]
+
+
+def _scalings(rng, geo, ident):
+    x = random_two_ended(rng, geo, 4, 2)
+    return [x.scale(c) for c in (3, -1, Fraction(-2, 3), 0.5, 0, 0.0,
+                                 Fraction(0))] + [ident.scale(2)]
+
+
+def _disjoint_products(rng, geo, ident):
+    x = random_two_ended(rng, geo, 4, 2, min_base=1)
+    y = random_two_ended(rng, geo, 3, 2)
+    u, v = _empty_contacts_pair()
+    return [x.disjoint_mul(y), y.disjoint_mul(x), x.disjoint_mul(ident),
+            ident.disjoint_mul(ident), u.disjoint_mul(v)]
+
+
+def _convolutions(rng, geo, ident):
+    x = random_two_ended(rng, geo, 4, 2)
+    y = random_two_ended(rng, geo, 4, 2)
+    u, v = _empty_contacts_pair()
+    return [convolve(x, y, SPHERE), convolve(y, x, SPHERE),
+            convolve(ident, x, SPHERE), convolve(ident + x, ident, SPHERE),
+            convolve(u, v, SPHERE)]
+
+
+def _scattering(rng, geo, ident):
+    twf = ident + random_two_ended(rng, geo, 4, 2, min_base=1)
+    square_zero = ident + random_two_ended(rng, geo, 4, 2, min_base=3)
+    return [s_matrix(twf, SPHERE), s_matrix(square_zero, SPHERE)] + \
+        [neck_identity(square_zero, n, SPHERE) for n in (1, 2, 3)] + \
+        [neck_identity(twf, 2, SPHERE)]
+
+
+def _exp_log(rng, geo, ident):
+    gw = random_two_ended(rng, geo, 4, 2, min_base=1)
+    tw = tw_from_gw(gw)
+    return [tw, gw_from_tw(tw), tw_from_gw(gw.scale(-1)), gw_from_tw(ident)]
+
+
+class TestTrustedResults:
+    """Algebra results skip revalidation; they must still pass it."""
+
+    @pytest.mark.parametrize("build", [
+        _sums, _scalings, _disjoint_products, _convolutions, _scattering,
+        _exp_log])
+    def test_results_pass_the_validating_constructor(self, build):
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        ident = identity_element(geo, SPHERE, 4)
+        for seed in range(6):
+            for r in build(random.Random(seed), geo, ident):
+                assert all(type(c) is Fraction and c != 0
+                           for c in r.terms.values())
+                assert RelSeries(r.geometry, r.end_count, r.cutoff,
+                                 r.terms) == r
+
+    def test_cancelling_cross_terms_are_dropped(self):
+        u, v = _empty_contacts_pair()
+        for product in (RelSeries.disjoint_mul,
+                        lambda a, b: convolve(a, b, SPHERE)):
+            # the cross class (0, 3) appears when the signs agree
+            assert (0, 3) in {k.class_key for k in product(u, u).terms}
+            assert (0, 3) not in {k.class_key for k in product(u, v).terms}
+
+    def test_scale_by_zero_is_the_zero_series(self):
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        x = identity_element(geo, SPHERE, 3)
+        for zero in (0, 0.0, Fraction(0)):
+            assert x.scale(zero) == RelSeries.zero(geo, 2, 3)
+
+    def test_scale_by_float_stores_exact_fractions(self):
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        x = identity_element(geo, SPHERE, 3)
+        half = x.scale(0.5)
+        assert half == x.scale(Fraction(1, 2))
+        assert all(type(c) is Fraction for c in half.terms.values())
+
+    @staticmethod
+    def _two_ended_pair():
+        geo = neck_geometry(base_dim=1, v_basis=1)
+        x = RelSeries(geo, 2, 4, {RelKey((1, 1), 0, (single(1), single(1))): 2})
+        y = RelSeries(geo, 2, 4, {RelKey((1, 0), 2, (single(1), single(1))): 3})
+        return x, y
+
+    def test_custom_glue_with_wrong_divisor_degree_raises(self):
+        x, y = self._two_ended_pair()
+
+        def keep_one_fiber(k1, k2, deg_m):
+            # absorbs one fiber fewer than the neck glue: pairs to deg_m + 1
+            return (k1[0] + k2[0] - deg_m + 1, k1[1] + k2[1])
+
+        with pytest.raises(GluingError, match="contact degree 1 != class "
+                                              "pairing 2"):
+            convolve(x, y, POINT, glue=keep_one_fiber)
+
+    def test_custom_glue_with_negative_grade_raises(self):
+        x, y = self._two_ended_pair()
+
+        def overdraw_base(k1, k2, deg_m):
+            return (k1[0] + k2[0] - deg_m, k1[1] + k2[1] - 3)
+
+        with pytest.raises(GluingError, match="negative grading"):
+            convolve(x, y, POINT, glue=overdraw_base)
+
+
+# -- pickling and copying --------------------------------------------------------
+
+def _pickle_samples():
+    m = ContactMultiset([((1, 0), 1), ((2, 1), 1)])
+    key = RelKey((3, 1), 2, (m, m), "p;q")
+    series = RelSeries(neck_geometry(base_dim=1, v_basis=2), 2, 4,
+                       {key: Fraction(-2, 3)})
+    return [m, SPHERE, key, series]
+
+
+class TestPickling:
+    @pytest.mark.parametrize("duplicate", [
+        lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy, copy.copy])
+    def test_roundtrip_equal_and_hash_equal(self, duplicate):
+        for obj in _pickle_samples():
+            twin = duplicate(obj)
+            assert type(twin) is type(obj)
+            assert twin == obj and hash(twin) == hash(obj)
+
+    def test_unpickled_series_is_revalidated(self):
+        geo = riemann_surface_geometry()
+        beyond = RelKey((4,), 2, (single(4), single(4)))
+        bad = RelSeries._trusted(geo, 2, 3, {beyond: Fraction(1)})
+        with pytest.raises(GluingError, match="term beyond cutoff"):
+            pickle.loads(pickle.dumps(bad))
+
+    def test_keys_found_by_fresh_twins_under_another_hash_seed(self, tmp_path):
+        # a string tag hashes differently per PYTHONHASHSEED: the unpickled
+        # key must hash like a key built in the loading process
+        src = os.path.dirname(os.path.dirname(
+            sys.modules[RelKey.__module__].__file__))
+        blob = tmp_path / "samples.pickle"
+        dump = textwrap.dedent(f"""
+            import pickle, sys
+            sys.path.insert(0, {os.path.dirname(__file__)!r})
+            from test_gluing import _pickle_samples
+            with open({str(blob)!r}, "wb") as fh:
+                pickle.dump(_pickle_samples(), fh)
+        """)
+        load = textwrap.dedent(f"""
+            import pickle, sys
+            sys.path.insert(0, {os.path.dirname(__file__)!r})
+            from test_gluing import _pickle_samples
+            with open({str(blob)!r}, "rb") as fh:
+                loaded = pickle.load(fh)
+            fresh = _pickle_samples()
+            for old, new in zip(loaded, fresh):
+                assert old == new and hash(old) == hash(new), old
+                assert {{new: 1}}[old] == 1 and {{old: 1}}[new] == 1, old
+            key, series = fresh[2], loaded[3]
+            assert series.coefficient(key) == series.terms[key] != 0
+            print("ok")
+        """)
+        for code, seed in ((dump, "1"), (load, "2")):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
