@@ -154,9 +154,28 @@ def _parse_profile(text: str | None, flag: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_min(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{flag} expects an integer >= {low}; got {value}")
+
+
+def _hurwitz_partition(args) -> tuple[int, ...]:
+    """Check ``--degree`` and ``--genus``, then parse ``--partition``."""
+    _check_min("--degree", args.degree, 1)
+    _check_min("--genus", args.genus, 0)
+    parts = [part.strip() for part in args.partition.split(",")]
+    if not all(part.isdecimal() and int(part) >= 1 for part in parts):
+        raise ValueError(
+            f"--partition expects comma-separated integers >= 1, e.g. 2,1,1; "
+            f"got {args.partition!r}")
+    return tuple(int(part) for part in parts)
+
+
 # -- verbs ---------------------------------------------------------------------
 
 def _cmd_severi(args, cache: ValueCache) -> list[dict]:
+    _check_min("--degree", args.degree, 1)
+    _check_min("--delta", args.delta, 0)
     alpha = _parse_profile(args.alpha, "--alpha")
     beta = _parse_profile(args.beta, "--beta") if args.beta else None
     if args.table:
@@ -185,7 +204,7 @@ def _cmd_severi(args, cache: ValueCache) -> list[dict]:
 
 
 def _cmd_hurwitz(args, cache: ValueCache) -> list[dict]:
-    alpha = tuple(int(a) for a in args.partition.split(","))
+    alpha = _hurwitz_partition(args)
     key = json.dumps([args.degree, args.genus, sorted(alpha, reverse=True)])
     stored = cache.load("hurwitz")
     if key in stored:
@@ -201,13 +220,8 @@ def _cmd_hurwitz(args, cache: ValueCache) -> list[dict]:
     return [row]
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError(f"--order expects an integer >= 0; got {order}")
-
-
 def _cmd_elliptic(args, _cache: ValueCache) -> list[dict]:
-    _check_order(args.order)
+    _check_min("--order", args.order, 0)
     if args.check:
         rows = []
         ode = elliptic.f0_via_ode(args.order)
@@ -232,7 +246,7 @@ def _cmd_catalog(args, _cache: ValueCache) -> list[dict]:
         raise SystemExit(
             f"unknown catalog entry {args.name!r}; "
             f"available: {', '.join(sorted(entries))}")
-    _check_order(args.order)
+    _check_min("--order", args.order, 0)
     produced = entries[args.name].producer(args.order)
     if isinstance(produced, Series):
         return _series_rows(produced)
@@ -249,7 +263,7 @@ def _cmd_catalog(args, _cache: ValueCache) -> list[dict]:
 
 def _cmd_oracle(args, _cache: ValueCache) -> list[dict]:
     if args.kind == "hurwitz":
-        alpha = tuple(int(a) for a in args.partition.split(","))
+        alpha = _hurwitz_partition(args)
         value = oracles.hurwitz_oracle(args.degree, args.genus, alpha)
         row = {"d": args.degree, "g": args.genus,
                "partition": sorted(alpha, reverse=True)}

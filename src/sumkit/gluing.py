@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from sumkit.contacts import (
@@ -205,7 +206,8 @@ class RelSeries:
     Keys are :class:`RelKey` values with ``end_count`` contact multisets
     each; every stored key satisfies ``grade(class) <= cutoff`` and, on each
     end, ``deg(contacts) == pair_v(class)``.  Values are nonzero Fractions.
-    Immutable.
+    Immutable: ``terms`` is a read-only view, so a memoized series such as
+    :func:`identity_element`'s cannot be changed under later callers.
 
     The constructor checks every term; it is the boundary for caller data
     (:meth:`unit`, :meth:`zero`, :func:`relseries_from_json`, catalog tables,
@@ -264,7 +266,7 @@ class RelSeries:
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "end_count", end_count)
         object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @classmethod
     def _trusted(cls, geometry: Geometry, end_count: int, cutoff: int,
@@ -274,7 +276,7 @@ class RelSeries:
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "end_count", end_count)
         object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
         return self
 
     def __setattr__(self, name, value):
@@ -283,7 +285,7 @@ class RelSeries:
     def __reduce__(self):
         # unpickled data is caller data: it goes through the checks again
         return RelSeries, (self.geometry, self.end_count, self.cutoff,
-                           self.terms)
+                           dict(self.terms))
 
     # -- basics -------------------------------------------------------------
 

@@ -19,6 +19,27 @@ counts on plain part-monomials ``z^alpha`` (the ``u``-slots are divided
 because branch points are labeled; the parts are not).  The quadratic term
 carries the connected bookkeeping, and the squared marker ``lam^2`` tracks
 the genus jump when two cycles join.
+
+:class:`CutJoinTable` solves the equation one branch level at a time.  Write
+``G = sum_r G_r`` with ``G_r`` the part of ``u``-exponent ``r``.  The right
+side has no ``u`` in its coefficients, its linear terms keep the
+``u``-exponent and its quadratic term adds the two exponents, so comparing
+``u^(r-1)`` on both sides gives::
+
+    dG_r/du = 1/2 * sum_{i,j>=1} ( i*j * lam^2 * z_{i+j} *
+                                   (d2G_(r-1)/dz_i dz_j
+                                    + sum_{s+t=r-1} dG_s/dz_i * dG_t/dz_j)
+                                 + (i+j) * z_i * z_j * dG_(r-1)/dz_(i+j) )
+
+Level ``r`` is therefore built from the lower levels alone.  Its right side
+is the ``u^(r-1)`` part of :func:`cut_join_apply` on the partial sum
+``G_0 + ... + G_(r-1)``, so solving level by level reaches the same series
+as the fixed-point iteration that applies the whole operator to the partial
+sum at each step and keeps that slice.  Truncation depends on a term's
+grading only, so taking the slice before or after the truncated arithmetic
+keeps the same terms.  :func:`cut_join_apply` applies the whole operator
+and stays the independent side that :func:`cut_join_residual` checks the
+table against.
 """
 
 from __future__ import annotations
@@ -27,6 +48,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from sumkit.contacts import partitions
 from sumkit.oracles import branch_count_rh
 from sumkit.series import Series, VariableContext
 
@@ -83,7 +105,17 @@ def cut_join_apply(g_series: Series, d_max: int) -> Series:
 
 
 class CutJoinTable:
-    """Solves the transport equation level by level in the branch count."""
+    """Solves the transport equation level by level in the branch count.
+
+    ``series`` is ``G`` up to ``u^r_max`` over the ring of :func:`_context`
+    with cutoff ``2*d_max + r_max``.  Each level ``G_r`` is computed from
+    ``G_0 .. G_(r-1)`` and their ``z``-derivatives, by the level equation in
+    the module docstring, and kept to the grading that :func:`cut_join_apply`
+    keeps.  So ``series`` equals, term for term, the fixed point reached by
+    applying :func:`cut_join_apply` to the partial sum ``r_max`` times and
+    lifting its ``u^(r-1)`` slice at step ``r``, at a cost per level that
+    grows with that level's products instead of the whole series.
+    """
 
     def __init__(self, d_max: int, r_max: int):
         self.d_max = d_max
@@ -99,22 +131,53 @@ class CutJoinTable:
                            {"z1": 1, "lam": -2})
 
     def _solve(self) -> Series:
-        ctx = self.context
+        ctx, d_max = self.context, self.d_max
         cutoff = 2 * self.d_max + self.r_max
-        g_series = self._seed()
+        # cut_join_apply keeps its value to the cutoff of its deepest
+        # derivative, d/dz_(d_max); each slice starts there, so the zero
+        # terms skipped below cannot leave it a higher cutoff
+        top = cutoff - d_max
         u_index = ctx.index("u")
+        z = [f"z{a}" for a in range(d_max + 1)]
+        joins, cuts = {}, {}
+        for k in range(2, d_max + 1):
+            joins[k] = Series.term(ctx, cutoff, {z[k]: 1, "lam": 2},
+                                   Fraction(1, 2))
+            # (1/2) sum_{i+j=k} z_i z_j, the cut term's factor of k*dG/dz_k
+            cuts[k] = Series.zero(ctx, cutoff)
+            for i in range(1, k):
+                cuts[k] = cuts[k] + Series.term(ctx, cutoff, {z[i]: 1}) \
+                    * Series.term(ctx, cutoff, {z[k - i]: 1}, Fraction(1, 2))
+        level = self._seed()
+        total = level
+        # weighted[s][a] = a * dG_s/dz_a, the factor each join term takes
+        weighted = []
         for r in range(1, self.r_max + 1):
-            rhs = cut_join_apply(g_series, self.d_max)
-            new_terms = {}
+            weighted.append([None] + [level.differentiate(z[a]) * a
+                                      for a in range(1, d_max + 1)])
+            last = weighted[r - 1]
+            rhs = Series.zero(ctx, top)
+            for k in range(2, d_max + 1):
+                join = Series.zero(ctx, cutoff)
+                for i in range(1, k):
+                    j = k - i
+                    if last[i]:
+                        join = join + last[i].differentiate(z[j]) * j
+                    for s in range(r):
+                        left, right = weighted[s][i], weighted[r - 1 - s][j]
+                        if left and right:
+                            join = join + left * right
+                if join:
+                    rhs = rhs + joins[k] * join
+                if last[k]:
+                    rhs = rhs + cuts[k] * last[k]
+            lifted = {}
             for exps, c in rhs.terms.items():
-                if exps[u_index] != r - 1:
-                    continue
-                lifted = list(exps)
-                lifted[u_index] = r
-                new_terms[tuple(lifted)] = c * Fraction(1, r)
-            if new_terms:
-                g_series = g_series + Series(ctx, cutoff, new_terms)
-        return g_series
+                lifted[exps[:u_index] + (r,) + exps[u_index + 1:]] = \
+                    c * Fraction(1, r)
+            level = Series(ctx, cutoff, lifted)
+            total = total + level
+        return total
 
     def value(self, d: int, g: int, alpha: Sequence[int]) -> Fraction:
         alpha = _normalize(alpha)
@@ -175,7 +238,7 @@ def cut_join_residual(d_max: int, r_max: int) -> Series:
     cutoff = 2 * d_max + r_max
     terms = {}
     for d in range(1, d_max + 1):
-        for alpha in _partitions_of(d):
+        for alpha in partitions(d):
             for r in range(0, r_max + 1):
                 residue = r - branch_count_rh(d, 0, alpha)
                 if residue < 0 or residue % 2:
@@ -202,17 +265,3 @@ def cut_join_residual(d_max: int, r_max: int) -> Series:
             continue
         window[exps] = c
     return Series(ctx, cutoff, window)
-
-
-def _partitions_of(d: int):
-    if d == 0:
-        yield ()
-        return
-    def rec(n, max_part):
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, max_part), 0, -1):
-            for rest in rec(n - first, first):
-                yield (first,) + rest
-    yield from rec(d, d)

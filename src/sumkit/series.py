@@ -16,7 +16,9 @@ characteristic marker, which appears with exponents of both signs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from operator import add, mul
+from types import MappingProxyType
+from typing import Iterator, Mapping, Union
 
 Coeff = Union[Fraction, int]
 
@@ -105,7 +107,7 @@ class VariableContext:
         return tuple(exps)
 
     def grading(self, exponents: tuple[int, ...]) -> int:
-        return sum(w * e for w, e in zip(self.weights, exponents) if e)
+        return sum(map(mul, self.weights, exponents))
 
     def validate(self, exponents: tuple[int, ...]) -> None:
         if len(exponents) != len(self.names):
@@ -120,10 +122,23 @@ class VariableContext:
 class Series:
     """Sparse truncated power series with exact rational coefficients.
 
-    Immutable once constructed; all operations return new series.  Stored
-    monomials always satisfy ``grading <= cutoff`` and never carry a zero
-    coefficient.  The minimum exponent appearing on the laurent variable is
-    tracked as ``laurent_floor`` (0 for series without laurent terms).
+    Immutable once constructed; all operations return new series, and
+    ``terms`` is a read-only view.  Stored monomials always satisfy
+    ``grading <= cutoff`` and never carry a zero coefficient.  The minimum
+    exponent appearing on the laurent variable is tracked as
+    ``laurent_floor`` (0 for series without laurent terms).
+
+    The constructor checks every term; it is the boundary for caller data
+    (:meth:`term`, :meth:`constant`, :meth:`from_text`, unpickled series).
+    Binary ``+`` and ``-``, unary ``-``, ``*`` by a series or a scalar,
+    :meth:`differentiate` and :meth:`truncate` -- and through them ``**``,
+    :meth:`exp` and :meth:`log` -- build their results through
+    :meth:`_trusted` instead, without revalidating: their inputs already
+    hold the invariants, and each operation keeps them.  Exponent vectors
+    keep their length, sums of exponents and a derivative's lowered
+    exponent stay nonnegative off the laurent variable, and gradings are
+    filtered against the result's cutoff.  Coefficients stay Fractions, and
+    the zeros that cancellation or a scalar 0 produce are dropped.
     """
 
     __slots__ = ("context", "cutoff", "terms", "laurent_floor")
@@ -147,8 +162,34 @@ class Series:
                 clean[exps] = c
                 if li is not None and exps[li] < floor:
                     floor = exps[li]
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "laurent_floor", floor)
+
+    @classmethod
+    def _trusted(cls, context: VariableContext, cutoff: int,
+                 terms: dict[tuple[int, ...], Fraction]) -> "Series":
+        """Wrap ``terms`` without checks; see the class docstring for when.
+
+        Zero coefficients are dropped here, so callers may accumulate
+        without removing cancelled sums.
+        """
+        clean = {e: c for e, c in terms.items() if c}
+        li = context.laurent_index
+        floor = 0
+        if li is not None:
+            for e in clean:
+                if e[li] < floor:
+                    floor = e[li]
+        self = object.__new__(cls)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+        object.__setattr__(self, "laurent_floor", floor)
+        return self
+
+    def __reduce__(self):
+        # unpickled data is caller data: it goes through the checks again
+        return Series, (self.context, self.cutoff, dict(self.terms))
 
     def __setattr__(self, name, value):
         if name in ("terms", "laurent_floor") and hasattr(self, "laurent_floor"):
@@ -228,23 +269,25 @@ class Series:
             other = Series.constant(self.context, self.cutoff, other)
         self._check(other)
         cutoff = min(self.cutoff, other.cutoff)
-        out = {e: c for e, c in self.terms.items()
-               if self.context.grading(e) <= cutoff}
+        grading = self.context.grading
+        # a side whose own cutoff is not above the result's needs no filter
+        if self.cutoff == cutoff:
+            out = dict(self.terms)
+        else:
+            out = {e: c for e, c in self.terms.items() if grading(e) <= cutoff}
+        trim_other = other.cutoff > cutoff
         for e, c in other.terms.items():
-            if self.context.grading(e) > cutoff:
+            if trim_other and grading(e) > cutoff:
                 continue
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Series(self.context, cutoff, out)
+            s = out.get(e)
+            out[e] = c if s is None else s + c
+        return Series._trusted(self.context, cutoff, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.context, self.cutoff,
-                      {e: -c for e, c in self.terms.items()})
+        return Series._trusted(self.context, self.cutoff,
+                               {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -256,25 +299,24 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Series(self.context, self.cutoff,
-                          {e: c * other for e, c in self.terms.items()})
+            return Series._trusted(
+                self.context, self.cutoff,
+                {e: c * other for e, c in self.terms.items()})
         self._check(other)
         cutoff = min(self.cutoff, other.cutoff)
         grading = self.context.grading
         out: dict[tuple[int, ...], Fraction] = {}
-        right = [(e, grading(e), c) for e, c in other.terms.items()]
+        # ascending grading, so each row stops at the first factor too high
+        right = sorted((grading(e), e, c) for e, c in other.terms.items())
         for e1, c1 in self.terms.items():
-            g1 = grading(e1)
-            for e2, g2, c2 in right:
-                if g1 + g2 > cutoff:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Series(self.context, cutoff, out)
+            room = cutoff - grading(e1)
+            for g2, e2, c2 in right:
+                if g2 > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                s = out.get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return Series._trusted(self.context, cutoff, out)
 
     __rmul__ = __mul__
 
@@ -294,9 +336,9 @@ class Series:
         """Drop every term of grading above ``cutoff``."""
         if cutoff > self.cutoff:
             raise SeriesError("cannot raise a cutoff; recompute instead")
-        out = {e: c for e, c in self.terms.items()
-               if self.context.grading(e) <= cutoff}
-        return Series(self.context, cutoff, out)
+        grading = self.context.grading
+        out = {e: c for e, c in self.terms.items() if grading(e) <= cutoff}
+        return Series._trusted(self.context, cutoff, out)
 
     # -- transcendental operations ----------------------------------------
 
@@ -349,7 +391,7 @@ class Series:
             d = list(e)
             d[i] -= 1
             out[tuple(d)] = c * e[i]
-        return Series(self.context, cutoff, out)
+        return Series._trusted(self.context, cutoff, out)
 
     # -- serialization -----------------------------------------------------
 

@@ -126,6 +126,47 @@ class TestInputLimits:
     def test_order_zero_allowed(self, capsys):
         assert invoke(capsys, "catalog", "torus", "--order", "0")[0] == 0
 
+    @pytest.mark.parametrize("verb", [("hurwitz",), ("oracle", "hurwitz")])
+    @pytest.mark.parametrize("value", ["2,x", "0,3", "3,", "-1,4", "1.5"])
+    def test_malformed_partition(self, capsys, verb, value):
+        code, out, err = invoke(capsys, *verb, "--degree", "3", "--genus",
+                                "0", f"--partition={value}")
+        assert code == 1 and out == ""
+        assert "--partition expects comma-separated integers >= 1" in err
+        assert repr(value) in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("hurwitz", "--degree", "0", "--genus", "0", "--partition", "1"),
+         "--degree expects an integer >= 1; got 0"),
+        (("oracle", "hurwitz", "--degree", "-2", "--genus", "0",
+          "--partition", "1"), "--degree expects an integer >= 1; got -2"),
+        (("hurwitz", "--degree", "3", "--genus", "-1", "--partition", "3"),
+         "--genus expects an integer >= 0; got -1"),
+        (("oracle", "hurwitz", "--degree", "3", "--genus", "-1",
+          "--partition", "3"), "--genus expects an integer >= 0; got -1"),
+        (("severi", "--degree", "-1", "--delta", "0"),
+         "--degree expects an integer >= 1; got -1"),
+        (("severi", "--degree", "0", "--delta", "0", "--table"),
+         "--degree expects an integer >= 1; got 0"),
+        (("severi", "--degree", "3", "--delta", "-1"),
+         "--delta expects an integer >= 0; got -1"),
+        (("severi", "--degree", "3", "--delta", "-1", "--table"),
+         "--delta expects an integer >= 0; got -1")])
+    def test_degree_genus_delta_limits(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert message in err
+
+    def test_limits_admit_their_bounds(self, capsys):
+        plain = invoke(capsys, "hurwitz", "--degree", "1", "--genus", "0",
+                       "--partition", "1")
+        padded = invoke(capsys, "hurwitz", "--degree", "1", "--genus", "0",
+                        "--partition", " 1 ")
+        assert plain == padded and plain[0] == 0
+        code, out, _ = invoke(capsys, "severi", "--degree", "1",
+                              "--delta", "0")
+        assert code == 0 and json.loads(out)["value"] == "1"
+
 
 class TestCheckVerb:
     @pytest.mark.parametrize("error", [GluingError("bad series"),

@@ -475,6 +475,21 @@ class TestTrustedResults:
             assert (0, 3) in {k.class_key for k in product(u, u).terms}
             assert (0, 3) not in {k.class_key for k in product(u, v).terms}
 
+    def test_memoized_unit_cannot_be_changed_by_a_caller(self):
+        geo, q = neck_geometry(1, 2), SPHERE
+        unit = identity_element(geo, q, 3)
+        key = next(iter(unit.terms))
+        with pytest.raises(AttributeError):
+            unit.terms.clear()
+        with pytest.raises(TypeError):
+            unit.terms[key] = Fraction(5)
+        for result in (RelSeries.unit(geo, 2, 3), unit + unit, unit.scale(2),
+                       unit.disjoint_mul(unit), convolve(unit, unit, q)):
+            with pytest.raises(TypeError):
+                del result.terms[next(iter(result.terms))]
+        again = identity_element(geo, q, 3)
+        assert len(again.terms) == 18 and again.terms[key] == unit.terms[key]
+
     def test_scale_by_zero_is_the_zero_series(self):
         geo = neck_geometry(base_dim=1, v_basis=2)
         x = identity_element(geo, SPHERE, 3)

@@ -5,12 +5,17 @@ import pytest
 
 from sumkit.contacts import partitions
 from sumkit.hurwitz import (
+    CutJoinTable,
     HurwitzError,
+    _context,
+    _table_for,
     branch_count,
+    cut_join_apply,
     cut_join_residual,
     hurwitz_number,
 )
 from sumkit.oracles import branch_count_rh, hurwitz_oracle
+from sumkit.series import Series
 
 
 class TestBranchCount:
@@ -77,7 +82,6 @@ class TestInvariants:
 
     def test_degree_one_sector_vanishes_for_positive_r(self):
         # no simple branch points exist on a one-sheeted cover
-        from sumkit.hurwitz import _table_for
         table = _table_for(2, 4)
         u = table.context.index("u")
         z1 = table.context.index("z1")
@@ -88,12 +92,47 @@ class TestInvariants:
                 assert exps[u] == 0
 
 
+    def test_cached_table_cannot_be_changed_by_a_caller(self):
+        table = _table_for(5, 6)
+        exps = next(iter(table.series.terms))
+        with pytest.raises(TypeError):
+            table.series.terms[exps] = Fraction(7)
+        assert _table_for(5, 6).series.terms[exps] != 7
+
+
+def fixed_point_series(d_max, r_max):
+    """The table solved as a fixed point: at each step r apply the whole
+    operator to the partial sum and lift its u^(r-1) slice to u^r."""
+    ctx = _context(d_max)
+    cutoff = 2 * d_max + r_max
+    u = ctx.index("u")
+    g = Series.term(ctx, cutoff, {"z1": 1, "lam": -2})
+    for r in range(1, r_max + 1):
+        rhs = cut_join_apply(g, d_max)
+        g = g + Series(ctx, cutoff, {
+            exps[:u] + (r,) + exps[u + 1:]: c / r
+            for exps, c in rhs.terms.items() if exps[u] == r - 1})
+    return g
+
+
+class TestLevelSolve:
+    @pytest.mark.parametrize("d_max, r_max", [(4, 5), (5, 6), (6, 7)])
+    def test_equals_the_fixed_point_solve(self, d_max, r_max):
+        table = CutJoinTable(d_max, r_max)
+        reference = fixed_point_series(d_max, r_max)
+        assert table.series == reference
+        assert table.series.cutoff == 2 * d_max + r_max
+
+
 class TestResidual:
     def test_small_window(self):
         assert cut_join_residual(2, 2).is_zero()
 
     def test_acceptance_window(self):
         assert cut_join_residual(4, 4).is_zero()
+
+    def test_wide_window(self):
+        assert cut_join_residual(6, 8).is_zero()
 
     def test_empty_window(self):
         assert cut_join_residual(1, 0).is_zero()

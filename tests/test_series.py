@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -162,6 +164,99 @@ class TestCoefficient:
             f.coefficient({"t": 5})
 
 
+def assert_valid(f):
+    """``f`` passes the validating constructor unchanged."""
+    again = Series(f.context, f.cutoff, f.terms)
+    assert again == f and again.laurent_floor == f.laurent_floor
+    assert all(type(c) is Fraction for c in f.terms.values())
+
+
+class TestTrustedResults:
+    """Ring results skip revalidation; they must still pass it."""
+
+    @staticmethod
+    def pair():
+        c = ctx()
+        a = Series(c, 6, {(1, -2): Fraction(1, 2), (3, 0): -3, (0, 1): 2,
+                          (6, 0): 1})
+        b = Series(c, 4, {(1, -2): Fraction(-1, 2), (2, -1): 5, (0, 0): 1})
+        return a, b
+
+    def test_every_operation(self):
+        a, b = self.pair()
+        positive = Series(a.context, 6, {(1, -1): 1, (2, 2): Fraction(-2, 3)})
+        results = [a + b, b + a, a - b, b - a, -a, a * b, b * a, a * 3,
+                   3 * a, a * Fraction(2, 3), a.differentiate("t"),
+                   a.differentiate("lam"), a.truncate(2), a ** 3, b ** 2,
+                   positive.exp(), (positive + 1).log()]
+        for f in results:
+            assert_valid(f)
+
+    def test_sum_drops_terms_above_the_smaller_cutoff(self):
+        a, b = self.pair()
+        for f in (a + b, b + a, a - b, b - a):
+            assert f.cutoff == 4 and (3, 0) in f.terms
+            assert (6, 0) not in f.terms
+            assert_valid(f)
+
+    def test_cancellation_to_zero(self):
+        a, b = self.pair()
+        for f in (a - a, a + (-a), -a + a):
+            assert f == Series.zero(a.context, 6) and f.laurent_floor == 0
+            assert_valid(f)
+        # (1 + t)(1 - t): the t terms cancel
+        product = t_series(10, {0: 1, 1: 1}) * t_series(10, {0: 1, 1: -1})
+        assert (1, 0) not in product.terms
+        assert_valid(product)
+        # the lam^-2 terms cancel in the sum, so its floor rises to -1
+        assert (a + b).laurent_floor == -1
+
+    def test_scalar_zero_gives_the_zero_series(self):
+        a, _ = self.pair()
+        for f in (a * 0, 0 * a, a * Fraction(0)):
+            assert f == Series.zero(a.context, 6) and f.laurent_floor == 0
+            assert_valid(f)
+
+    def test_derivative_in_the_laurent_variable(self):
+        c = ctx()
+        f = Series(c, 5, {(1, -2): 1, (2, 0): 3})
+        assert f.laurent_floor == -2
+        d_lam = f.differentiate("lam")
+        assert d_lam == Series(c, 5, {(1, -3): -2})
+        assert d_lam.laurent_floor == -3
+        assert_valid(d_lam)
+        d_t = Series(c, 5, {(0, -2): 1, (1, 1): 1}).differentiate("t")
+        assert d_t.laurent_floor == 0
+        assert_valid(d_t)
+
+
+class TestImmutability:
+    def test_terms_are_read_only(self):
+        f = t_series(5, {1: 2})
+        with pytest.raises(TypeError):
+            f.terms[(2, 0)] = Fraction(1)
+        with pytest.raises(AttributeError):
+            f.terms.clear()
+        for result in (f + f, f * f, f.differentiate("t")):
+            with pytest.raises(TypeError):
+                del result.terms[next(iter(result.terms))]
+        assert f == t_series(5, {1: 2})
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy, copy.copy])
+    def test_roundtrip_equal_and_hash_equal(self, duplicate):
+        f = Series(ctx(), 6, {(1, -2): Fraction(1, 2), (2, 0): -3})
+        twin = duplicate(f)
+        assert type(twin) is Series
+        assert twin == f and hash(twin) == hash(f)
+        assert twin.laurent_floor == -2
+
+    def test_unpickled_series_is_revalidated(self):
+        bad = Series._trusted(ctx(), 1, {(3, 0): Fraction(1)})
+        with pytest.raises(SeriesError, match="term beyond cutoff"):
+            pickle.loads(pickle.dumps(bad))
+
+
 def small_series(draw, cutoff=12, unit=False):
     c = ctx()
     n_terms = draw(st.integers(0 if not unit else 1, 5))
@@ -212,6 +307,16 @@ def test_exp_log_roundtrip(f):
 def test_truncation_is_a_homomorphism(a, b, k):
     assert (a * b).truncate(k) == (a.truncate(k) * b.truncate(k)).truncate(k)
     assert (a + b).truncate(k) == a.truncate(k) + b.truncate(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_strategy, series_strategy, st.integers(-3, 3))
+def test_ring_results_pass_the_validating_constructor(a, b, k):
+    # a smaller cutoff on one side exercises the grade filter of +
+    b = b.truncate(9)
+    for f in (a + b, b + a, a - b, b - a, -a, a * b, a * k, k * a,
+              a.differentiate("t"), a.differentiate("lam"), a.truncate(5)):
+        assert_valid(f)
 
 
 @settings(max_examples=40, deadline=None)
