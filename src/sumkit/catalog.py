@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from sumkit.contacts import ContactMultiset, IntersectionMatrix, seq_stats
+from sumkit.contacts import ContactMultiset, seq_stats
 from sumkit.gluing import (
-    Geometry,
     RelKey,
     RelSeries,
     riemann_surface_geometry,
@@ -213,21 +212,6 @@ def ruled_rel(n: int, a: int, b: int, g: int, s: ContactSeq, s_prime: ContactSeq
             return RuledInvariant(Fraction(1 if contacts_fixed else 0))
         return RuledInvariant(Fraction(0))
     raise CatalogError(f"unknown constraint {constraint!r}")
-
-
-def ruled_geometry(n: int) -> Geometry:
-    """Class bookkeeping for the ruled surface: classes ``a*S + b*F``.
-
-    The divisor pairing is against the infinity section (degree ``b``);
-    the canonical pairing is ``-(n + 2) a - 2 b``.
-    """
-    return Geometry(
-        class_dim=2,
-        v_degree=(0, 1),
-        canonical_k=(-(n + 2), -2),
-        grading=(1, 1),
-        v_basis=2,
-    )
 
 
 # -- the addressable catalog ------------------------------------------------------

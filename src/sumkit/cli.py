@@ -183,8 +183,8 @@ def _cmd_severi(args, cache: ValueCache) -> list[dict]:
     else:
         beta_eff = beta if beta is not None \
             else severi.default_beta(args.degree, alpha)
-        key = severi.SeveriTable.canonical_key(
-            args.degree, args.delta, severi.trim(alpha), severi.trim(beta_eff))
+        key = json.dumps([args.degree, args.delta, list(severi.trim(alpha)),
+                          list(severi.trim(beta_eff))])
         stored = cache.load("severi")
         if key in stored:
             value = int(stored[key])

@@ -79,11 +79,6 @@ class ContactMultiset:
     def from_seq(cls, s: Sequence[ContactPair]) -> "ContactMultiset":
         return cls(((pair, 1) for pair in s))
 
-    @classmethod
-    def from_partition(cls, parts: Sequence[int], index: int = 0) -> "ContactMultiset":
-        """Multiset with all contacts on one basis class, e.g. a partition."""
-        return cls.from_seq([(a, index) for a in parts])
-
     def count(self, a: int, i: int) -> int:
         for pair, n in self.items:
             if pair == (a, i):

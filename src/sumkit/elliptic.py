@@ -67,11 +67,6 @@ def fg(g: int, cutoff: int) -> Series:
     return f * gprime ** g
 
 
-def ghost_torus_count(k_dot_b: int) -> Fraction:
-    """Class-zero genus-one count against a surface class: ``K.B / 24``."""
-    return Fraction(k_dot_b, 24)
-
-
 @dataclass(frozen=True)
 class SurfaceClassData:
     """Intersection data for a family of classes ``A(d) = base + d * fiber``.

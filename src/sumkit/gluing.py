@@ -24,6 +24,7 @@ because every non-trivial term carries positive base grading).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -679,6 +680,7 @@ def convolve_via_operator(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
 
 # -- scattering ---------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def identity_element(geometry: Geometry, q: IntersectionMatrix,
                      cutoff: int) -> RelSeries:
     """The convolution unit: the disconnected series of plain fiber covers.
@@ -688,19 +690,6 @@ def identity_element(geometry: Geometry, q: IntersectionMatrix,
     inverse pairing on its two contact labels, weighted ``1/a``.  Convolving
     with the resulting disconnected series leaves any series unchanged.
     """
-    cached = _identity_cache.get((geometry, q, cutoff))
-    if cached is not None:
-        return cached
-    result = _identity_element_uncached(geometry, q, cutoff)
-    _identity_cache[(geometry, q, cutoff)] = result
-    return result
-
-
-_identity_cache: dict[tuple, RelSeries] = {}
-
-
-def _identity_element_uncached(geometry: Geometry, q: IntersectionMatrix,
-                               cutoff: int) -> RelSeries:
     if geometry.fiber is None:
         raise GluingError("identity element needs a geometry with a fiber class")
     if q.size != geometry.v_basis:
@@ -808,15 +797,6 @@ def moduli_dimension(geometry: Geometry, class_key: ClassKey, chi: int,
             + (chi * (dim_x - 6)) // 2
             + 2 * n_points
             - 2 * (deg_s - len_s))
-
-
-def sum_canonical(k_x: int, k_y: int, beta: int) -> int:
-    """Canonical pairing of a glued class: ``K_X[C1] + K_Y[C2] + 2 beta``.
-
-    ``beta`` is the common intersection number of the two halves with the
-    divisor.  Classes swept out by circles of the divisor pair to zero.
-    """
-    return k_x + k_y + 2 * beta
 
 
 # -- serialization -------------------------------------------------------------

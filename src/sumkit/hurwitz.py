@@ -44,6 +44,7 @@ table against.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -194,18 +195,18 @@ class CutJoinTable:
         return self.series.coefficient(powers) * math.factorial(r)
 
 
-_tables: dict[tuple[int, int], CutJoinTable] = {}
-
-
 def _table_for(d: int, r: int) -> CutJoinTable:
-    for (dm, rm), table in _tables.items():
-        if d <= dm and r <= rm:
-            return table
-    d_max = max(d, 5)
-    r_max = max(r, 6)
-    table = CutJoinTable(d_max, r_max)
-    _tables[(d_max, r_max)] = table
-    return table
+    """The memoized table for degree ``d`` and ``r`` branch points.
+
+    Sizes are rounded up to at least ``(5, 6)``, so the small requests
+    share one table.
+    """
+    return _build_table(max(d, 5), max(r, 6))
+
+
+@functools.lru_cache(maxsize=32)
+def _build_table(d_max: int, r_max: int) -> CutJoinTable:
+    return CutJoinTable(d_max, r_max)
 
 
 def hurwitz_number(d: int, g: int, alpha: Sequence[int]) -> Fraction:

@@ -28,55 +28,6 @@ def divisor_sum(n: int) -> int:
     return total
 
 
-class Permutation:
-    """Permutation of ``{0..d-1}`` as an image tuple."""
-
-    __slots__ = ("image",)
-
-    def __init__(self, image: Sequence[int]):
-        image = tuple(image)
-        if sorted(image) != list(range(len(image))):
-            raise ValueError("not a bijection")
-        object.__setattr__(self, "image", image)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.image == other.image
-
-    def __hash__(self):
-        return hash(self.image)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        seen = [False] * len(self.image)
-        lengths = []
-        for start in range(len(self.image)):
-            if seen[start]:
-                continue
-            length = 0
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = self.image[x]
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths, reverse=True))
-
-
-def _cycle_count(image: list[int]) -> int:
-    seen = [False] * len(image)
-    cycles = 0
-    for start in range(len(image)):
-        if not seen[start]:
-            cycles += 1
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = image[x]
-    return cycles
-
-
 def _transitive(d: int, pairs: Sequence[tuple[int, int]]) -> bool:
     parent = list(range(d))
 

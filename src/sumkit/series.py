@@ -145,8 +145,8 @@ class Series:
 
     def __init__(self, context: VariableContext, cutoff: int,
                  terms: Mapping[tuple[int, ...], Coeff] | None = None):
-        self.context = context
-        self.cutoff = cutoff
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "cutoff", cutoff)
         clean: dict[tuple[int, ...], Fraction] = {}
         floor = 0
         li = context.laurent_index
@@ -192,9 +192,7 @@ class Series:
         return Series, (self.context, self.cutoff, dict(self.terms))
 
     def __setattr__(self, name, value):
-        if name in ("terms", "laurent_floor") and hasattr(self, "laurent_floor"):
-            raise AttributeError("Series is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError("Series is immutable")
 
     # -- constructors ------------------------------------------------------
 

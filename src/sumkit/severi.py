@@ -12,10 +12,12 @@ moving contacts smoothed and the Euler characteristic shifted accordingly.
 The degree-drop term necessarily produces *reducible* residual curves (a
 line pair is a legitimate residual of a rational cubic), so the recursion
 closes only over counts of reduced, possibly disconnected curves, indexed by
-total Euler characteristic.  Those are computed by :func:`tw_severi`;
-irreducible numbers are then extracted by removing multi-component
-configurations, with the generic points distributed by multinomials and
-fixed contacts by binomials (moving contacts carry no choice).
+total Euler characteristic.  Those are computed by :func:`tw_value`;
+irreducible numbers are then extracted by :func:`irreducible`, which
+removes multi-component configurations, with the generic points
+distributed by multinomials and fixed contacts by binomials (moving
+contacts carry no choice).  Both are memoized for the process by bounded
+``functools.lru_cache``s.
 
 Profiles are multiplicity vectors indexed from contact order 1, stored as
 trimmed tuples.
@@ -23,9 +25,8 @@ trimmed tuples.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from sumkit.contacts import partitions
@@ -99,11 +100,6 @@ def _profiles_leq(v: Profile) -> Iterator[Profile]:
             yield trim(rest + (0,) * (len(v) - 1 - len(rest)) + (last,))
 
 
-def _sub_profiles(v: Profile) -> Iterator[Profile]:
-    """Profiles ``w <= v`` (componentwise), untrimmed enumeration."""
-    yield from _profiles_leq(v)
-
-
 def trim_partition(parts: Sequence[int]) -> Profile:
     """Multiplicity vector of a partition given as a list of parts."""
     if not parts:
@@ -135,177 +131,153 @@ def _point_count_chi(d: int, chi: int, alpha: Profile, beta: Profile) -> int:
             - (order_weight(beta) - count(beta)))
 
 
-class SeveriTable:
-    """Memoized Severi degrees, disconnected and irreducible."""
+@functools.lru_cache(maxsize=65536)
+def tw_value(d: int, chi: int, alpha: Profile, beta: Profile) -> int:
+    """Count of reduced, possibly disconnected degree-``d`` curves.
 
-    def __init__(self):
-        self.tw_cache: dict[tuple[int, int, Profile, Profile], int] = {}
-        self.irr_cache: dict[tuple[int, int, Profile, Profile], int] = {}
+    Indexed by the total Euler characteristic ``chi`` of the
+    normalization; the node count of such a configuration is
+    ``(chi + d(d-3))/2`` and must be nonnegative.  ``alpha`` and ``beta``
+    are trimmed profiles.
+    """
+    if d < 1 or chi % 2:
+        return 0
+    if order_weight(alpha) + order_weight(beta) != d:
+        return 0
+    if chi > 2 * d:
+        return 0
+    if (chi + d * (d - 3)) % 2 or (chi + d * (d - 3)) // 2 < 0:
+        return 0
+    if _point_count_chi(d, chi, alpha, beta) < 0:
+        return 0
+    if d == 1:
+        return 1 if chi == 2 and delta_chi(d, chi) == 0 else 0
+    return _pin_moving_contact(d, chi, alpha, beta) \
+        + _shed_line(d, chi, alpha, beta)
 
-    @staticmethod
-    def canonical_key(d: int, delta: int, alpha: Profile, beta: Profile) -> str:
-        return json.dumps([d, delta, list(alpha), list(beta)])
 
-    # -- disconnected level ---------------------------------------------------
+def _pin_moving_contact(d, chi, alpha, beta) -> int:
+    """Specialized point hit by the curve: a moving order-``k`` contact
+    becomes fixed, with multiplicity ``k``."""
+    total = 0
+    for k in range(1, len(beta) + 1):
+        if beta[k - 1] == 0:
+            continue
+        total += k * tw_value(d, chi, _bump(alpha, k, +1), _bump(beta, k, -1))
+    return total
 
-    def tw_value(self, d: int, chi: int,
-                 alpha: Profile, beta: Profile) -> int:
-        """Count of reduced, possibly disconnected degree-``d`` curves.
 
-        Indexed by the total Euler characteristic ``chi`` of the
-        normalization; the node count of such a configuration is
-        ``(chi + d(d-3))/2`` and must be nonnegative.
-        """
-        alpha = trim(alpha)
-        beta = trim(beta)
-        if d < 1 or chi % 2:
-            return 0
-        if order_weight(alpha) + order_weight(beta) != d:
-            return 0
-        if chi > 2 * d:
-            return 0
-        if (chi + d * (d - 3)) % 2 or (chi + d * (d - 3)) // 2 < 0:
-            return 0
-        if _point_count_chi(d, chi, alpha, beta) < 0:
-            return 0
-        key = (d, chi, alpha, beta)
-        if key in self.tw_cache:
-            return self.tw_cache[key]
-        if d == 1:
-            value = 1 if chi == 2 and delta_chi(d, chi) == 0 else 0
-        else:
-            value = self._pin_moving_contact(d, chi, alpha, beta) \
-                + self._shed_line(d, chi, alpha, beta)
-        self.tw_cache[key] = value
-        return value
+def _shed_line(d, chi, alpha, beta) -> int:
+    """Specialized point absorbed by the line: the residual curve has
+    degree ``d - 1``, keeps fixed contacts ``alpha' <= alpha``, and its
+    new moving contacts (profile ``beta' - beta``) are smoothed, each
+    order-``k`` one with multiplicity ``k`` and Euler characteristic
+    ``chi'' = chi - 2 + 2 len(beta' - beta)``."""
+    total = 0
+    for alpha_p in _profiles_leq(alpha):
+        budget = d - 1 - order_weight(alpha_p) - order_weight(beta)
+        if budget < 0:
+            continue
+        for parts in partitions(budget):
+            gamma = trim_partition(parts)
+            beta_p = _add(beta, gamma)
+            chi_pp = chi - 2 + 2 * count(gamma)
+            total += (_order_product(gamma)
+                      * _binom_product(alpha, alpha_p)
+                      * _binom_product(beta_p, beta)
+                      * tw_value(d - 1, chi_pp, alpha_p, beta_p))
+    return total
 
-    def _pin_moving_contact(self, d, chi, alpha, beta) -> int:
-        """Specialized point hit by the curve: a moving order-``k`` contact
-        becomes fixed, with multiplicity ``k``."""
-        total = 0
-        for k in range(1, len(beta) + 1):
-            if beta[k - 1] == 0:
+
+@functools.lru_cache(maxsize=65536)
+def irreducible(d: int, chi: int, alpha: Profile, beta: Profile) -> int:
+    """Connected count: the disconnected one minus multi-component
+    configurations (components of smaller degree, generic points
+    distributed by multinomials, fixed contacts by binomials).  ``alpha``
+    and ``beta`` are trimmed profiles."""
+    if d < 1 or chi % 2 or chi > 2:
+        return 0
+    g = (2 - chi) // 2
+    if genus_to_delta(d, g) is None:
+        return 0
+    if order_weight(alpha) + order_weight(beta) != d:
+        return 0
+    if point_count(d, g, alpha, beta) < 0:
+        return 0
+    return tw_value(d, chi, alpha, beta) \
+        - _disconnected_part(d, chi, alpha, beta)
+
+
+def _component_tuples(d_max: int) -> Iterator[tuple]:
+    """All valid connected component types up to degree ``d_max``,
+    in a fixed decreasing order."""
+    for d in range(d_max, 0, -1):
+        g_top = (d - 1) * (d - 2) // 2
+        for g in range(g_top, -1, -1):
+            chi = 2 - 2 * g
+            for alpha in _all_profiles(d):
+                rest = d - order_weight(alpha)
+                for parts in partitions(rest):
+                    beta = trim_partition(parts)
+                    if point_count(d, g, alpha, beta) < 0:
+                        continue
+                    yield (d, chi, alpha, beta)
+
+
+def _disconnected_part(d, chi, alpha, beta) -> int:
+    r = _point_count_chi(d, chi, alpha, beta)
+    total = 0
+
+    def assemble(remaining_d, remaining_chi, remaining_alpha,
+                 remaining_beta, remaining_r, max_tuple, factor,
+                 n_components, run_tuple, run_len):
+        nonlocal total
+        if remaining_d == 0:
+            if remaining_chi == 0 and not remaining_alpha \
+                    and not remaining_beta and n_components >= 2:
+                total += factor // math.factorial(run_len)
+            return
+        # the first component must leave degree for at least one more
+        top_degree = remaining_d - 1 if n_components == 0 else remaining_d
+        for tup in _component_tuples(top_degree):
+            if max_tuple is not None and tup > max_tuple:
                 continue
-            total += k * self.tw_value(d, chi,
-                                       _bump(alpha, k, +1), _bump(beta, k, -1))
-        return total
-
-    def _shed_line(self, d, chi, alpha, beta) -> int:
-        """Specialized point absorbed by the line: the residual curve has
-        degree ``d - 1``, keeps fixed contacts ``alpha' <= alpha``, and its
-        new moving contacts (profile ``beta' - beta``) are smoothed, each
-        order-``k`` one with multiplicity ``k`` and Euler characteristic
-        ``chi'' = chi - 2 + 2 len(beta' - beta)``."""
-        total = 0
-        for alpha_p in _sub_profiles(alpha):
-            budget = d - 1 - order_weight(alpha_p) - order_weight(beta)
-            if budget < 0:
+            d_i, chi_i, alpha_i, beta_i = tup
+            alloc_alpha = _binom_product(remaining_alpha, alpha_i)
+            if alloc_alpha == 0:
                 continue
-            for parts in partitions(budget):
-                gamma = trim_partition(parts)
-                beta_p = _add(beta, gamma)
-                chi_pp = chi - 2 + 2 * count(gamma)
-                total += (_order_product(gamma)
-                          * _binom_product(alpha, alpha_p)
-                          * _binom_product(beta_p, beta)
-                          * self.tw_value(d - 1, chi_pp, alpha_p, beta_p))
-        return total
+            beta_rest = _profile_minus(remaining_beta, beta_i)
+            if beta_rest is None:
+                continue
+            g_i = (2 - chi_i) // 2
+            r_i = point_count(d_i, g_i, alpha_i, beta_i)
+            if r_i > remaining_r:
+                continue
+            n_irr = irreducible(d_i, chi_i, alpha_i, beta_i)
+            if n_irr == 0:
+                continue
+            if tup == run_tuple:
+                new_run = run_len + 1
+                run_factor = 1
+            else:
+                new_run = 1
+                run_factor = math.factorial(run_len)
+            assemble(
+                remaining_d - d_i,
+                remaining_chi - chi_i,
+                _profile_minus(remaining_alpha, alpha_i),
+                beta_rest,
+                remaining_r - r_i,
+                tup,
+                factor // run_factor * alloc_alpha
+                * math.comb(remaining_r, r_i) * n_irr,
+                n_components + 1,
+                tup,
+                new_run,
+            )
 
-    # -- irreducible level ----------------------------------------------------
-
-    def irreducible(self, d: int, chi: int,
-                    alpha: Profile, beta: Profile) -> int:
-        """Connected count: the disconnected one minus multi-component
-        configurations (components of smaller degree, generic points
-        distributed by multinomials, fixed contacts by binomials)."""
-        alpha = trim(alpha)
-        beta = trim(beta)
-        if d < 1 or chi % 2 or chi > 2:
-            return 0
-        g = (2 - chi) // 2
-        if genus_to_delta(d, g) is None:
-            return 0
-        if order_weight(alpha) + order_weight(beta) != d:
-            return 0
-        if point_count(d, g, alpha, beta) < 0:
-            return 0
-        key = (d, chi, alpha, beta)
-        if key in self.irr_cache:
-            return self.irr_cache[key]
-        value = self.tw_value(d, chi, alpha, beta) \
-            - self._disconnected_part(d, chi, alpha, beta)
-        self.irr_cache[key] = value
-        return value
-
-    def _component_tuples(self, d_max: int) -> Iterator[tuple]:
-        """All valid connected component types up to degree ``d_max``,
-        in a fixed decreasing order."""
-        for d in range(d_max, 0, -1):
-            g_top = (d - 1) * (d - 2) // 2
-            for g in range(g_top, -1, -1):
-                chi = 2 - 2 * g
-                for alpha in _all_profiles(d):
-                    rest = d - order_weight(alpha)
-                    for parts in partitions(rest):
-                        beta = trim_partition(parts)
-                        if point_count(d, g, alpha, beta) < 0:
-                            continue
-                        yield (d, chi, alpha, beta)
-
-    def _disconnected_part(self, d, chi, alpha, beta) -> int:
-        r = _point_count_chi(d, chi, alpha, beta)
-        total = 0
-
-        def assemble(remaining_d, remaining_chi, remaining_alpha,
-                     remaining_beta, remaining_r, max_tuple, factor,
-                     n_components, run_tuple, run_len):
-            nonlocal total
-            if remaining_d == 0:
-                if remaining_chi == 0 and not remaining_alpha \
-                        and not remaining_beta and n_components >= 2:
-                    total += factor // math.factorial(run_len)
-                return
-            # the first component must leave degree for at least one more
-            top_degree = remaining_d - 1 if n_components == 0 else remaining_d
-            for tup in self._component_tuples(top_degree):
-                if max_tuple is not None and tup > max_tuple:
-                    continue
-                d_i, chi_i, alpha_i, beta_i = tup
-                alloc_alpha = _binom_product(remaining_alpha, alpha_i)
-                if alloc_alpha == 0:
-                    continue
-                beta_rest = _profile_minus(remaining_beta, beta_i)
-                if beta_rest is None:
-                    continue
-                g_i = (2 - chi_i) // 2
-                r_i = point_count(d_i, g_i, alpha_i, beta_i)
-                if r_i > remaining_r:
-                    continue
-                n_irr = self.irreducible(d_i, chi_i, alpha_i, beta_i)
-                if n_irr == 0:
-                    continue
-                if tup == run_tuple:
-                    new_run = run_len + 1
-                    run_factor = 1
-                else:
-                    new_run = 1
-                    run_factor = math.factorial(run_len)
-                assemble(
-                    remaining_d - d_i,
-                    remaining_chi - chi_i,
-                    _profile_minus(remaining_alpha, alpha_i),
-                    beta_rest,
-                    remaining_r - r_i,
-                    tup,
-                    factor // run_factor * alloc_alpha
-                    * math.comb(remaining_r, r_i) * n_irr,
-                    n_components + 1,
-                    tup,
-                    new_run,
-                )
-
-        assemble(d, chi, alpha, beta, r, None, 1, 0, None, 0)
-        return total
+    assemble(d, chi, alpha, beta, r, None, 1, 0, None, 0)
+    return total
 
 
 def _profile_minus(a: Profile, b: Profile) -> Profile | None:
@@ -342,9 +314,6 @@ def genus_to_delta(d: int, g: int) -> int | None:
     return delta
 
 
-_TABLE = SeveriTable()
-
-
 def default_beta(d: int, alpha: Sequence[int] = ()) -> Profile:
     """Simple moving contacts for the order not consumed by ``alpha``."""
     rest = d - order_weight(trim(alpha))
@@ -356,7 +325,7 @@ def tw_severi(d: int, chi: int, alpha: Sequence[int] = (),
     """Disconnected Severi degree at total Euler characteristic ``chi``."""
     if beta is None:
         beta = default_beta(d, alpha)
-    return _TABLE.tw_value(d, chi, trim(alpha), trim(beta))
+    return tw_value(d, chi, trim(alpha), trim(beta))
 
 
 def severi_number(d: int, delta: int, alpha: Sequence[int] = (),
@@ -374,7 +343,7 @@ def severi_number(d: int, delta: int, alpha: Sequence[int] = (),
     g = genus(d, delta)
     if g < 0:
         return 0
-    return _TABLE.irreducible(d, 2 - 2 * g, trim(alpha), trim(beta))
+    return irreducible(d, 2 - 2 * g, trim(alpha), trim(beta))
 
 
 def rational_degree(d: int) -> int:

@@ -9,7 +9,6 @@ from sumkit.elliptic import (
     fg,
     genus1_via_fiber_recursion,
     genus1_via_fiber_sum,
-    ghost_torus_count,
     lsplit_suite,
     sigma_series,
     trr_genus1,
@@ -86,10 +85,6 @@ class TestGenusOneRoutes:
         h = genus1_via_fiber_recursion(50)
         for n in range(51):
             assert 24 % h.coefficient({"t": n}).denominator == 0
-
-    def test_ghost_contribution(self):
-        assert ghost_torus_count(-1) == Fraction(-1, 24)
-        assert ghost_torus_count(5) == Fraction(5, 24)
 
     def test_trr_assembly_matches(self):
         f0 = f0_product(40)

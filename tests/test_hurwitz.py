@@ -15,7 +15,7 @@ from sumkit.hurwitz import (
     hurwitz_number,
 )
 from sumkit.oracles import branch_count_rh, hurwitz_oracle
-from sumkit.series import Series
+from sumkit.series import CutoffExceeded, Series
 
 
 class TestBranchCount:
@@ -98,6 +98,17 @@ class TestInvariants:
         with pytest.raises(TypeError):
             table.series.terms[exps] = Fraction(7)
         assert _table_for(5, 6).series.terms[exps] != 7
+
+    def test_cached_table_series_attributes_are_read_only(self):
+        # a writable cutoff would turn CutoffExceeded into a silent 0 for
+        # every later caller of the memoized table
+        series = _table_for(5, 6).series
+        for attr, value in (("cutoff", 100), ("context", _context(8)),
+                            ("terms", {}), ("laurent_floor", -9)):
+            with pytest.raises(AttributeError):
+                setattr(series, attr, value)
+        with pytest.raises(CutoffExceeded):
+            _table_for(5, 6).series.coefficient({"u": 30})
 
 
 def fixed_point_series(d_max, r_max):

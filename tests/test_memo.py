@@ -1,0 +1,105 @@
+"""The memo policy: every process-wide memo is a bounded ``lru_cache``."""
+
+import importlib
+import pkgutil
+import sys
+import threading
+
+import sumkit
+from sumkit import contacts, gluing, hurwitz, severi
+from sumkit.contacts import IntersectionMatrix, partitions
+
+MEMOS = (
+    contacts.enumerate_multisets,
+    contacts._dual_multiset_cached,
+    contacts.glue_weights,
+    gluing.identity_element,
+    hurwitz._build_table,
+    severi.tw_value,
+    severi.irreducible,
+)
+
+
+def _package_lru_caches():
+    found = set()
+    for info in pkgutil.iter_modules(sumkit.__path__):
+        module = importlib.import_module(f"sumkit.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):
+                found.add(value)
+    return found
+
+
+def test_every_memo_is_a_bounded_lru_cache():
+    assert _package_lru_caches() == set(MEMOS)
+    for memo in MEMOS:
+        maxsize = memo.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0, memo
+
+
+def _workload():
+    """Severi numbers and Hurwitz numbers up to degree 6, and neck units."""
+    out = []
+    for d in range(1, 7):
+        for delta in range(severi.genus(d, 0) + 1):
+            out.append(("severi", d, delta))
+        for alpha in partitions(d):
+            for g in (0, 1):
+                out.append(("hurwitz", d, g, alpha))
+    for cutoff in range(3, 7):
+        out.append(("unit", cutoff))
+    return out
+
+
+def _compute(item):
+    if item[0] == "severi":
+        return severi.severi_number(item[1], item[2])
+    if item[0] == "hurwitz":
+        return hurwitz.hurwitz_number(*item[1:])
+    return gluing.identity_element(gluing.neck_geometry(1, 2),
+                                   IntersectionMatrix.sphere_pairing(),
+                                   item[1])
+
+
+def _clear_all():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def test_concurrent_use_gives_the_serial_results():
+    work = _workload()
+    _clear_all()
+    serial = [_compute(item) for item in work]
+    _clear_all()
+    n_threads = 4
+    results = [None] * n_threads
+    errors = []
+
+    def worker(index):
+        # each thread walks the work in its own order, so the threads
+        # fill the same memos at different keys at once
+        shift = index * len(work) // n_threads
+        order = list(range(shift, len(work))) + list(range(shift))
+        try:
+            out = [None] * len(work)
+            for i in order:
+                out[i] = _compute(work[i])
+            results[index] = out
+        except Exception as exc:  # reported below, in the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for out in results:
+        assert out == serial

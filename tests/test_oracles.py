@@ -6,7 +6,6 @@ import pytest
 
 from sumkit.contacts import partitions
 from sumkit.oracles import (
-    Permutation,
     branch_count_rh,
     divisor_sum,
     hurwitz_oracle,
@@ -74,15 +73,6 @@ class TestKontsevichOracle:
 
     def test_positive(self):
         assert all(kontsevich_oracle(d) > 0 for d in range(1, 8))
-
-
-class TestPermutation:
-    def test_cycle_type(self):
-        assert Permutation((1, 0, 2)).cycle_type() == (2, 1)
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            Permutation((0, 0, 1))
 
 
 def test_import_firewall():
