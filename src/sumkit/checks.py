@@ -7,6 +7,7 @@ back both the ``check`` command-line verb and the acceptance tests.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -47,7 +48,24 @@ def check_severi_kontsevich() -> CheckResult:
         expected = [oracles.kontsevich_oracle(d) for d in range(1, 6)]
         got = [severi.rational_degree(d) for d in range(1, 6)]
         assert got == expected, f"{got} != {expected}"
-        return f"rational degrees {got}"
+        # every log the irreducible counts are read from, for d <= 6: a
+        # connected curve has genus >= 0, and its count is an integer
+        entries = 0
+        for d in range(1, 7):
+            for w in range(d + 1):
+                for a, b in itertools.product(partitions(w), partitions(d - w)):
+                    alpha = severi.trim_partition(a)
+                    beta = severi.trim_partition(b)
+                    for chi in range(2 - 2 * severi.genus(d, 0), 3, 2):
+                        logs = severi.connected_counts(d, chi, alpha, beta)
+                        for key, value in logs.items():
+                            assert key[1] <= 2, \
+                                f"connected term {value} with chi > 2 at {key}"
+                            assert value.denominator == 1, \
+                                f"non-integer connected count {value} at {key}"
+                        entries += len(logs)
+        return (f"rational degrees {got}; {entries} log entries for d<=6, "
+                "all integers with chi<=2")
     return _run("severi-kontsevich", body)
 
 

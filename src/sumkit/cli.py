@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -22,6 +23,10 @@ from sumkit.gluing import RelSeries, relseries_to_json
 from sumkit.series import Series
 
 ENGINE_VERSION = __version__
+
+# `oracle hurwitz` enumerates tuples of r transpositions of d letters, a
+# search tree of at most (C(d,2) + 1)^r nodes; about 3.5 s at this bound
+ORACLE_HURWITZ_NODES = 2_000_000
 
 
 # -- persistent memo cache ----------------------------------------------------
@@ -264,7 +269,18 @@ def _cmd_catalog(args, _cache: ValueCache) -> list[dict]:
 def _cmd_oracle(args, _cache: ValueCache) -> list[dict]:
     if args.kind == "hurwitz":
         alpha = _hurwitz_partition(args)
-        value = oracles.hurwitz_oracle(args.degree, args.genus, alpha)
+        d, g = args.degree, args.genus
+        r = oracles.branch_count_rh(d, g, alpha)
+        # logarithms, as r may be huge (no power equals the bound); a
+        # partition of the wrong size goes on to the oracle's own error
+        if sum(alpha) == d and r > 0 and r * math.log(math.comb(d, 2) + 1) \
+                > math.log(ORACLE_HURWITZ_NODES):
+            raise ValueError(
+                f"oracle hurwitz: --degree {d} --genus {g} --partition "
+                f"{args.partition} needs r = {r} branch points, and "
+                f"(C(d,2) + 1)^r exceeds the work limit "
+                f"{ORACLE_HURWITZ_NODES}; lower --genus or --degree")
+        value = oracles.hurwitz_oracle(d, g, alpha)
         row = {"d": args.degree, "g": args.genus,
                "partition": sorted(alpha, reverse=True)}
         row.update(_fraction_row(value))

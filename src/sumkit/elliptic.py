@@ -127,17 +127,6 @@ def genus1_via_fiber_sum(cutoff: int) -> Series:
     return f0 * (sigma_series(cutoff) - Fraction(1, 24)) * 2
 
 
-def _reciprocal(f: Series, cutoff: int) -> Series:
-    """Inverse of a series with constant term 1, by the geometric expansion."""
-    g = (1 - f).truncate(cutoff)
-    acc = Series.one(f.context, cutoff)
-    power = g
-    while not power.is_zero():
-        acc = acc + power
-        power = power * g
-    return acc
-
-
 def lsplit_suite(g_max: int, cutoff: int) -> dict[str, Series]:
     """Residuals of the fiber-sum identity suite; all must vanish.
 
@@ -152,7 +141,7 @@ def lsplit_suite(g_max: int, cutoff: int) -> dict[str, Series]:
     if g_max < 1:
         raise ValueError("need g_max >= 1")
     f0 = f0_product(cutoff)
-    f0_inv = _reciprocal(f0, cutoff)
+    f0_inv = (-f0.log()).exp()
     gprime = sigma_series(cutoff + 1).differentiate("t")
     f = {g: fg(g, cutoff) for g in range(0, g_max + 1)}
     fv_point = {g: (f[g] - f[g - 1] * gprime).truncate(cutoff)

@@ -40,7 +40,7 @@ from sumkit.contacts import (
     multiset_degree,
     multiset_stats,
 )
-from sumkit.series import Series, VariableContext
+from sumkit.series import Series, VariableContext, graded_exp, graded_log
 
 ClassKey = tuple[int, ...]
 
@@ -402,6 +402,13 @@ class RelSeries:
                     del out[key]
         return RelSeries._trusted(geo, self.end_count, cutoff, out)
 
+    def _grade(self, key: RelKey) -> int:
+        return self.geometry.grade(key.class_key)
+
+    def _wrap(self, terms: dict[RelKey, Fraction]) -> "RelSeries":
+        return RelSeries._trusted(self.geometry, self.end_count, self.cutoff,
+                                  terms)
+
     def _positive_grading_part(self) -> "RelSeries":
         geo = self.geometry
         bad = [k for k in self.terms if geo.grade(k.class_key) == 0]
@@ -415,32 +422,18 @@ class RelSeries:
 def tw_from_gw(gw: RelSeries) -> RelSeries:
     """Disconnected counts from connected ones: the disjoint-product exponential."""
     gw._positive_grading_part()
-    result = RelSeries.unit(gw.geometry, gw.end_count, gw.cutoff)
-    power = result
-    for n in range(1, gw.cutoff + 1):
-        power = power.disjoint_mul(gw).scale(Fraction(1, n))
-        if power.is_zero():
-            break
-        result = result + power
-    return result
+    return graded_exp(gw, gw._grade, RelSeries.disjoint_mul, gw._wrap,
+                      RelSeries.unit(gw.geometry, gw.end_count, gw.cutoff))
 
 
 def gw_from_tw(tw: RelSeries) -> RelSeries:
     """Connected counts from disconnected ones: the disjoint-product logarithm."""
-    unit_key = RelKey(tw.geometry.zero_key(), 0,
-                      tuple(ContactMultiset() for _ in range(tw.end_count)))
-    if tw.coefficient(unit_key) != 1:
+    unit = RelSeries.unit(tw.geometry, tw.end_count, tw.cutoff)
+    rest = tw - unit
+    if rest.terms.keys() & unit.terms.keys():
         raise GluingError("series must have coefficient 1 on the empty key")
-    rest = tw - RelSeries.unit(tw.geometry, tw.end_count, tw.cutoff)
     rest._positive_grading_part()
-    result = rest
-    power = rest
-    for n in range(2, tw.cutoff + 1):
-        power = power.disjoint_mul(rest)
-        if power.is_zero():
-            break
-        result = result + power.scale(Fraction((-1) ** (n + 1), n))
-    return result
+    return graded_log(rest, tw._grade, RelSeries.disjoint_mul, tw._wrap)
 
 
 # -- convolution --------------------------------------------------------------

@@ -164,10 +164,17 @@ class CutJoinTable:
                     j = k - i
                     if last[i]:
                         join = join + last[i].differentiate(z[j]) * j
+                    # (s, i) and its mirror (t, j) give one product: once,
+                    # doubled when they differ
                     for s in range(r):
-                        left, right = weighted[s][i], weighted[r - 1 - s][j]
+                        t = r - 1 - s
+                        if (s, i) > (t, j):
+                            continue
+                        left, right = weighted[s][i], weighted[t][j]
                         if left and right:
-                            join = join + left * right
+                            product = left * right
+                            join = join + (product if (s, i) == (t, j)
+                                           else product * 2)
                 if join:
                     rhs = rhs + joins[k] * join
                 if last[k]:

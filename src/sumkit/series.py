@@ -344,7 +344,7 @@ class Series:
         return [e for e in self.terms if self.context.grading(e) == 0]
 
     def exp(self) -> "Series":
-        """Exponential ``sum f^n / n!``.
+        """Exponential ``sum f^n / n!``, by :func:`graded_exp`.
 
         Requires every term of the argument to have positive grading, so
         only finitely many powers reach each graded piece.  Laurent exponents
@@ -352,31 +352,21 @@ class Series:
         """
         if self._grading_zero_part():
             raise SeriesError("exp needs all terms in positive grading")
-        result = Series.one(self.context, self.cutoff)
-        power = result
-        for n in range(1, self.cutoff + 1):
-            power = power * self * Fraction(1, n)
-            if power.is_zero():
-                break
-            result = result + power
-        return result
+        return graded_exp(self, self.context.grading, Series.__mul__,
+                          self._wrap, Series.one(self.context, self.cutoff))
 
     def log(self) -> "Series":
-        """Logarithm ``sum (-1)^(n+1) (f-1)^n / n`` for f with constant term 1."""
+        """Logarithm of f with constant term 1, by :func:`graded_log`."""
         const = (0,) * len(self.context)
         if self.terms.get(const) != 1:
             raise SeriesError("log needs constant term exactly 1")
         g = self - 1
         if g._grading_zero_part():
             raise SeriesError("log needs all non-constant terms in positive grading")
-        result = g
-        power = g
-        for n in range(2, self.cutoff + 1):
-            power = power * g
-            if power.is_zero():
-                break
-            result = result + power * Fraction((-1) ** (n + 1), n)
-        return result
+        return graded_log(g, self.context.grading, Series.__mul__, self._wrap)
+
+    def _wrap(self, terms: dict[tuple[int, ...], Fraction]) -> "Series":
+        return Series._trusted(self.context, self.cutoff, terms)
 
     def differentiate(self, name: str) -> "Series":
         """Formal partial derivative.  The cutoff drops by the variable weight."""
@@ -435,3 +425,60 @@ def geometric_inverse(context: VariableContext, cutoff: int,
         terms[tuple(k * e for e in exps)] = Fraction(1)
         k += 1
     return Series(context, cutoff, terms)
+
+
+# -- exp and log by the Euler grading ------------------------------------------
+
+def _graded_pieces(g, grade) -> dict[int, dict]:
+    pieces: dict[int, dict] = {}
+    for key, c in g.terms.items():
+        pieces.setdefault(grade(key), {})[key] = c
+    return pieces
+
+
+def graded_exp(g, grade, mul, wrap, one):
+    """``exp(g)``, generic over the series type and its product.
+
+    ``g.terms`` maps keys to Fractions, ``g.cutoff`` bounds the grading
+    ``grade(key)``, which ``mul`` adds and which is positive on every term
+    of ``g``; ``wrap(terms)`` builds a series of ``g``'s type and cutoff from
+    nonzero terms, and ``one`` is its unit.  Let D multiply a term of
+    grading n by n.  It is a derivation, so ``D E = D(g) E`` for ``E =
+    exp(g)``, which on graded pieces reads ``n E_n = sum_{k=1..n} k g_k
+    E_(n-k)``: about one full product in all, where a sum of powers takes
+    one product per power.
+    """
+    dg = {k: wrap({key: c * k for key, c in piece.items()})
+          for k, piece in _graded_pieces(g, grade).items()}
+    pieces = {0: one}
+    for n in range(1, g.cutoff + 1):
+        acc: dict = {}
+        for k, dg_k in dg.items():
+            if n - k in pieces:
+                for key, c in mul(dg_k, pieces[n - k]).terms.items():
+                    acc[key] = acc.get(key, 0) + c
+        acc = {key: c / n for key, c in acc.items() if c}
+        if acc:
+            pieces[n] = wrap(acc)
+    return wrap({key: c for piece in pieces.values()
+                 for key, c in piece.terms.items()})
+
+
+def graded_log(g, grade, mul, wrap):
+    """``log(1 + g)`` for ``g``, ``grade``, ``mul`` and ``wrap`` as in
+    :func:`graded_exp`: ``(1 + g) D L = D(g)`` for ``L = log(1 + g)`` reads
+    ``(DL)_n = n g_n - sum_{k<n} g_(n-k) (DL)_k`` on graded pieces."""
+    pieces = {k: wrap(piece) for k, piece in _graded_pieces(g, grade).items()}
+    dl: dict = {}
+    for n in range(1, g.cutoff + 1):
+        acc = {key: c * n for key, c in pieces[n].terms.items()} \
+            if n in pieces else {}
+        for k, dl_k in dl.items():
+            if n - k in pieces:
+                for key, c in mul(pieces[n - k], dl_k).terms.items():
+                    acc[key] = acc.get(key, 0) - c
+        acc = {key: c for key, c in acc.items() if c}
+        if acc:
+            dl[n] = wrap(acc)
+    return wrap({key: c / n for n, piece in dl.items()
+                 for key, c in piece.terms.items()})

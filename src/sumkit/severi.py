@@ -12,12 +12,17 @@ moving contacts smoothed and the Euler characteristic shifted accordingly.
 The degree-drop term necessarily produces *reducible* residual curves (a
 line pair is a legitimate residual of a rational cubic), so the recursion
 closes only over counts of reduced, possibly disconnected curves, indexed by
-total Euler characteristic.  Those are computed by :func:`tw_value`;
-irreducible numbers are then extracted by :func:`irreducible`, which
-removes multi-component configurations, with the generic points
-distributed by multinomials and fixed contacts by binomials (moving
-contacts carry no choice).  Both are memoized for the process by bounded
-``functools.lru_cache``s.
+total Euler characteristic.  Those are computed by :func:`tw_value`.
+
+As in the sum formula, disconnected counts are the exponential of connected
+ones.  Put each key ``(d, chi, alpha, beta)`` on the monomial
+``z^d lam^chi u^r/r! prod x_k^alpha_k/alpha_k! prod y_k^beta_k``, with
+``r`` its point count: the divided powers distribute the generic points and
+the fixed contacts among the components, and moving contacts carry no
+choice.  :func:`connected_counts` takes :meth:`Series.log` of the
+:func:`tw_value` table, and :func:`irreducible` reads the request's own
+coefficient from it.  ``tw_value`` and ``irreducible`` are memoized for the
+process by bounded ``functools.lru_cache``s.
 
 Profiles are multiplicity vectors indexed from contact order 1, stored as
 trimmed tuples.
@@ -26,10 +31,13 @@ trimmed tuples.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 from sumkit.contacts import partitions
+from sumkit.series import Series, VariableContext
 
 Profile = tuple[int, ...]
 
@@ -52,10 +60,6 @@ def order_weight(v: Profile) -> int:
     return sum((k + 1) * n for k, n in enumerate(v))
 
 
-def count(v: Profile) -> int:
-    return sum(v)
-
-
 def _bump(v: Profile, k: int, delta: int) -> Profile:
     out = list(v) + [0] * max(0, k - len(v))
     out[k - 1] += delta
@@ -65,22 +69,13 @@ def _bump(v: Profile, k: int, delta: int) -> Profile:
 
 
 def _add(a: Profile, b: Profile) -> Profile:
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return trim(x + y for x, y in zip(a, b))
+    return trim(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
 
 
 def _binom_product(a: Profile, b: Profile) -> int:
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    out = 1
-    for x, y in zip(a, b):
-        if y > x:
-            return 0
-        out *= math.comb(x, y)
-    return out
+    """``prod C(a_k, b_k)``: zero unless ``b <= a``."""
+    return math.prod(math.comb(x, y)
+                     for x, y in itertools.zip_longest(a, b, fillvalue=0))
 
 
 def _order_product(v: Profile) -> int:
@@ -91,13 +86,8 @@ def _order_product(v: Profile) -> int:
 
 
 def _profiles_leq(v: Profile) -> Iterator[Profile]:
-    """All componentwise-smaller profiles."""
-    if not v:
-        yield ()
-        return
-    for rest in _profiles_leq(v[:-1]):
-        for last in range(v[-1] + 1):
-            yield trim(rest + (0,) * (len(v) - 1 - len(rest)) + (last,))
+    """All componentwise-smaller profiles, padded to the length of ``v``."""
+    return itertools.product(*(range(n + 1) for n in v))
 
 
 def trim_partition(parts: Sequence[int]) -> Profile:
@@ -122,13 +112,7 @@ def point_count(d: int, g: int, alpha: Profile, beta: Profile) -> int:
     value signals an over-constrained (zero) count.
     """
     return (3 * d + g - 1 - order_weight(alpha)
-            - (order_weight(beta) - count(beta)))
-
-
-def _point_count_chi(d: int, chi: int, alpha: Profile, beta: Profile) -> int:
-    # same formula, via chi; additive over disjoint unions
-    return (3 * d - chi // 2 - order_weight(alpha)
-            - (order_weight(beta) - count(beta)))
+            - (order_weight(beta) - sum(beta)))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -137,21 +121,21 @@ def tw_value(d: int, chi: int, alpha: Profile, beta: Profile) -> int:
 
     Indexed by the total Euler characteristic ``chi`` of the
     normalization; the node count of such a configuration is
-    ``(chi + d(d-3))/2`` and must be nonnegative.  ``alpha`` and ``beta``
-    are trimmed profiles.
+    ``(chi + d(d-3))/2`` and must be nonnegative, and ``chi`` is at most
+    ``2d``, for ``d`` disjoint lines.  The point count is ``point_count``
+    at genus ``1 - chi/2``, additive over disjoint unions.  ``alpha`` and
+    ``beta`` are trimmed profiles.
     """
     if d < 1 or chi % 2:
         return 0
     if order_weight(alpha) + order_weight(beta) != d:
         return 0
-    if chi > 2 * d:
+    if not -d * (d - 3) <= chi <= 2 * d:
         return 0
-    if (chi + d * (d - 3)) % 2 or (chi + d * (d - 3)) // 2 < 0:
-        return 0
-    if _point_count_chi(d, chi, alpha, beta) < 0:
+    if point_count(d, 1 - chi // 2, alpha, beta) < 0:
         return 0
     if d == 1:
-        return 1 if chi == 2 and delta_chi(d, chi) == 0 else 0
+        return 1
     return _pin_moving_contact(d, chi, alpha, beta) \
         + _shed_line(d, chi, alpha, beta)
 
@@ -181,137 +165,81 @@ def _shed_line(d, chi, alpha, beta) -> int:
         for parts in partitions(budget):
             gamma = trim_partition(parts)
             beta_p = _add(beta, gamma)
-            chi_pp = chi - 2 + 2 * count(gamma)
+            chi_pp = chi - 2 + 2 * sum(gamma)
             total += (_order_product(gamma)
                       * _binom_product(alpha, alpha_p)
                       * _binom_product(beta_p, beta)
-                      * tw_value(d - 1, chi_pp, alpha_p, beta_p))
+                      * tw_value(d - 1, chi_pp, trim(alpha_p), beta_p))
     return total
 
 
 @functools.lru_cache(maxsize=65536)
 def irreducible(d: int, chi: int, alpha: Profile, beta: Profile) -> int:
-    """Connected count: the disconnected one minus multi-component
-    configurations (components of smaller degree, generic points
-    distributed by multinomials, fixed contacts by binomials).  ``alpha``
-    and ``beta`` are trimmed profiles."""
-    if d < 1 or chi % 2 or chi > 2:
-        return 0
-    g = (2 - chi) // 2
-    if genus_to_delta(d, g) is None:
+    """Connected count: the request's own entry of :func:`connected_counts`.
+
+    That is the coefficient of the request's monomial in the logarithm of
+    the :func:`tw_value` table, times ``r! prod alpha_k!``.  ``alpha`` and
+    ``beta`` are trimmed profiles.  A value that is not an integer raises
+    :class:`SeveriError`; no valid table produces one.
+    """
+    g = 1 - chi // 2
+    if d < 1 or chi % 2 or not 0 <= g <= genus(d, 0):
         return 0
     if order_weight(alpha) + order_weight(beta) != d:
         return 0
-    if point_count(d, g, alpha, beta) < 0:
-        return 0
-    return tw_value(d, chi, alpha, beta) \
-        - _disconnected_part(d, chi, alpha, beta)
+    value = connected_counts(d, chi, alpha, beta).get((d, chi, alpha, beta), 0)
+    if value.denominator != 1:
+        raise SeveriError(f"connected count {value} at {(d, chi, alpha, beta)} "
+                          "is not an integer")
+    return int(value)
 
 
-def _component_tuples(d_max: int) -> Iterator[tuple]:
-    """All valid connected component types up to degree ``d_max``,
-    in a fixed decreasing order."""
-    for d in range(d_max, 0, -1):
-        g_top = (d - 1) * (d - 2) // 2
-        for g in range(g_top, -1, -1):
-            chi = 2 - 2 * g
-            for alpha in _all_profiles(d):
-                rest = d - order_weight(alpha)
-                for parts in partitions(rest):
-                    beta = trim_partition(parts)
-                    if point_count(d, g, alpha, beta) < 0:
-                        continue
-                    yield (d, chi, alpha, beta)
+def _labels(r: int, alpha: Profile) -> int:
+    """Orderings of the labeled conditions: generic points, fixed contacts."""
+    return math.factorial(r) * math.prod(map(math.factorial, alpha))
 
 
-def _disconnected_part(d, chi, alpha, beta) -> int:
-    r = _point_count_chi(d, chi, alpha, beta)
-    total = 0
+def connected_counts(d: int, chi: int, alpha: Profile, beta: Profile
+                     ) -> dict[tuple[int, int, Profile, Profile], Fraction]:
+    """Connected counts of every key that divides ``(d, chi, alpha, beta)``.
 
-    def assemble(remaining_d, remaining_chi, remaining_alpha,
-                 remaining_beta, remaining_r, max_tuple, factor,
-                 n_components, run_tuple, run_len):
-        nonlocal total
-        if remaining_d == 0:
-            if remaining_chi == 0 and not remaining_alpha \
-                    and not remaining_beta and n_components >= 2:
-                total += factor // math.factorial(run_len)
-            return
-        # the first component must leave degree for at least one more
-        top_degree = remaining_d - 1 if n_components == 0 else remaining_d
-        for tup in _component_tuples(top_degree):
-            if max_tuple is not None and tup > max_tuple:
-                continue
-            d_i, chi_i, alpha_i, beta_i = tup
-            alloc_alpha = _binom_product(remaining_alpha, alpha_i)
-            if alloc_alpha == 0:
-                continue
-            beta_rest = _profile_minus(remaining_beta, beta_i)
-            if beta_rest is None:
-                continue
-            g_i = (2 - chi_i) // 2
-            r_i = point_count(d_i, g_i, alpha_i, beta_i)
-            if r_i > remaining_r:
-                continue
-            n_irr = irreducible(d_i, chi_i, alpha_i, beta_i)
-            if n_irr == 0:
-                continue
-            if tup == run_tuple:
-                new_run = run_len + 1
-                run_factor = 1
-            else:
-                new_run = 1
-                run_factor = math.factorial(run_len)
-            assemble(
-                remaining_d - d_i,
-                remaining_chi - chi_i,
-                _profile_minus(remaining_alpha, alpha_i),
-                beta_rest,
-                remaining_r - r_i,
-                tup,
-                factor // run_factor * alloc_alpha
-                * math.comb(remaining_r, r_i) * n_irr,
-                n_components + 1,
-                tup,
-                new_run,
-            )
+    A key ``(d', chi', alpha', beta')`` divides the request when its
+    profiles and its point count are no larger, and the quotient's Euler
+    characteristic ``chi - chi'`` is one a reduced curve of degree ``e = d -
+    d'`` can have: from ``-e(e - 3)`` (smooth) to ``2e`` (``e`` lines).
+    The table holds those keys only, on the monomials of the module
+    docstring.  Every factor of a dividing key divides the request too, so
+    the logarithm is exact on them, and the result keeps exactly those.
+    """
+    r = point_count(d, 1 - chi // 2, alpha, beta)
+    ctx = VariableContext(("z", 1), ("lam", 0, True), ("u", 0),
+                          *((f"x{k}", 0) for k in range(1, len(alpha) + 1)),
+                          *((f"y{k}", 0) for k in range(1, len(beta) + 1)))
 
-    assemble(d, chi, alpha, beta, r, None, 1, 0, None, 0)
-    return total
+    def divides(d_p, chi_p, r_p, alpha_p, beta_p):
+        e = d - d_p
+        return (0 <= r_p <= r and -e * (e - 3) <= chi - chi_p <= 2 * e
+                and all(a <= b for a, b in zip(alpha_p, alpha))
+                and all(a <= b for a, b in zip(beta_p, beta)))
 
-
-def _profile_minus(a: Profile, b: Profile) -> Profile | None:
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    if any(y > x for x, y in zip(a, b)):
-        return None
-    return trim(x - y for x, y in zip(a, b))
-
-
-def _all_profiles(d: int) -> Iterator[Profile]:
-    """All profiles of total order at most ``d``."""
-    seen = set()
-    for w in range(d + 1):
-        for parts in partitions(w):
-            p = trim_partition(parts)
-            if p not in seen:
-                seen.add(p)
-                yield p
-
-
-def delta_chi(d: int, chi: int) -> int:
-    """Node count of a reduced degree-``d`` configuration of Euler
-    characteristic ``chi``."""
-    return (chi + d * (d - 3)) // 2
-
-
-def genus_to_delta(d: int, g: int) -> int | None:
-    """Node count of an irreducible degree-``d`` genus-``g`` curve, or None."""
-    delta = (d - 1) * (d - 2) // 2 - g
-    if delta < 0 or g < 0:
-        return None
-    return delta
+    terms = {(0,) * len(ctx): Fraction(1)}
+    for alpha_p in _profiles_leq(alpha):
+        for beta_p in _profiles_leq(beta):
+            d_p = order_weight(alpha_p) + order_weight(beta_p)
+            for chi_p in range(chi - 2 * (d - d_p), 2 * d_p + 1, 2):
+                r_p = point_count(d_p, 1 - chi_p // 2, alpha_p, beta_p)
+                if d_p and divides(d_p, chi_p, r_p, alpha_p, beta_p):
+                    terms[(d_p, chi_p, r_p) + alpha_p + beta_p] = Fraction(
+                        tw_value(d_p, chi_p, trim(alpha_p), trim(beta_p)),
+                        _labels(r_p, alpha_p))
+    out = {}
+    for exps, c in Series(ctx, d, terms).log().terms.items():
+        d_p, chi_p, r_p = exps[:3]
+        alpha_p, beta_p = exps[3:3 + len(alpha)], exps[3 + len(alpha):]
+        if divides(d_p, chi_p, r_p, alpha_p, beta_p):
+            out[d_p, chi_p, trim(alpha_p), trim(beta_p)] = \
+                c * _labels(r_p, alpha_p)
+    return out
 
 
 def default_beta(d: int, alpha: Sequence[int] = ()) -> Profile:

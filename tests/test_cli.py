@@ -1,5 +1,7 @@
 import json
 import os
+import time
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +168,41 @@ class TestInputLimits:
         code, out, _ = invoke(capsys, "severi", "--degree", "1",
                               "--delta", "0")
         assert code == 0 and json.loads(out)["value"] == "1"
+
+
+class TestOracleWorkLimit:
+    GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / \
+        "golden" / "cli.json"
+
+    def test_admits_every_golden_request(self, capsys):
+        golden = json.loads(self.GOLDEN.read_text())
+        requests = [k for k in golden if k.startswith("oracle hurwitz ")]
+        assert len(requests) >= 10
+        for request in requests:
+            assert invoke(capsys, *request.split()) == (0, golden[request], "")
+
+    def test_rejects_ten_branch_points_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "oracle", "hurwitz", "--degree", "6",
+                                "--genus", "0", "--partition", "1,1,1,1,1,1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "r = 10 branch points" in err and "work limit 2000000" in err
+        for flag in ("--degree 6", "--genus 0", "--partition 1,1,1,1,1,1"):
+            assert flag in err
+
+    def test_bound_in_branch_points(self, capsys):
+        # d = 2 has one transposition: 2^20 nodes pass, 2^21 do not
+        assert invoke(capsys, "oracle", "hurwitz", "--degree", "2",
+                      "--genus", "9", "--partition", "1,1")[0] == 0
+        code, _, err = invoke(capsys, "oracle", "hurwitz", "--degree", "2",
+                              "--genus", "10", "--partition", "2")
+        assert code == 1 and "r = 21 branch points" in err
+
+    def test_huge_genus_rejected_without_computing_the_power(self, capsys):
+        code, _, err = invoke(capsys, "oracle", "hurwitz", "--degree", "3",
+                              "--genus", str(10 ** 12), "--partition", "3")
+        assert code == 1 and "work limit" in err
 
 
 class TestCheckVerb:

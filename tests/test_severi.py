@@ -1,10 +1,15 @@
+import hashlib
+from fractions import Fraction
+
 import pytest
 
+from sumkit import severi
 from sumkit.contacts import partitions
 from sumkit.oracles import kontsevich_oracle
 from sumkit.severi import (
     SeveriError,
     genus,
+    irreducible,
     point_count,
     rational_degree,
     severi_number,
@@ -125,6 +130,45 @@ class TestInvariants:
     def test_point_count_conserved_across_degree_drop(self):
         assert point_count(2, 0, (), (2,)) \
             == point_count(3, genus(3, 1), (2,), (1,)) - 1
+
+
+class TestIrreducible:
+    # sha256 of every nonzero irreducible(d, chi, alpha, beta) for d <= 6,
+    # one line "d chi alpha beta value" each, as the component-splitting
+    # route that preceded the logarithm computed them
+    DIGEST_D6 = ("0a40c2bb98a7122cb22fef9d925fbafe"
+                 "2bbb54ec78aa62cbe29b8eb64dc34e0e")
+
+    def test_digest_of_every_value_up_to_degree_six(self):
+        lines = []
+        for d in range(1, 7):
+            for w in range(d + 1):
+                for a in partitions(w):
+                    for b in partitions(d - w):
+                        alpha, beta = _to_profile(a), _to_profile(b)
+                        for chi in range(-d * d, 2 * d + 1):
+                            value = irreducible(d, chi, alpha, beta)
+                            if value:
+                                lines.append(f"{d} {chi} {list(alpha)} "
+                                             f"{list(beta)} {value}\n")
+        assert len(lines) == 1074
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST_D6
+
+    def test_non_integer_connected_count_raises(self, monkeypatch):
+        key = (3, 2, (), (3,))
+        monkeypatch.setattr(severi, "connected_counts",
+                            lambda *request: {key: Fraction(25, 2)})
+        with pytest.raises(SeveriError, match="not an integer"):
+            irreducible.__wrapped__(*key)
+
+    def test_logarithm_cancels_the_disconnected_terms(self):
+        # the table of this request holds the 3 line pairs at chi = 4;
+        # the logarithm keeps no term with chi > 2
+        counts = severi.connected_counts(6, 2, (), (6,))
+        assert tw_severi(2, 4, (), (2,)) == 3
+        assert all(chi <= 2 for _, chi, _, _ in counts)
+        assert counts[6, 2, (), (6,)] == kontsevich_oracle(6)
 
 
 class TestTable:
