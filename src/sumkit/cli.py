@@ -4,13 +4,15 @@ Verbs: ``severi``, ``hurwitz``, ``elliptic``, ``catalog``, ``oracle`` and
 ``check``.  Output is JSON by default (``--format json|csv|table``); every
 number is emitted as an exact fraction string, never a float, and output is
 byte-identical across runs.  Computed Severi and Hurwitz values are cached
-as JSON lines under ``--cache-dir`` (default ``$SUMKIT_CACHE_DIR``); the
-cache is a pure accelerator and never changes emitted values.
+as JSON lines under ``--cache-dir`` (default ``$SUMKIT_CACHE_DIR``), appended
+under ``flock``; the cache is a pure accelerator and never changes emitted
+values.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import math
 import os
@@ -18,24 +20,35 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from sumkit import __version__, catalog, checks, elliptic, hurwitz, oracles, severi
+from sumkit import __version__, catalog, elliptic, hurwitz, oracles, severi
 from sumkit.gluing import RelSeries, relseries_to_json
 from sumkit.series import Series
 
 ENGINE_VERSION = __version__
 
 # `oracle hurwitz` enumerates tuples of r transpositions of d letters, a
-# search tree of at most (C(d,2) + 1)^r nodes; about 3.5 s at this bound
+# search tree of at most (C(d,2) + 1)^r nodes; the slowest request under
+# this bound takes about 0.17 s on a 2-core VM
 ORACLE_HURWITZ_NODES = 2_000_000
+
+# `severi` work grows fast with the degree: on a 2-core VM a d = 10 request
+# takes under 0.7 s and the whole d <= 10 table 2.6 s, but d = 12 takes
+# about 4 s per request, and the recursion overflows the stack near d = 27
+SEVERI_MAX_DEGREE = 10
 
 
 # -- persistent memo cache ----------------------------------------------------
 
 class ValueCache:
-    """JSON-lines cache, one file per table, atomically rewritten.
+    """JSON-lines cache, one append-only file per table.
 
-    Unreadable directories disable caching with a warning; corrupt lines and
-    entries from other engine versions are skipped.
+    ``store`` appends its lines under an exclusive ``flock`` on the table
+    file and ``load`` reads under a shared one, taking the last line of
+    each key, so concurrent writers keep every key and a reader never sees
+    a half-written append.  ``load`` never writes: a cache hit leaves the
+    directory untouched.  Unreadable directories disable caching with a
+    warning; corrupt lines and entries from other engine versions are
+    skipped.
     """
 
     def __init__(self, directory: str | None):
@@ -62,6 +75,7 @@ class ValueCache:
             return entries
         try:
             with open(self._path(table)) as fh:
+                fcntl.flock(fh, fcntl.LOCK_SH)
                 for line in fh:
                     line = line.strip()
                     if not line:
@@ -81,16 +95,20 @@ class ValueCache:
     def store(self, table: str, entries: dict[str, str]) -> None:
         if not self.enabled or not entries:
             return
-        merged = self.load(table)
-        merged.update(entries)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            for key in sorted(merged):
-                fh.write(json.dumps({
-                    "key": key, "value": merged[key],
-                    "engine": ENGINE_VERSION,
-                }, sort_keys=True) + "\n")
-        os.replace(tmp, self._path(table))
+        lines = "".join(json.dumps({
+            "key": key, "value": entries[key], "engine": ENGINE_VERSION,
+        }, sort_keys=True) + "\n" for key in sorted(entries))
+        # the lock is released when the file closes, after the flush
+        with open(self._path(table), "ab+") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            end = fh.seek(0, os.SEEK_END)
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    # a writer killed mid-line: end its torn line, so
+                    # that it alone is lost
+                    lines = "\n" + lines
+            fh.write(lines.encode())
 
 
 # -- emission ------------------------------------------------------------------
@@ -180,6 +198,9 @@ def _hurwitz_partition(args) -> tuple[int, ...]:
 
 def _cmd_severi(args, cache: ValueCache) -> list[dict]:
     _check_min("--degree", args.degree, 1)
+    if args.degree > SEVERI_MAX_DEGREE:
+        raise ValueError(f"--degree expects an integer <= {SEVERI_MAX_DEGREE} "
+                         f"for severi; got {args.degree}")
     _check_min("--delta", args.delta, 0)
     alpha = _parse_profile(args.alpha, "--alpha")
     beta = _parse_profile(args.beta, "--beta") if args.beta else None
@@ -292,6 +313,10 @@ def _cmd_oracle(args, _cache: ValueCache) -> list[dict]:
 
 
 def _cmd_check(args, _cache: ValueCache) -> list[dict]:
+    # imported here: the other verbs need none of it, and every CLI
+    # process would otherwise pay for compiling it
+    from sumkit import checks
+
     results = checks.run_all()
     rows = [{"check": r.name, "status": "pass" if r.passed else "FAIL",
              "seconds": f"{r.seconds:.2f}", "detail": r.detail}

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from sumkit.oracles import divisor_sum
-from sumkit.series import Series, VariableContext, geometric_inverse
+from sumkit.series import Series, VariableContext
 
 
 def fiber_context() -> VariableContext:
@@ -47,13 +47,32 @@ def f0_via_ode(cutoff: int) -> Series:
                   {ctx.exponents({"t": n}): c for n, c in enumerate(coeffs)})
 
 
+def euler_product(k: int, cutoff: int) -> Series:
+    """``prod_{d=1..cutoff} (1 - t^d)^(-k)`` through order ``cutoff``.
+
+    Built on a list of Python ints, one factor ``1 - t^d`` at a time.
+    Dividing by it is the running sum ``b_n = a_n + b_(n-d)``, ascending in
+    ``n`` so that ``b_(n-d)`` is already divided; multiplying by it is the
+    difference ``b_n = a_n - a_(n-d)``, descending in ``n`` so that
+    ``a_(n-d)`` is not yet multiplied.
+    """
+    coeffs = [1] + [0] * cutoff
+    for d in range(1, cutoff + 1):
+        for _ in range(abs(k)):
+            if k > 0:
+                for n in range(d, cutoff + 1):
+                    coeffs[n] += coeffs[n - d]
+            else:
+                for n in range(cutoff, d - 1, -1):
+                    coeffs[n] -= coeffs[n - d]
+    ctx = fiber_context()
+    return Series(ctx, cutoff,
+                  {ctx.exponents({"t": n}): c for n, c in enumerate(coeffs)})
+
+
 def f0_product(cutoff: int) -> Series:
     """The same series as the twelfth power of the partition series."""
-    ctx = fiber_context()
-    partitions = Series.one(ctx, cutoff)
-    for d in range(1, cutoff + 1):
-        partitions = partitions * geometric_inverse(ctx, cutoff, {"t": d})
-    return partitions ** 12
+    return euler_product(12, cutoff)
 
 
 def fg(g: int, cutoff: int) -> Series:
@@ -141,7 +160,7 @@ def lsplit_suite(g_max: int, cutoff: int) -> dict[str, Series]:
     if g_max < 1:
         raise ValueError("need g_max >= 1")
     f0 = f0_product(cutoff)
-    f0_inv = (-f0.log()).exp()
+    f0_inv = euler_product(-12, cutoff)
     gprime = sigma_series(cutoff + 1).differentiate("t")
     f = {g: fg(g, cutoff) for g in range(0, g_max + 1)}
     fv_point = {g: (f[g] - f[g - 1] * gprime).truncate(cutoff)

@@ -40,7 +40,13 @@ from sumkit.contacts import (
     multiset_degree,
     multiset_stats,
 )
-from sumkit.series import Series, VariableContext, graded_exp, graded_log
+from sumkit.series import (
+    Series,
+    VariableContext,
+    graded_exp,
+    graded_log,
+    parse_fraction,
+)
 
 ClassKey = tuple[int, ...]
 
@@ -808,21 +814,68 @@ def relseries_to_json(series: RelSeries) -> dict:
     }
 
 
+_JSON_KINDS: dict[str, Callable[[object], bool]] = {
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, (list, tuple)),
+    "an integer": lambda v: type(v) is int,
+    "a string": lambda v: type(v) is str,
+    "a list of integers": lambda v: isinstance(v, (list, tuple))
+    and all(type(x) is int for x in v),
+    "a list of strings": lambda v: isinstance(v, (list, tuple))
+    and all(type(x) is str for x in v),
+}
+
+_TERM_FIELDS = (("class", "a list of integers"), ("chi", "an integer"),
+                ("contacts", "a list of strings"), ("tag", "a string"),
+                ("coeff", "a string"))
+
+
+def _json_field(record: object, name: str, where: str, kind: str):
+    """``record[name]``, which must be of ``kind`` (a key of _JSON_KINDS)."""
+    if not isinstance(record, dict):
+        raise GluingError(f"{where} must be an object; got {record!r:.60}")
+    if name not in record:
+        raise GluingError(f"{where}: missing field {name!r}")
+    value = record[name]
+    if not _JSON_KINDS[kind](value):
+        raise GluingError(
+            f"{where}: field {name!r} must be {kind}; got {value!r:.60}")
+    return value
+
+
 def relseries_from_json(data: dict) -> RelSeries:
-    g = data["geometry"]
+    """Inverse of :func:`relseries_to_json`.
+
+    Malformed data raises :class:`GluingError` naming the field, and the
+    term by its index in ``terms``.
+    """
+    g = _json_field(data, "geometry", "relseries", "an object")
+
+    def ints(name):
+        return tuple(_json_field(g, name, "geometry", "a list of integers"))
+
     geometry = Geometry(
-        class_dim=g["class_dim"],
-        v_degree=tuple(g["v_degree"]),
-        canonical_k=tuple(g["canonical_k"]),
-        grading=tuple(g["grading"]),
-        v_basis=g["v_basis"],
-        fiber=tuple(g["fiber"]) if g.get("fiber") is not None else None,
+        class_dim=_json_field(g, "class_dim", "geometry", "an integer"),
+        v_degree=ints("v_degree"),
+        canonical_k=ints("canonical_k"),
+        grading=ints("grading"),
+        v_basis=_json_field(g, "v_basis", "geometry", "an integer"),
+        fiber=ints("fiber") if g.get("fiber") is not None else None,
     )
     terms = {}
-    for t in data["terms"]:
-        num, den = t["coeff"].split("/")
-        key = RelKey(tuple(t["class"]), t["chi"],
-                     tuple(ContactMultiset.from_string(s) for s in t["contacts"]),
-                     t["tag"])
-        terms[key] = Fraction(int(num), int(den))
-    return RelSeries(geometry, data["end_count"], data["cutoff"], terms)
+    for index, t in enumerate(_json_field(data, "terms", "relseries",
+                                          "a list")):
+        where = f"term {index}"
+        class_key, chi, contacts, tag, coeff = (
+            _json_field(t, name, where, kind) for name, kind in _TERM_FIELDS)
+        try:
+            key = RelKey(tuple(class_key), chi,
+                         tuple(ContactMultiset.from_string(s)
+                               for s in contacts), tag)
+            terms[key] = parse_fraction(coeff)
+        except ValueError as exc:  # GluingError, ContactError, SeriesError
+            raise GluingError(f"{where}: {exc}") from None
+    return RelSeries(geometry,
+                     _json_field(data, "end_count", "relseries", "an integer"),
+                     _json_field(data, "cutoff", "relseries", "an integer"),
+                     terms)

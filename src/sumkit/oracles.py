@@ -67,6 +67,17 @@ def hurwitz_oracle(d: int, g: int, alpha: Sequence[int]) -> Fraction:
     Pure backtracking over the ``C(d,2)`` transpositions with an incremental
     product and cycle-count pruning; transitivity is checked at the leaves by
     union-find over the supports.  Bounded to ``d <= 6``.
+
+    Only the tuples with ``t_1 = (0 1)`` are enumerated, and their count is
+    multiplied by ``C(d,2)``.  Conjugating every entry by one permutation
+    ``s`` maps counted tuples to counted tuples: the product is conjugated
+    too, which keeps its cycle type, and the generated subgroup is
+    conjugated, which keeps it transitive.  This is a bijection between the
+    counted tuples starting with ``t`` and those starting with ``s t s^-1``,
+    and the symmetric group moves ``(0 1)`` to every transposition, so each
+    of the ``C(d,2)`` first entries starts the same number of tuples.  With
+    ``r = 0`` there is no first entry: the empty tuple is counted alone,
+    when ``d = 1``, the only degree whose identity is transitive.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
@@ -81,6 +92,10 @@ def hurwitz_oracle(d: int, g: int, alpha: Sequence[int]) -> Fraction:
     # Parity: r transpositions compose to a permutation of sign (-1)^r.
     if (d - len(alpha)) % 2 != r % 2:
         return Fraction(0)
+    if r == 0 or d == 1:
+        # r = 0 leaves the empty tuple, transitive only for d = 1, and
+        # d = 1 has no transposition to start a tuple with
+        return Fraction(1 if r == 0 and d == 1 else 0)
 
     target = alpha
     target_cycles = len(alpha)
@@ -136,8 +151,12 @@ def hurwitz_oracle(d: int, g: int, alpha: Sequence[int]) -> Fraction:
             product[pj] = j
             inverse[i], inverse[j] = pi, pj
 
-    recurse(0, d)
-    return Fraction(count, math.factorial(d))
+    # fix t_1 = (0 1), composed onto the identity
+    product[0], product[1] = 1, 0
+    inverse[0], inverse[1] = 1, 0
+    chosen.append((0, 1))
+    recurse(1, d - 1)
+    return Fraction(count * math.comb(d, 2), math.factorial(d))
 
 
 def kontsevich_oracle(d: int) -> int:

@@ -15,6 +15,7 @@ characteristic marker, which appears with exponents of both signs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import add, mul
 from types import MappingProxyType
@@ -396,20 +397,54 @@ class Series:
 
     @classmethod
     def from_text(cls, context: VariableContext, cutoff: int, text: str) -> "Series":
+        """Inverse of :meth:`to_text`; repeated monomials add up.
+
+        A malformed line raises :class:`SeriesError` naming its number.
+        """
         terms: dict[tuple[int, ...], Fraction] = {}
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
-            head, *factors = line.split()
-            num, den = head.split("/")
-            powers = {}
-            for f in factors:
-                name, e = f.rsplit("^", 1)
-                powers[name] = int(e)
-            exps = context.exponents(powers)
-            terms[exps] = terms.get(exps, Fraction(0)) + Fraction(int(num), int(den))
+            try:
+                exps, c = _parse_term(context, cutoff, line)
+            except ValueError as exc:  # a SeriesError, or int()'s digit limit
+                raise SeriesError(f"line {number} {line!r}: {exc}") from None
+            terms[exps] = terms.get(exps, Fraction(0)) + c
         return cls(context, cutoff, terms)
+
+
+def parse_fraction(text: str) -> Fraction:
+    """``num/den`` as :meth:`Series.to_text` writes it: decimal integers,
+    an optional minus sign on ``num`` and a nonzero ``den``."""
+    if not re.fullmatch(r"-?[0-9]+/[0-9]+", text):
+        raise SeriesError(f"coefficient {text!r} is not num/den")
+    num, den = text.split("/")
+    try:
+        return Fraction(int(num), int(den))
+    except ZeroDivisionError:
+        raise SeriesError(f"coefficient {text!r} has denominator 0") from None
+    except ValueError as exc:  # beyond the interpreter's digit limit
+        raise SeriesError(f"coefficient {text[:20]!r}...: {exc}") from None
+
+
+def _parse_term(context: VariableContext, cutoff: int, line: str
+                ) -> tuple[tuple[int, ...], Fraction]:
+    head, *factors = line.split()
+    c = parse_fraction(head)
+    powers: dict[str, int] = {}
+    for factor in factors:
+        name, _, e = factor.rpartition("^")
+        if not name or not re.fullmatch(r"-?[0-9]+", e):
+            raise SeriesError(f"factor {factor!r} is not name^exponent")
+        if name in powers:
+            raise SeriesError(f"variable {name!r} appears twice")
+        powers[name] = int(e)
+    exps = context.exponents(powers)
+    context.validate(exps)
+    if context.grading(exps) > cutoff:
+        raise SeriesError(f"term beyond cutoff {cutoff}")
+    return exps, c
 
 
 def geometric_inverse(context: VariableContext, cutoff: int,

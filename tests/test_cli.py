@@ -1,12 +1,15 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
 import pytest
 
 from sumkit import checks
-from sumkit.cli import ENGINE_VERSION, ValueCache, run
+from sumkit.cli import ENGINE_VERSION, SEVERI_MAX_DEGREE, ValueCache, run
 from sumkit.gluing import GluingError
 
 
@@ -205,6 +208,50 @@ class TestOracleWorkLimit:
         assert code == 1 and "work limit" in err
 
 
+class TestSeveriDegreeLimit:
+    def test_admits_every_golden_request(self):
+        golden = json.loads(TestOracleWorkLimit.GOLDEN.read_text())
+        degrees = [int(k.split()[k.split().index("--degree") + 1])
+                   for k in golden if k.startswith("severi ")]
+        assert len(degrees) >= 10
+        assert max(degrees) <= SEVERI_MAX_DEGREE == 10
+
+    @pytest.mark.parametrize("table", [(), ("--table",)])
+    def test_admits_the_bound(self, capsys, table):
+        code, out, _ = invoke(capsys, "severi", "--degree", "10",
+                              "--delta", "0", *table)
+        assert code == 0
+        rows = json.loads(out)
+        assert (rows[-1] if table else rows)["d"] == 10
+
+    @pytest.mark.parametrize("degree", ["11", "27"])
+    @pytest.mark.parametrize("table", [(), ("--table",)])
+    def test_rejects_past_the_bound_at_once(self, capsys, degree, table):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "severi", "--degree", degree,
+                                "--delta", "0", *table)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert f"--degree expects an integer <= 10 for severi; got " \
+            f"{degree}" in err
+
+
+def test_only_the_check_verb_imports_checks():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = textwrap.dedent("""
+        import sys
+        import sumkit.cli
+        assert "sumkit.checks" not in sys.modules
+        assert sumkit.cli.run(["oracle", "sigma", "--n", "12"]) == 0
+        assert "sumkit.checks" not in sys.modules
+    """)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["value"] == "28"
+
+
 class TestCheckVerb:
     @pytest.mark.parametrize("error", [GluingError("bad series"),
                                        ZeroDivisionError("division")])
@@ -289,3 +336,30 @@ class TestCache:
         cache.store("hurwitz", {"a": "1/2"})
         cache.store("hurwitz", {"b": "1/3"})
         assert cache.load("hurwitz") == {"a": "1/2", "b": "1/3"}
+
+    def test_torn_last_line_loses_only_itself(self, tmp_path, capsys):
+        (tmp_path / "severi.jsonl").write_text('{"key": "a", "val')
+        cache = ValueCache(str(tmp_path))
+        cache.store("severi", {"b": "1"})
+        assert cache.load("severi") == {"b": "1"}
+        assert "corrupt" in capsys.readouterr().err
+
+    def test_concurrent_writers_keep_every_key(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        writer = textwrap.dedent("""
+            import sys
+            from sumkit.cli import ValueCache
+            cache = ValueCache(sys.argv[1])
+            for i in range(30):
+                cache.store("severi", {f"{sys.argv[2]}-{i}": str(i)})
+        """)
+        env = dict(os.environ, PYTHONPATH=src)
+        writers = [subprocess.Popen([sys.executable, "-c", writer,
+                                     str(tmp_path), name], env=env)
+                   for name in "abc"]
+        for proc in writers:
+            assert proc.wait(timeout=60) == 0
+        entries = ValueCache(str(tmp_path)).load("severi")
+        assert entries == {f"{name}-{i}": str(i)
+                           for name in "abc" for i in range(30)}
+        assert os.listdir(tmp_path) == ["severi.jsonl"]

@@ -4,7 +4,9 @@ import pytest
 
 from sumkit.elliptic import (
     SurfaceClassData,
+    euler_product,
     f0_product,
+    fiber_context,
     f0_via_ode,
     fg,
     genus1_via_fiber_recursion,
@@ -14,6 +16,17 @@ from sumkit.elliptic import (
     trr_genus1,
 )
 from sumkit.oracles import divisor_sum
+from sumkit.series import Series, geometric_inverse
+
+
+def series_ring_product(cutoff):
+    """``prod_d (1 - t^d)^(-12)`` in the Fraction series ring: the route
+    the integer product replaced, kept as its reference."""
+    ctx = fiber_context()
+    partitions = Series.one(ctx, cutoff)
+    for d in range(1, cutoff + 1):
+        partitions = partitions * geometric_inverse(ctx, cutoff, {"t": d})
+    return partitions ** 12
 
 
 class TestSigmaSeries:
@@ -46,6 +59,25 @@ class TestGenusZero:
 
     def test_recursion_equals_product_to_order_100(self):
         assert f0_via_ode(100) == f0_product(100)
+
+    def test_product_equals_the_series_ring_product(self):
+        for n in range(41):
+            assert f0_product(n) == series_ring_product(n), n
+
+    def test_inverse_product_is_the_reciprocal(self):
+        for n in range(61):
+            one = f0_product(n) * euler_product(-12, n)
+            assert one == Series.one(fiber_context(), n), n
+
+    def test_partitions_and_pentagonal_numbers(self):
+        # k = 1 counts partitions; k = -1 is Euler's pentagonal series
+        p = euler_product(1, 12)
+        assert [p.coefficient({"t": n}) for n in range(13)] \
+            == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+        pentagonal = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1}
+        q = euler_product(-1, 16)
+        assert [q.coefficient({"t": n}) for n in range(17)] \
+            == [pentagonal.get(n, 0) for n in range(17)]
 
     def test_coefficients_are_positive_integers(self):
         f = f0_product(60)

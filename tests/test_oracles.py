@@ -1,4 +1,6 @@
 import ast
+import itertools
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,6 +63,55 @@ class TestHurwitzOracle:
     def test_not_a_partition(self):
         with pytest.raises(ValueError):
             hurwitz_oracle(3, 0, (2, 2))
+
+
+def unreduced_hurwitz_count(d, g, alpha):
+    """Every r-tuple of transpositions, no symmetry used: the reference for
+    the oracle's count of tuples that start with (0 1)."""
+    r = branch_count_rh(d, g, alpha)
+    if r < 0:
+        return Fraction(0)
+    target = tuple(sorted(alpha, reverse=True))
+    transpositions = list(itertools.combinations(range(d), 2))
+    count = 0
+    for tup in itertools.product(transpositions, repeat=r):
+        perm = list(range(d))
+        for i, j in tup:
+            perm[i], perm[j] = perm[j], perm[i]
+        cycles, seen = [], set()
+        for s in range(d):
+            length = 0
+            while s not in seen:
+                seen.add(s)
+                s = perm[s]
+                length += 1
+            if length:
+                cycles.append(length)
+        if tuple(sorted(cycles, reverse=True)) != target:
+            continue
+        orbit, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for i, j in tup:
+                y = j if x == i else i if x == j else None
+                if y is not None and y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        count += len(orbit) == d
+    return Fraction(count, math.factorial(d))
+
+
+def test_oracle_equals_unreduced_enumeration_up_to_degree_four():
+    checked = 0
+    for d in range(1, 5):
+        for alpha in partitions(d):
+            for g in range(0, 4):
+                if branch_count_rh(d, g, alpha) > 6:
+                    continue
+                assert hurwitz_oracle(d, g, alpha) \
+                    == unreduced_hurwitz_count(d, g, alpha), (d, g, alpha)
+                checked += 1
+    assert checked == 25
 
 
 class TestKontsevichOracle:
