@@ -16,13 +16,14 @@ import fcntl
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
 
 from sumkit import __version__, catalog, elliptic, hurwitz, oracles, severi
 from sumkit.gluing import RelSeries, relseries_to_json
-from sumkit.series import Series
+from sumkit.series import Series, parse_fraction
 
 ENGINE_VERSION = __version__
 
@@ -35,6 +36,13 @@ ORACLE_HURWITZ_NODES = 2_000_000
 # takes under 0.7 s and the whole d <= 10 table 2.6 s, but d = 12 takes
 # about 4 s per request, and the recursion overflows the stack near d = 27
 SEVERI_MAX_DEGREE = 10
+
+# a `hurwitz` request solves the cut-join table of its degree up to its
+# branch count r = d + 2g - 2 + len(partition); on a 2-core VM the slowest
+# admitted request, d = 10 with r = 18, takes about 0.6 s, where r = 22
+# takes 1.8 s and d = 12 with r = 22 2.6 s
+HURWITZ_MAX_DEGREE = 10
+HURWITZ_MAX_BRANCH = 18
 
 
 # -- persistent memo cache ----------------------------------------------------
@@ -194,6 +202,30 @@ def _hurwitz_partition(args) -> tuple[int, ...]:
     return tuple(int(part) for part in parts)
 
 
+def _parse_int(text: str) -> int:
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
+def _cached(cache: ValueCache, table: str, key: str, parse, text, compute):
+    """The value of ``key``: parsed from ``table`` when stored there, else
+    computed and stored as ``text(value)``.  A stored value that is not a
+    string or that ``parse`` rejects is skipped as a corrupt line."""
+    stored = cache.load(table)
+    if key in stored:
+        try:
+            if isinstance(stored[key], str):
+                return parse(stored[key])
+        except ValueError:  # parse_fraction's SeriesError is one
+            pass
+        print(f"warning: skipping corrupt cache line in {table}.jsonl",
+              file=sys.stderr)
+    value = compute()
+    cache.store(table, {key: text(value)})
+    return value
+
+
 # -- verbs ---------------------------------------------------------------------
 
 def _cmd_severi(args, cache: ValueCache) -> list[dict]:
@@ -211,12 +243,9 @@ def _cmd_severi(args, cache: ValueCache) -> list[dict]:
             else severi.default_beta(args.degree, alpha)
         key = json.dumps([args.degree, args.delta, list(severi.trim(alpha)),
                           list(severi.trim(beta_eff))])
-        stored = cache.load("severi")
-        if key in stored:
-            value = int(stored[key])
-        else:
-            value = severi.severi_number(args.degree, args.delta, alpha, beta)
-            cache.store("severi", {key: str(value)})
+        value = _cached(cache, "severi", key, _parse_int, str,
+                        lambda: severi.severi_number(args.degree, args.delta,
+                                                     alpha, beta))
         g = severi.genus(args.degree, args.delta)
         rows = [{
             "d": args.degree, "delta": args.delta,
@@ -231,17 +260,21 @@ def _cmd_severi(args, cache: ValueCache) -> list[dict]:
 
 def _cmd_hurwitz(args, cache: ValueCache) -> list[dict]:
     alpha = _hurwitz_partition(args)
-    key = json.dumps([args.degree, args.genus, sorted(alpha, reverse=True)])
-    stored = cache.load("hurwitz")
-    if key in stored:
-        num, den = stored[key].split("/")
-        value = Fraction(int(num), int(den))
-    else:
-        value = hurwitz.hurwitz_number(args.degree, args.genus, alpha)
-        cache.store("hurwitz", {key: f"{value.numerator}/{value.denominator}"})
-    row = {"d": args.degree, "g": args.genus,
-           "partition": sorted(alpha, reverse=True),
-           "r": hurwitz.branch_count(args.degree, args.genus, alpha)}
+    d, g = args.degree, args.genus
+    if d > HURWITZ_MAX_DEGREE:
+        raise ValueError(f"--degree expects an integer <= {HURWITZ_MAX_DEGREE}"
+                         f" for hurwitz; got {d}")
+    r = hurwitz.branch_count(d, g, alpha)
+    if r > HURWITZ_MAX_BRANCH:
+        raise ValueError(
+            f"hurwitz: --degree {d} --genus {g} --partition {args.partition} "
+            f"needs r = {r} branch points, beyond the limit "
+            f"{HURWITZ_MAX_BRANCH}; lower --genus or --degree")
+    key = json.dumps([d, g, sorted(alpha, reverse=True)])
+    value = _cached(cache, "hurwitz", key, parse_fraction,
+                    lambda v: f"{v.numerator}/{v.denominator}",
+                    lambda: hurwitz.hurwitz_number(d, g, alpha))
+    row = {"d": d, "g": g, "partition": sorted(alpha, reverse=True), "r": r}
     row.update(_fraction_row(value))
     return [row]
 

@@ -160,18 +160,12 @@ def lsplit_suite(g_max: int, cutoff: int) -> dict[str, Series]:
     if g_max < 1:
         raise ValueError("need g_max >= 1")
     f0 = f0_product(cutoff)
-    f0_inv = euler_product(-12, cutoff)
     gprime = sigma_series(cutoff + 1).differentiate("t")
     f = {g: fg(g, cutoff) for g in range(0, g_max + 1)}
     fv_point = {g: (f[g] - f[g - 1] * gprime).truncate(cutoff)
                 for g in range(1, g_max + 1)}
 
     residuals: dict[str, Series] = {}
-    # genus one: 0 = FV1(p) F0 + F0 FV1(p), divided by 2 F0
-    doubled = fv_point[1] * f0 + f0 * fv_point[1]
-    residuals["fv1-point-vanishes"] = (
-        doubled * f0_inv * Fraction(1, 2)
-    ).truncate(cutoff)
     for g in range(1, g_max + 1):
         residuals[f"fv{g}-point-vanishes"] = fv_point[g]
         # doubled fiber sum: FVg(p) F0 + F(g-1) FV1(p) = 0
@@ -179,7 +173,7 @@ def lsplit_suite(g_max: int, cutoff: int) -> dict[str, Series]:
             fv_point[g] * f0 + f[g - 1] * fv_point[1]
         ).truncate(cutoff)
         # genus ladder: Fg = F(g-1) G'
-        residuals[f"ladder-g{g}"] = (f[g] - f[g - 1] * gprime).truncate(cutoff)
+        residuals[f"ladder-g{g}"] = fv_point[g]
         # closed form: Fg = F0 (G')^g
         residuals[f"closed-form-g{g}"] = (
             f[g] - f[0] * gprime ** g

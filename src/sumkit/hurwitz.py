@@ -35,17 +35,21 @@ Level ``r`` is therefore built from the lower levels alone.  Its right side
 is the ``u^(r-1)`` part of :func:`cut_join_apply` on the partial sum
 ``G_0 + ... + G_(r-1)``, so solving level by level reaches the same series
 as the fixed-point iteration that applies the whole operator to the partial
-sum at each step and keeps that slice.  Truncation depends on a term's
-grading only, so taking the slice before or after the truncated arithmetic
-keeps the same terms.  :func:`cut_join_apply` applies the whole operator
-and stays the independent side that :func:`cut_join_residual` checks the
-table against.
+sum at each step and keeps that slice.  :func:`cut_join_apply` applies the
+whole operator and stays the independent side that
+:func:`cut_join_residual` checks the table against.
+
+The ring grades by ``z``-degree alone.  Each operator term keeps the
+``z``-degree of its input or adds those of its two inputs, so a table for
+degree ``d`` drops the terms above ``d`` at every level; its cutoff ``2d``
+leaves room for derivatives by ``z_a``, ``a <= d``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from fractions import Fraction
 from typing import Sequence
 
@@ -78,9 +82,17 @@ def branch_count(d: int, g: int, alpha: Sequence[int]) -> int:
 
 def _context(d_max: int) -> VariableContext:
     names = [(f"z{a}", a) for a in range(1, d_max + 1)]
-    names.append(("u", 1))
+    names.append(("u", 0))
     names.append(("lam", 0, True))
     return VariableContext(*names)
+
+
+def _powers(g: int, alpha: tuple[int, ...], r: int) -> dict[str, int]:
+    """The monomial ``z^alpha * u^r * lam^(2g-2)`` of a key."""
+    powers = {"u": r, "lam": 2 * g - 2}
+    for a in set(alpha):
+        powers[f"z{a}"] = alpha.count(a)
+    return powers
 
 
 def cut_join_apply(g_series: Series, d_max: int) -> Series:
@@ -106,114 +118,88 @@ def cut_join_apply(g_series: Series, d_max: int) -> Series:
 
 
 class CutJoinTable:
-    """Solves the transport equation level by level in the branch count.
+    """``G`` through ``z``-degree ``d_max``, solved one level at a time.
 
-    ``series`` is ``G`` up to ``u^r_max`` over the ring of :func:`_context`
-    with cutoff ``2*d_max + r_max``.  Each level ``G_r`` is computed from
-    ``G_0 .. G_(r-1)`` and their ``z``-derivatives, by the level equation in
-    the module docstring, and kept to the grading that :func:`cut_join_apply`
-    keeps.  So ``series`` equals, term for term, the fixed point reached by
-    applying :func:`cut_join_apply` to the partial sum ``r_max`` times and
-    lifting its ``u^(r-1)`` slice at step ``r``, at a cost per level that
-    grows with that level's products instead of the whole series.
+    :meth:`level` returns ``G_r`` (cutoff ``d_max``), solving the levels up
+    to ``r`` by the level equation of the module docstring the first time
+    one at or above it is asked for.  ``G_r`` equals the ``u^r`` slice of
+    the fixed point of :func:`cut_join_apply` on ``z``-degree at most
+    ``d_max``.  Levels grow under a lock, so threads see the serial values.
     """
 
-    def __init__(self, d_max: int, r_max: int):
+    def __init__(self, d_max: int):
         self.d_max = d_max
-        self.r_max = r_max
-        self.context = _context(d_max)
-        self.series = self._solve()
-
-    def _seed(self) -> Series:
-        # the unbranched single sheet: degree 1, genus 0, no branch points.
-        # Extra cutoff headroom d_max compensates the grading lost to the
-        # derivatives in the transport operator.
-        return Series.term(self.context, 2 * self.d_max + self.r_max,
-                           {"z1": 1, "lam": -2})
-
-    def _solve(self) -> Series:
-        ctx, d_max = self.context, self.d_max
-        cutoff = 2 * self.d_max + self.r_max
-        # cut_join_apply keeps its value to the cutoff of its deepest
-        # derivative, d/dz_(d_max); each slice starts there, so the zero
-        # terms skipped below cannot leave it a higher cutoff
-        top = cutoff - d_max
-        u_index = ctx.index("u")
-        z = [f"z{a}" for a in range(d_max + 1)]
-        joins, cuts = {}, {}
+        self.context = ctx = _context(d_max)
+        self._cutoff = cutoff = 2 * d_max
+        self._z = z = [f"z{a}" for a in range(d_max + 1)]
+        self._joins, self._cuts = {}, {}
         for k in range(2, d_max + 1):
-            joins[k] = Series.term(ctx, cutoff, {z[k]: 1, "lam": 2},
-                                   Fraction(1, 2))
+            self._joins[k] = Series.term(ctx, cutoff, {z[k]: 1, "lam": 2},
+                                         Fraction(1, 2))
             # (1/2) sum_{i+j=k} z_i z_j, the cut term's factor of k*dG/dz_k
-            cuts[k] = Series.zero(ctx, cutoff)
-            for i in range(1, k):
-                cuts[k] = cuts[k] + Series.term(ctx, cutoff, {z[i]: 1}) \
-                    * Series.term(ctx, cutoff, {z[k - i]: 1}, Fraction(1, 2))
-        level = self._seed()
-        total = level
+            self._cuts[k] = sum((Series.term(ctx, cutoff, {z[i]: 1})
+                                 * Series.term(ctx, cutoff, {z[k - i]: 1})
+                                 for i in range(1, k)),
+                                Series.zero(ctx, cutoff)) * Fraction(1, 2)
+        self._levels: list[Series] = []
         # weighted[s][a] = a * dG_s/dz_a, the factor each join term takes
-        weighted = []
-        for r in range(1, self.r_max + 1):
-            weighted.append([None] + [level.differentiate(z[a]) * a
-                                      for a in range(1, d_max + 1)])
-            last = weighted[r - 1]
-            rhs = Series.zero(ctx, top)
-            for k in range(2, d_max + 1):
-                join = Series.zero(ctx, cutoff)
-                for i in range(1, k):
-                    j = k - i
-                    if last[i]:
-                        join = join + last[i].differentiate(z[j]) * j
-                    # (s, i) and its mirror (t, j) give one product: once,
-                    # doubled when they differ
-                    for s in range(r):
-                        t = r - 1 - s
-                        if (s, i) > (t, j):
-                            continue
-                        left, right = weighted[s][i], weighted[t][j]
-                        if left and right:
-                            product = left * right
-                            join = join + (product if (s, i) == (t, j)
-                                           else product * 2)
-                if join:
-                    rhs = rhs + joins[k] * join
-                if last[k]:
-                    rhs = rhs + cuts[k] * last[k]
-            lifted = {}
-            for exps, c in rhs.terms.items():
-                lifted[exps[:u_index] + (r,) + exps[u_index + 1:]] = \
-                    c * Fraction(1, r)
-            level = Series(ctx, cutoff, lifted)
-            total = total + level
-        return total
+        self._weighted: list[list] = []
+        self._lock = threading.Lock()
+        # the unbranched single sheet: degree 1, genus 0, no branch points
+        self._add_level(Series.term(ctx, cutoff, {"z1": 1, "lam": -2}))
 
-    def value(self, d: int, g: int, alpha: Sequence[int]) -> Fraction:
-        alpha = _normalize(alpha)
-        if d > self.d_max:
-            raise HurwitzError("degree beyond table bound")
-        r = branch_count_rh(d, g, alpha)
-        if r < 0 or g < 0 or r > self.r_max:
-            if r > self.r_max >= 0 and g >= 0:
-                raise HurwitzError("branch count beyond table bound")
-            return Fraction(0)
-        powers = {"u": r, "lam": 2 * g - 2}
-        for a in set(alpha):
-            powers[f"z{a}"] = alpha.count(a)
-        return self.series.coefficient(powers) * math.factorial(r)
+    def level(self, r: int) -> Series:
+        if r < 0:
+            raise HurwitzError("branch count must be >= 0")
+        with self._lock:
+            while len(self._levels) <= r:
+                self._solve_next()
+        return self._levels[r]
 
+    def _add_level(self, level: Series) -> None:
+        self._levels.append(level.truncate(self.d_max))
+        self._weighted.append([None] + [level.differentiate(self._z[a]) * a
+                                        for a in range(1, self.d_max + 1)])
 
-def _table_for(d: int, r: int) -> CutJoinTable:
-    """The memoized table for degree ``d`` and ``r`` branch points.
-
-    Sizes are rounded up to at least ``(5, 6)``, so the small requests
-    share one table.
-    """
-    return _build_table(max(d, 5), max(r, 6))
+    def _solve_next(self) -> None:
+        ctx, d_max, z = self.context, self.d_max, self._z
+        weighted = self._weighted
+        r = len(self._levels)
+        last = weighted[r - 1]
+        # the right side keeps z-degree <= d_max alone
+        rhs = Series.zero(ctx, d_max)
+        for k in range(2, d_max + 1):
+            join = Series.zero(ctx, self._cutoff)
+            for i in range(1, k):
+                j = k - i
+                if last[i]:
+                    join = join + last[i].differentiate(z[j]) * j
+                # (s, i) and its mirror (t, j) give one product: once,
+                # doubled when they differ
+                for s in range(r):
+                    t = r - 1 - s
+                    if (s, i) > (t, j):
+                        continue
+                    left, right = weighted[s][i], weighted[t][j]
+                    if left and right:
+                        product = left * right
+                        join = join + (product if (s, i) == (t, j)
+                                       else product * 2)
+            if join:
+                rhs = rhs + self._joins[k] * join
+            if last[k]:
+                rhs = rhs + self._cuts[k] * last[k]
+        u_index = ctx.index("u")
+        lifted = {}
+        for exps, c in rhs.terms.items():
+            lifted[exps[:u_index] + (r,) + exps[u_index + 1:]] = \
+                c * Fraction(1, r)
+        self._add_level(Series(ctx, self._cutoff, lifted))
 
 
 @functools.lru_cache(maxsize=32)
-def _build_table(d_max: int, r_max: int) -> CutJoinTable:
-    return CutJoinTable(d_max, r_max)
+def _build_table(d: int) -> CutJoinTable:
+    return CutJoinTable(d)
 
 
 def hurwitz_number(d: int, g: int, alpha: Sequence[int]) -> Fraction:
@@ -221,14 +207,11 @@ def hurwitz_number(d: int, g: int, alpha: Sequence[int]) -> Fraction:
     if d < 1:
         raise HurwitzError("degree must be >= 1")
     alpha = _normalize(alpha)
-    if sum(alpha) != d:
-        return Fraction(0)
-    if g < 0:
-        return Fraction(0)
     r = branch_count_rh(d, g, alpha)
-    if r < 0:
+    if sum(alpha) != d or g < 0 or r < 0:
         return Fraction(0)
-    return _table_for(d, r).value(d, g, alpha)
+    return _build_table(d).level(r).coefficient(_powers(g, alpha, r)) \
+        * math.factorial(r)
 
 
 def cut_join_residual(d_max: int, r_max: int) -> Series:
@@ -237,13 +220,13 @@ def cut_join_residual(d_max: int, r_max: int) -> Series:
     Assembles the generating series from :func:`hurwitz_number` values with
     degree at most ``d_max`` and branch count at most ``r_max``, applies both
     sides, and restricts to the window where all inputs are present
-    (``u``-exponent below ``r_max``, part degree at most ``d_max``).  The
+    (``u``-exponent below ``r_max``, ``z``-degree at most ``d_max``).  The
     contract is the zero series.
     """
     if d_max < 1 or r_max < 0:
         raise HurwitzError("bounds must be positive")
     ctx = _context(d_max)
-    cutoff = 2 * d_max + r_max
+    cutoff = 2 * d_max
     terms = {}
     for d in range(1, d_max + 1):
         for alpha in partitions(d):
@@ -253,23 +236,12 @@ def cut_join_residual(d_max: int, r_max: int) -> Series:
                     continue
                 g = residue // 2
                 value = hurwitz_number(d, g, alpha)
-                if not value:
-                    continue
-                powers = {"u": r, "lam": 2 * g - 2}
-                for a in set(alpha):
-                    powers[f"z{a}"] = alpha.count(a)
-                exps = ctx.exponents(powers)
-                terms[exps] = value / math.factorial(r)
+                if value:
+                    terms[ctx.exponents(_powers(g, alpha, r))] = \
+                        value / math.factorial(r)
     g_series = Series(ctx, cutoff, terms)
     residual = g_series.differentiate("u") - cut_join_apply(g_series, d_max)
     u_index = ctx.index("u")
-    z_indices = [ctx.index(f"z{a}") for a in range(1, d_max + 1)]
-    window = {}
-    for exps, c in residual.terms.items():
-        if exps[u_index] > r_max - 1:
-            continue
-        if sum(a * exps[i] for a, i in zip(range(1, d_max + 1), z_indices)) \
-                > d_max:
-            continue
-        window[exps] = c
-    return Series(ctx, cutoff, window)
+    return Series(ctx, d_max, {
+        exps: c for exps, c in residual.truncate(d_max).terms.items()
+        if exps[u_index] < r_max})

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from sumkit import checks
-from sumkit.cli import ENGINE_VERSION, SEVERI_MAX_DEGREE, ValueCache, run
+from sumkit.cli import (ENGINE_VERSION, HURWITZ_MAX_BRANCH,
+                        HURWITZ_MAX_DEGREE, SEVERI_MAX_DEGREE, ValueCache,
+                        run)
 from sumkit.gluing import GluingError
 
 
@@ -236,6 +238,50 @@ class TestSeveriDegreeLimit:
             f"{degree}" in err
 
 
+class TestHurwitzWorkLimit:
+    def test_admits_every_golden_request(self, capsys):
+        golden = json.loads(TestOracleWorkLimit.GOLDEN.read_text())
+        requests = [k for k in golden if k.startswith("hurwitz ")]
+        assert len(requests) >= 10
+        for request in requests:
+            assert invoke(capsys, *request.split()) == (0, golden[request], "")
+
+    def test_admits_the_bounds(self, capsys):
+        assert (HURWITZ_MAX_DEGREE, HURWITZ_MAX_BRANCH) == (10, 18)
+        # d = 10, g = 4, partition 10: r = 17
+        code, out, _ = invoke(capsys, "hurwitz", "--degree", "10", "--genus",
+                              "4", "--partition", "10")
+        assert code == 0 and json.loads(out)["r"] == 17
+        # d = 8, g = 4, partition 5,1,1,1: r = 18
+        code, out, _ = invoke(capsys, "hurwitz", "--degree", "8", "--genus",
+                              "4", "--partition", "5,1,1,1")
+        assert code == 0 and json.loads(out)["r"] == 18
+
+    def test_rejects_the_first_degree_past_the_bound(self, capsys):
+        code, out, err = invoke(capsys, "hurwitz", "--degree", "11",
+                                "--genus", "0", "--partition", "11")
+        assert code == 1 and out == ""
+        assert "--degree expects an integer <= 10 for hurwitz; got 11" in err
+
+    def test_rejects_the_first_branch_count_past_the_bound(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "hurwitz", "--degree", "8", "--genus",
+                                "4", "--partition", "4,1,1,1,1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "r = 19 branch points" in err and "limit 18" in err
+        for flag in ("--degree 8", "--genus 4", "--partition 4,1,1,1,1"):
+            assert flag in err
+
+    def test_huge_genus_rejected_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "hurwitz", "--degree", "3",
+                                "--genus", "1000000", "--partition", "3")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "r = 2000002 branch points" in err
+
+
 def test_only_the_check_verb_imports_checks():
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = textwrap.dedent("""
@@ -363,3 +409,26 @@ class TestCache:
         assert entries == {f"{name}-{i}": str(i)
                            for name in "abc" for i in range(30)}
         assert os.listdir(tmp_path) == ["severi.jsonl"]
+
+    @pytest.mark.parametrize("verb, table, key, value", [
+        (("hurwitz", "--degree", "3", "--genus", "0", "--partition", "2,1"),
+         "hurwitz", "[3, 0, [2, 1]]", "zz"),
+        (("hurwitz", "--degree", "3", "--genus", "0", "--partition", "2,1"),
+         "hurwitz", "[3, 0, [2, 1]]", "1/0"),
+        (("hurwitz", "--degree", "3", "--genus", "0", "--partition", "2,1"),
+         "hurwitz", "[3, 0, [2, 1]]", 4),
+        (("severi", "--degree", "4", "--delta", "3"),
+         "severi", "[4, 3, [], [4]]", "x1")])
+    def test_unparsable_value_is_skipped_and_recomputed(
+            self, capsys, tmp_path, verb, table, key, value):
+        plain = invoke(capsys, *verb)
+        line = {"engine": ENGINE_VERSION, "key": key, "value": value}
+        (tmp_path / f"{table}.jsonl").write_text(json.dumps(line) + "\n")
+        code, out, err = invoke(capsys, "--cache-dir", str(tmp_path), *verb)
+        assert (code, out) == plain[:2] and code == 0
+        assert f"skipping corrupt cache line in {table}.jsonl" in err
+        # the recomputed value is stored, and the next request hits it
+        stored = ValueCache(str(tmp_path)).load(table)[key]
+        assert stored == json.loads(out)["value"]
+        assert invoke(capsys, "--cache-dir", str(tmp_path), *verb) \
+            == (0, out, "")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ from sumkit.contacts import partitions
 from sumkit.hurwitz import (
     CutJoinTable,
     HurwitzError,
+    _build_table,
     _context,
-    _table_for,
     branch_count,
     cut_join_apply,
     cut_join_residual,
@@ -82,33 +83,34 @@ class TestInvariants:
 
     def test_degree_one_sector_vanishes_for_positive_r(self):
         # no simple branch points exist on a one-sheeted cover
-        table = _table_for(2, 4)
+        table = _build_table(5)
         u = table.context.index("u")
         z1 = table.context.index("z1")
         z_rest = [table.context.index(f"z{a}")
                   for a in range(2, table.d_max + 1)]
-        for exps, _ in table.series.terms.items():
-            if exps[z1] == 1 and all(exps[i] == 0 for i in z_rest):
-                assert exps[u] == 0
-
+        for r in range(7):
+            for exps, _ in table.level(r).terms.items():
+                if exps[z1] == 1 and all(exps[i] == 0 for i in z_rest):
+                    assert exps[u] == 0
 
     def test_cached_table_cannot_be_changed_by_a_caller(self):
-        table = _table_for(5, 6)
-        exps = next(iter(table.series.terms))
+        level = _build_table(5).level(6)
+        exps = next(iter(level.terms))
         with pytest.raises(TypeError):
-            table.series.terms[exps] = Fraction(7)
-        assert _table_for(5, 6).series.terms[exps] != 7
+            level.terms[exps] = Fraction(7)
+        assert _build_table(5).level(6).terms[exps] != 7
 
     def test_cached_table_series_attributes_are_read_only(self):
         # a writable cutoff would turn CutoffExceeded into a silent 0 for
         # every later caller of the memoized table
-        series = _table_for(5, 6).series
+        level = _build_table(5).level(6)
         for attr, value in (("cutoff", 100), ("context", _context(8)),
                             ("terms", {}), ("laurent_floor", -9)):
             with pytest.raises(AttributeError):
-                setattr(series, attr, value)
+                setattr(level, attr, value)
+        # z-degree 6 is beyond a degree-5 table
         with pytest.raises(CutoffExceeded):
-            _table_for(5, 6).series.coefficient({"u": 30})
+            _build_table(5).level(6).coefficient({"z5": 1, "z1": 1, "u": 6})
 
 
 def fixed_point_series(d_max, r_max):
@@ -129,10 +131,52 @@ def fixed_point_series(d_max, r_max):
 class TestLevelSolve:
     @pytest.mark.parametrize("d_max, r_max", [(4, 5), (5, 6), (6, 7)])
     def test_equals_the_fixed_point_solve(self, d_max, r_max):
-        table = CutJoinTable(d_max, r_max)
+        table = CutJoinTable(d_max)
         reference = fixed_point_series(d_max, r_max)
-        assert table.series == reference
-        assert table.series.cutoff == 2 * d_max + r_max
+        ctx = reference.context
+        u = ctx.index("u")
+        for r in range(r_max + 1):
+            level = table.level(r)
+            assert level == Series(ctx, d_max, {
+                exps: c for exps, c in reference.terms.items()
+                if exps[u] == r and ctx.grading(exps) <= d_max})
+            assert level.cutoff == d_max
+
+    def test_levels_asked_in_either_order_agree(self):
+        down, up = CutJoinTable(8), CutJoinTable(8)
+        high = down.level(13)
+        low = down.level(5)
+        assert up.level(5) == low and up.level(13) == high
+
+    def test_negative_level_refused(self):
+        with pytest.raises(HurwitzError):
+            CutJoinTable(3).level(-1)
+
+    def test_one_table_per_degree(self):
+        _build_table.cache_clear()
+        cut_join_residual(6, 8)
+        for d in range(1, 8):
+            for alpha in partitions(d):
+                for g in range(3):
+                    hurwitz_number(d, g, alpha)
+        assert _build_table.cache_info().misses == 7
+
+
+def test_values_digest():
+    """Every key with d <= 8 and r <= 13 and its value, hashed: a change
+    to any one value changes the digest."""
+    lines = []
+    for d in range(1, 9):
+        for alpha in partitions(d):
+            g = 0
+            while branch_count(d, g, alpha) <= 13:
+                value = hurwitz_number(d, g, alpha)
+                lines.append(f"{d} {g} {','.join(map(str, alpha))} "
+                             f"{value.numerator}/{value.denominator}\n")
+                g += 1
+    assert len(lines) == 226
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == \
+        "1c1acd73763c73ed7846dbcad21b65b203075daf6a94c8c1bfcdeee60347f1d2"
 
 
 class TestResidual:
