@@ -21,7 +21,6 @@ from sumkit.contacts import (
     dual_multiset,
     enumerate_multisets,
     multiset_stats,
-    ordered_multiplicity,
     seq_stats,
 )
 

@@ -39,10 +39,23 @@ SEVERI_MAX_DEGREE = 10
 
 # a `hurwitz` request solves the cut-join table of its degree up to its
 # branch count r = d + 2g - 2 + len(partition); on a 2-core VM the slowest
-# admitted request, d = 10 with r = 18, takes about 0.6 s, where r = 22
-# takes 1.8 s and d = 12 with r = 22 2.6 s
+# admitted request, d = 10 with r = 18, takes about 0.4 s, where r = 22
+# takes about 0.45 s and d = 12 with r = 22 about 0.8 s
 HURWITZ_MAX_DEGREE = 10
 HURWITZ_MAX_BRANCH = 18
+
+# `catalog p1` output grows fastest with the order: on a 2-core VM order 20
+# takes about 0.5 s and prints 0.5 MB, order 26 1.8 s and 2.2 MB, order 30
+# 6.5 s and 5.4 MB; every other entry takes under 0.2 s at order 20
+CATALOG_MAX_ORDER = 20
+
+# `elliptic` work grows with the genus and the order, most under `--check`,
+# which runs the identity suite through genus max(g, 1): on a 2-core VM
+# `--check` at genus 4, order 80 takes about 0.5 s, at genus 5, order 80
+# 0.9 s and at genus 4, order 100 1.0 s; the genus-8 series to order 1500
+# takes 26 s
+ELLIPTIC_MAX_GENUS = 4
+ELLIPTIC_MAX_ORDER = 80
 
 
 # -- persistent memo cache ----------------------------------------------------
@@ -125,25 +138,16 @@ def _emit(rows: list[dict], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(rows if len(rows) != 1 else rows[0],
                          indent=2, sort_keys=True))
-    elif fmt == "csv":
-        if not rows:
-            return
-        headers = []
-        for row in rows:
-            for key in row:
-                if key not in headers:
-                    headers.append(key)
+        return
+    if not rows:
+        return
+    # every key of every row, in first-seen order
+    headers = list(dict.fromkeys(key for row in rows for key in row))
+    if fmt == "csv":
         print(",".join(headers))
         for row in rows:
             print(",".join(str(row.get(h, "")) for h in headers))
     else:  # table
-        if not rows:
-            return
-        headers = []
-        for row in rows:
-            for key in row:
-                if key not in headers:
-                    headers.append(key)
         widths = {h: max(len(h), *(len(str(r.get(h, ""))) for r in rows))
                   for h in headers}
         print("  ".join(h.ljust(widths[h]) for h in headers))
@@ -167,8 +171,9 @@ def _series_rows(series: Series) -> list[dict]:
     return rows
 
 
-def _parse_profile(text: str | None, flag: str) -> tuple[int, ...]:
-    """``k:c,...`` pairs into a multiplicity vector."""
+def _parse_profile(text: str | None, flag: str, degree: int
+                   ) -> tuple[int, ...]:
+    """``k:c,...`` pairs with ``k <= degree`` into a multiplicity vector."""
     if not text:
         return ()
     out: list[int] = []
@@ -179,6 +184,9 @@ def _parse_profile(text: str | None, flag: str) -> tuple[int, ...]:
                 f"{flag} expects comma-separated k:count pairs with k >= 1 "
                 f"and count >= 0, e.g. 2:1,1:3; got {text!r}")
         k, c = int(k), int(c)
+        if k > degree:
+            raise ValueError(f"{flag} expects orders k <= --degree {degree}; "
+                             f"got k = {k}")
         while len(out) < k:
             out.append(0)
         out[k - 1] += c
@@ -188,6 +196,12 @@ def _parse_profile(text: str | None, flag: str) -> tuple[int, ...]:
 def _check_min(flag: str, value: int, low: int) -> None:
     if value < low:
         raise ValueError(f"{flag} expects an integer >= {low}; got {value}")
+
+
+def _check_max(flag: str, value: int, high: int, verb: str) -> None:
+    if value > high:
+        raise ValueError(f"{flag} expects an integer <= {high} for {verb}; "
+                         f"got {value}")
 
 
 def _hurwitz_partition(args) -> tuple[int, ...]:
@@ -230,12 +244,11 @@ def _cached(cache: ValueCache, table: str, key: str, parse, text, compute):
 
 def _cmd_severi(args, cache: ValueCache) -> list[dict]:
     _check_min("--degree", args.degree, 1)
-    if args.degree > SEVERI_MAX_DEGREE:
-        raise ValueError(f"--degree expects an integer <= {SEVERI_MAX_DEGREE} "
-                         f"for severi; got {args.degree}")
+    _check_max("--degree", args.degree, SEVERI_MAX_DEGREE, "severi")
     _check_min("--delta", args.delta, 0)
-    alpha = _parse_profile(args.alpha, "--alpha")
-    beta = _parse_profile(args.beta, "--beta") if args.beta else None
+    alpha = _parse_profile(args.alpha, "--alpha", args.degree)
+    beta = _parse_profile(args.beta, "--beta", args.degree) \
+        if args.beta else None
     if args.table:
         rows = severi.severi_table(args.degree, args.delta)
     else:
@@ -261,9 +274,7 @@ def _cmd_severi(args, cache: ValueCache) -> list[dict]:
 def _cmd_hurwitz(args, cache: ValueCache) -> list[dict]:
     alpha = _hurwitz_partition(args)
     d, g = args.degree, args.genus
-    if d > HURWITZ_MAX_DEGREE:
-        raise ValueError(f"--degree expects an integer <= {HURWITZ_MAX_DEGREE}"
-                         f" for hurwitz; got {d}")
+    _check_max("--degree", d, HURWITZ_MAX_DEGREE, "hurwitz")
     r = hurwitz.branch_count(d, g, alpha)
     if r > HURWITZ_MAX_BRANCH:
         raise ValueError(
@@ -280,7 +291,10 @@ def _cmd_hurwitz(args, cache: ValueCache) -> list[dict]:
 
 
 def _cmd_elliptic(args, _cache: ValueCache) -> list[dict]:
+    _check_min("--genus", args.genus, 0)
+    _check_max("--genus", args.genus, ELLIPTIC_MAX_GENUS, "elliptic")
     _check_min("--order", args.order, 0)
+    _check_max("--order", args.order, ELLIPTIC_MAX_ORDER, "elliptic")
     if args.check:
         rows = []
         ode = elliptic.f0_via_ode(args.order)
@@ -306,6 +320,7 @@ def _cmd_catalog(args, _cache: ValueCache) -> list[dict]:
             f"unknown catalog entry {args.name!r}; "
             f"available: {', '.join(sorted(entries))}")
     _check_min("--order", args.order, 0)
+    _check_max("--order", args.order, CATALOG_MAX_ORDER, "catalog")
     produced = entries[args.name].producer(args.order)
     if isinstance(produced, Series):
         return _series_rows(produced)

@@ -79,12 +79,6 @@ class ContactMultiset:
     def from_seq(cls, s: Sequence[ContactPair]) -> "ContactMultiset":
         return cls(((pair, 1) for pair in s))
 
-    def count(self, a: int, i: int) -> int:
-        for pair, n in self.items:
-            if pair == (a, i):
-                return n
-        return 0
-
     def __iter__(self) -> Iterator[tuple[ContactPair, int]]:
         return iter(self.items)
 
@@ -141,12 +135,6 @@ def multiset_stats(m: ContactMultiset) -> tuple[int, int, int, int]:
 
 def multiset_degree(m: ContactMultiset) -> int:
     return sum(a * n for (a, _), n in m)
-
-
-def ordered_multiplicity(m: ContactMultiset) -> int:
-    """Number of ordered sequences realizing the multiset: ``len! / counts!``."""
-    length, _, _, fact = multiset_stats(m)
-    return math.factorial(length) // fact
 
 
 def multiset_binomial(m: ContactMultiset, sub: ContactMultiset) -> int:

@@ -468,6 +468,27 @@ def _default_glue(x: RelSeries, y: RelSeries) -> GlueMap:
     raise GluingError("no default glue map for these geometries; pass glue=")
 
 
+def _convolution_frame(x: RelSeries, y: RelSeries, q: IntersectionMatrix,
+                       glue: GlueMap | None, out_geometry: Geometry | None
+                       ) -> tuple[GlueMap, Geometry, int, int]:
+    """Check the factors of a convolution and settle its glue map, output
+    geometry, end count and cutoff (``end_count <= 2`` on each factor
+    keeps the output's at most 2)."""
+    if x.end_count < 1 or y.end_count < 1:
+        raise GluingError("both factors need an end to glue")
+    if x.geometry.v_basis != y.geometry.v_basis or x.geometry.v_basis != q.size:
+        raise GluingError("divisor basis sizes do not match the pairing")
+    if glue is None:
+        glue = _default_glue(x, y)
+    if out_geometry is None:
+        if x.geometry == y.geometry:
+            out_geometry = x.geometry
+        else:
+            raise GluingError("pass out_geometry when gluing across geometries")
+    return (glue, out_geometry, (x.end_count - 1) + (y.end_count - 1),
+            min(x.cutoff, y.cutoff))
+
+
 def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
              glue: GlueMap | None = None,
              out_geometry: Geometry | None = None) -> RelSeries:
@@ -483,21 +504,8 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
     output class key; by default keys add, with fiber multiples absorbed on
     a shared neck geometry.
     """
-    if x.end_count < 1 or y.end_count < 1:
-        raise GluingError("both factors need an end to glue")
-    if x.geometry.v_basis != y.geometry.v_basis or x.geometry.v_basis != q.size:
-        raise GluingError("divisor basis sizes do not match the pairing")
-    if glue is None:
-        glue = _default_glue(x, y)
-    if out_geometry is None:
-        if x.geometry == y.geometry:
-            out_geometry = x.geometry
-        else:
-            raise GluingError("pass out_geometry when gluing across geometries")
-    out_ends = (x.end_count - 1) + (y.end_count - 1)
-    if out_ends > 2:
-        raise GluingError("output would have more than two ends")
-    cutoff = min(x.cutoff, y.cutoff)
+    glue, out_geometry, out_ends, cutoff = _convolution_frame(
+        x, y, q, glue, out_geometry)
 
     # Index both factors by class key, then by glued-end multiset; group the
     # classes of y by their divisor degree.
@@ -582,19 +590,8 @@ def convolve_via_operator(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
     accounting for one glued contact in the Euler characteristic.  Must agree
     exactly with :func:`convolve`; the two paths share no weight bookkeeping.
     """
-    if x.end_count < 1 or y.end_count < 1:
-        raise GluingError("both factors need an end to glue")
-    if x.geometry.v_basis != y.geometry.v_basis or x.geometry.v_basis != q.size:
-        raise GluingError("divisor basis sizes do not match the pairing")
-    if glue is None:
-        glue = _default_glue(x, y)
-    if out_geometry is None:
-        if x.geometry == y.geometry:
-            out_geometry = x.geometry
-        else:
-            raise GluingError("pass out_geometry when gluing across geometries")
-    out_ends = (x.end_count - 1) + (y.end_count - 1)
-    cutoff = min(x.cutoff, y.cutoff)
+    glue, out_geometry, out_ends, cutoff = _convolution_frame(
+        x, y, q, glue, out_geometry)
     basis = q.size
 
     # Group terms by everything except the glued-end multiset.

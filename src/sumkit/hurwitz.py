@@ -40,9 +40,10 @@ whole operator and stays the independent side that
 :func:`cut_join_residual` checks the table against.
 
 The ring grades by ``z``-degree alone.  Each operator term keeps the
-``z``-degree of its input or adds those of its two inputs, so a table for
-degree ``d`` drops the terms above ``d`` at every level; its cutoff ``2d``
-leaves room for derivatives by ``z_a``, ``a <= d``.
+``z``-degree of its input or adds those of its two inputs, so the levels of
+a table for degree ``d`` have cutoff ``d``, and each series built from them
+declares only what it knows: a derivative by ``z_a`` through ``d - a``, and
+the join that takes the factor ``z_k`` through ``d - k``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from collections import Counter
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from sumkit.contacts import partitions
@@ -130,23 +133,13 @@ class CutJoinTable:
     def __init__(self, d_max: int):
         self.d_max = d_max
         self.context = ctx = _context(d_max)
-        self._cutoff = cutoff = 2 * d_max
-        self._z = z = [f"z{a}" for a in range(d_max + 1)]
-        self._joins, self._cuts = {}, {}
-        for k in range(2, d_max + 1):
-            self._joins[k] = Series.term(ctx, cutoff, {z[k]: 1, "lam": 2},
-                                         Fraction(1, 2))
-            # (1/2) sum_{i+j=k} z_i z_j, the cut term's factor of k*dG/dz_k
-            self._cuts[k] = sum((Series.term(ctx, cutoff, {z[i]: 1})
-                                 * Series.term(ctx, cutoff, {z[k - i]: 1})
-                                 for i in range(1, k)),
-                                Series.zero(ctx, cutoff)) * Fraction(1, 2)
+        self._z = [f"z{a}" for a in range(d_max + 1)]
         self._levels: list[Series] = []
         # weighted[s][a] = a * dG_s/dz_a, the factor each join term takes
         self._weighted: list[list] = []
         self._lock = threading.Lock()
         # the unbranched single sheet: degree 1, genus 0, no branch points
-        self._add_level(Series.term(ctx, cutoff, {"z1": 1, "lam": -2}))
+        self._add_level(Series.term(ctx, d_max, {"z1": 1, "lam": -2}))
 
     def level(self, r: int) -> Series:
         if r < 0:
@@ -157,7 +150,7 @@ class CutJoinTable:
         return self._levels[r]
 
     def _add_level(self, level: Series) -> None:
-        self._levels.append(level.truncate(self.d_max))
+        self._levels.append(level)
         self._weighted.append([None] + [level.differentiate(self._z[a]) * a
                                         for a in range(1, self.d_max + 1)])
 
@@ -166,10 +159,13 @@ class CutJoinTable:
         weighted = self._weighted
         r = len(self._levels)
         last = weighted[r - 1]
-        # the right side keeps z-degree <= d_max alone
-        rhs = Series.zero(ctx, d_max)
+        # (series, powers) pairs: the level is the sum of each series times
+        # its monomial, over 2r (the 1/2 of both terms, the 1/r of the u-lift)
+        parts = []
         for k in range(2, d_max + 1):
-            join = Series.zero(ctx, self._cutoff)
+            # only z-degree <= room survives the z_k factor
+            room = d_max - k
+            join = Series.zero(ctx, room)
             for i in range(1, k):
                 j = k - i
                 if last[i]:
@@ -182,19 +178,21 @@ class CutJoinTable:
                         continue
                     left, right = weighted[s][i], weighted[t][j]
                     if left and right:
-                        product = left * right
+                        product = left.truncate(room) * right
                         join = join + (product if (s, i) == (t, j)
                                        else product * 2)
-            if join:
-                rhs = rhs + self._joins[k] * join
-            if last[k]:
-                rhs = rhs + self._cuts[k] * last[k]
-        u_index = ctx.index("u")
+                # the cut: z_i z_j times k dG/dz_k, over ordered (i, j)
+                if last[k]:
+                    parts.append((last[k], Counter((z[i], z[j], "u"))))
+            parts.append((join, {z[k]: 1, "lam": 2, "u": 1}))
         lifted = {}
-        for exps, c in rhs.terms.items():
-            lifted[exps[:u_index] + (r,) + exps[u_index + 1:]] = \
-                c * Fraction(1, r)
-        self._add_level(Series(ctx, self._cutoff, lifted))
+        for series, powers in parts:
+            shift = ctx.exponents(powers)
+            for exps, c in series.terms.items():
+                exps = tuple(map(add, exps, shift))
+                lifted[exps] = lifted.get(exps, 0) + c
+        self._add_level(Series(ctx, d_max, {
+            exps: c / (2 * r) for exps, c in lifted.items()}))
 
 
 @functools.lru_cache(maxsize=32)

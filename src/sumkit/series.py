@@ -125,9 +125,7 @@ class Series:
 
     Immutable once constructed; all operations return new series, and
     ``terms`` is a read-only view.  Stored monomials always satisfy
-    ``grading <= cutoff`` and never carry a zero coefficient.  The minimum
-    exponent appearing on the laurent variable is tracked as
-    ``laurent_floor`` (0 for series without laurent terms).
+    ``grading <= cutoff`` and never carry a zero coefficient.
 
     The constructor checks every term; it is the boundary for caller data
     (:meth:`term`, :meth:`constant`, :meth:`from_text`, unpickled series).
@@ -142,15 +140,13 @@ class Series:
     the zeros that cancellation or a scalar 0 produce are dropped.
     """
 
-    __slots__ = ("context", "cutoff", "terms", "laurent_floor")
+    __slots__ = ("context", "cutoff", "terms")
 
     def __init__(self, context: VariableContext, cutoff: int,
                  terms: Mapping[tuple[int, ...], Coeff] | None = None):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "cutoff", cutoff)
         clean: dict[tuple[int, ...], Fraction] = {}
-        floor = 0
-        li = context.laurent_index
         if terms:
             for exps, c in terms.items():
                 exps = tuple(exps)
@@ -161,10 +157,7 @@ class Series:
                 if context.grading(exps) > cutoff:
                     raise SeriesError("term beyond cutoff")
                 clean[exps] = c
-                if li is not None and exps[li] < floor:
-                    floor = exps[li]
         object.__setattr__(self, "terms", MappingProxyType(clean))
-        object.__setattr__(self, "laurent_floor", floor)
 
     @classmethod
     def _trusted(cls, context: VariableContext, cutoff: int,
@@ -175,17 +168,10 @@ class Series:
         without removing cancelled sums.
         """
         clean = {e: c for e, c in terms.items() if c}
-        li = context.laurent_index
-        floor = 0
-        if li is not None:
-            for e in clean:
-                if e[li] < floor:
-                    floor = e[li]
         self = object.__new__(cls)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "terms", MappingProxyType(clean))
-        object.__setattr__(self, "laurent_floor", floor)
         return self
 
     def __reduce__(self):

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from sumkit import checks
-from sumkit.cli import (ENGINE_VERSION, HURWITZ_MAX_BRANCH,
-                        HURWITZ_MAX_DEGREE, SEVERI_MAX_DEGREE, ValueCache,
-                        run)
+from sumkit.cli import (CATALOG_MAX_ORDER, ELLIPTIC_MAX_GENUS,
+                        ELLIPTIC_MAX_ORDER, ENGINE_VERSION,
+                        HURWITZ_MAX_BRANCH, HURWITZ_MAX_DEGREE,
+                        SEVERI_MAX_DEGREE, ValueCache, run)
 from sumkit.gluing import GluingError
 
 
@@ -280,6 +281,82 @@ class TestHurwitzWorkLimit:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert "r = 2000002 branch points" in err
+
+
+def golden_option(prefix, flag):
+    """The values of ``flag`` over the golden requests starting ``prefix``."""
+    golden = json.loads(TestOracleWorkLimit.GOLDEN.read_text())
+    return [int(k.split()[k.split().index(flag) + 1])
+            for k in golden if k.startswith(prefix)]
+
+
+def rejected_at_once(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    return err
+
+
+class TestSeveriProfileLimit:
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_admits_orders_up_to_the_degree(self, capsys, flag):
+        code, out, _ = invoke(capsys, "severi", "--degree", "3",
+                              "--delta", "0", flag, "3:1")
+        assert code == 0 and json.loads(out)["d"] == 3
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("order", ["4", "1000000"])
+    def test_rejects_orders_past_the_degree(self, capsys, flag, order):
+        err = rejected_at_once(capsys, "severi", "--degree", "3",
+                               "--delta", "0", flag, f"1:1,{order}:1")
+        assert f"{flag} expects orders k <= --degree 3; got k = {order}" \
+            in err
+
+
+class TestCatalogOrderLimit:
+    def test_admits_every_golden_request(self):
+        orders = golden_option("catalog ", "--order")
+        assert len(orders) >= 10
+        assert max(orders) <= CATALOG_MAX_ORDER == 20
+
+    def test_admits_the_bound(self, capsys):
+        code, out, _ = invoke(capsys, "catalog", "p1", "--order", "20")
+        assert code == 0 and json.loads(out)
+
+    @pytest.mark.parametrize("order", ["21", str(10 ** 12)])
+    @pytest.mark.parametrize("name", ["p1", "torus"])
+    def test_rejects_past_the_bound_at_once(self, capsys, name, order):
+        err = rejected_at_once(capsys, "catalog", name, "--order", order)
+        assert f"--order expects an integer <= 20 for catalog; got {order}" \
+            in err
+
+
+class TestEllipticLimits:
+    def test_admits_every_golden_request(self):
+        genera = golden_option("elliptic ", "--genus")
+        orders = golden_option("elliptic ", "--order")
+        assert len(genera) >= 10 and len(orders) >= 10
+        assert max(genera) <= ELLIPTIC_MAX_GENUS == 4
+        assert max(orders) <= ELLIPTIC_MAX_ORDER == 80
+
+    def test_admits_the_bounds(self, capsys):
+        code, out, _ = invoke(capsys, "elliptic", "--check", "--genus", "4",
+                              "--order", "80")
+        assert code == 0 and all(row["zero"] for row in json.loads(out))
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--genus", "5"), "--genus expects an integer <= 4 for elliptic; "
+                           "got 5"),
+        (("--genus", str(10 ** 12)), "--genus expects an integer <= 4"),
+        (("--genus", "-1"), "--genus expects an integer >= 0; got -1"),
+        (("--order", "81"), "--order expects an integer <= 80 for elliptic; "
+                            "got 81"),
+        (("--order", str(10 ** 12)), "--order expects an integer <= 80")])
+    @pytest.mark.parametrize("check", [(), ("--check",)])
+    def test_rejects_past_the_bounds_at_once(self, capsys, argv, message,
+                                             check):
+        assert message in rejected_at_once(capsys, "elliptic", *check, *argv)
 
 
 def test_only_the_check_verb_imports_checks():

@@ -14,7 +14,6 @@ from sumkit.contacts import (
     glue_weights,
     multiset_binomial,
     multiset_stats,
-    ordered_multiplicity,
     partitions,
     seq_stats,
 )
@@ -46,19 +45,6 @@ class TestMultisetStats:
     def test_mixed(self):
         m = ContactMultiset([((1, 0), 2), ((3, 0), 1)])
         assert multiset_stats(m) == (3, 5, 3, 2)
-
-
-class TestOrderedMultiplicity:
-    def test_all_equal(self):
-        assert ordered_multiplicity(ContactMultiset([((2, 0), 3)])) == 1
-
-    def test_two_distinct(self):
-        m = ContactMultiset([((1, 0), 1), ((2, 0), 1)])
-        assert ordered_multiplicity(m) == 2
-
-    def test_multinomial(self):
-        m = ContactMultiset([((1, 0), 2), ((2, 0), 2)])
-        assert ordered_multiplicity(m) == 6
 
 
 class TestEnumerate:
@@ -151,12 +137,6 @@ class TestProperties:
         assert (lu, du, pu) == (la + lb, da + db, pa * pb)
         # counts merge, so the factorial picks up binomials of merged counts
         assert fu % (fa * fb) == 0
-
-    def test_ordered_multiplicity_times_factorial(self):
-        import math
-        m = ContactMultiset([((1, 0), 3), ((2, 1), 2)])
-        length, _, _, fact = multiset_stats(m)
-        assert ordered_multiplicity(m) * fact == math.factorial(length)
 
     def test_binomial_of_submultiset(self):
         m = ContactMultiset([((1, 0), 3), ((2, 0), 1)])

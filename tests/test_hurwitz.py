@@ -105,7 +105,7 @@ class TestInvariants:
         # every later caller of the memoized table
         level = _build_table(5).level(6)
         for attr, value in (("cutoff", 100), ("context", _context(8)),
-                            ("terms", {}), ("laurent_floor", -9)):
+                            ("terms", {})):
             with pytest.raises(AttributeError):
                 setattr(level, attr, value)
         # z-degree 6 is beyond a degree-5 table
@@ -147,6 +147,34 @@ class TestLevelSolve:
         high = down.level(13)
         low = down.level(5)
         assert up.level(5) == low and up.level(13) == high
+
+    def test_smaller_tables_agree_with_the_degree_eight_table(self):
+        # the contexts differ, so compare monomials by their powers
+        def by_powers(level, d):
+            ctx = level.context
+            return {frozenset((name, e) for name, e in zip(ctx.names, exps)
+                              if e): c
+                    for exps, c in level.terms.items()
+                    if ctx.grading(exps) <= d}
+
+        large = CutJoinTable(8)
+        for d in range(1, 8):
+            small = CutJoinTable(d)
+            for r in range(14):
+                assert by_powers(small.level(r), d) \
+                    == by_powers(large.level(r), d), (d, r)
+
+    def test_degree_ten_levels_digest(self):
+        """Every level of the degree-10 table through r = 18, the admitted
+        window of the CLI, hashed in canonical text form."""
+        table = CutJoinTable(10)
+        digest = hashlib.sha256()
+        for r in range(19):
+            level = table.level(r)
+            assert level.cutoff == 10
+            digest.update(f"{r}\n{level.to_text()}\n".encode())
+        assert digest.hexdigest() == \
+            "f5ad28f7e42c47096b03f52ea9d2db2e9fc0b7c57215f702a1d9e9eefc509bca"
 
     def test_negative_level_refused(self):
         with pytest.raises(HurwitzError):

@@ -168,7 +168,7 @@ class TestCoefficient:
 def assert_valid(f):
     """``f`` passes the validating constructor unchanged."""
     again = Series(f.context, f.cutoff, f.terms)
-    assert again == f and again.laurent_floor == f.laurent_floor
+    assert again == f
     assert all(type(c) is Fraction for c in f.terms.values())
 
 
@@ -203,31 +203,29 @@ class TestTrustedResults:
     def test_cancellation_to_zero(self):
         a, b = self.pair()
         for f in (a - a, a + (-a), -a + a):
-            assert f == Series.zero(a.context, 6) and f.laurent_floor == 0
+            assert f == Series.zero(a.context, 6)
             assert_valid(f)
         # (1 + t)(1 - t): the t terms cancel
         product = t_series(10, {0: 1, 1: 1}) * t_series(10, {0: 1, 1: -1})
         assert (1, 0) not in product.terms
         assert_valid(product)
-        # the lam^-2 terms cancel in the sum, so its floor rises to -1
-        assert (a + b).laurent_floor == -1
+        # the lam^-2 terms cancel in the sum
+        assert (1, -2) not in (a + b).terms
 
     def test_scalar_zero_gives_the_zero_series(self):
         a, _ = self.pair()
         for f in (a * 0, 0 * a, a * Fraction(0)):
-            assert f == Series.zero(a.context, 6) and f.laurent_floor == 0
+            assert f == Series.zero(a.context, 6)
             assert_valid(f)
 
     def test_derivative_in_the_laurent_variable(self):
         c = ctx()
         f = Series(c, 5, {(1, -2): 1, (2, 0): 3})
-        assert f.laurent_floor == -2
         d_lam = f.differentiate("lam")
         assert d_lam == Series(c, 5, {(1, -3): -2})
-        assert d_lam.laurent_floor == -3
         assert_valid(d_lam)
         d_t = Series(c, 5, {(0, -2): 1, (1, 1): 1}).differentiate("t")
-        assert d_t.laurent_floor == 0
+        assert d_t == Series(c, 4, {(0, 1): 1})
         assert_valid(d_t)
 
 
@@ -250,7 +248,6 @@ class TestImmutability:
         twin = duplicate(f)
         assert type(twin) is Series
         assert twin == f and hash(twin) == hash(f)
-        assert twin.laurent_floor == -2
 
     def test_unpickled_series_is_revalidated(self):
         bad = Series._trusted(ctx(), 1, {(3, 0): Fraction(1)})
