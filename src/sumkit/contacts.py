@@ -75,10 +75,6 @@ class ContactMultiset:
         # rebuild through the constructor, so the cached hash is recomputed
         return ContactMultiset, (self.items,)
 
-    @classmethod
-    def from_seq(cls, s: Sequence[ContactPair]) -> "ContactMultiset":
-        return cls(((pair, 1) for pair in s))
-
     def __iter__(self) -> Iterator[tuple[ContactPair, int]]:
         return iter(self.items)
 
@@ -242,10 +238,6 @@ class IntersectionMatrix:
 
     def __repr__(self):
         return f"IntersectionMatrix({[[str(x) for x in r] for r in self.rows]})"
-
-    @classmethod
-    def identity(cls, n: int) -> "IntersectionMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def point_pairing(cls) -> "IntersectionMatrix":

@@ -11,9 +11,7 @@ every identity is checked exactly as a vanishing residual series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from sumkit.oracles import divisor_sum
 from sumkit.series import Series, VariableContext
@@ -84,51 +82,6 @@ def fg(g: int, cutoff: int) -> Series:
         return f
     gprime = sigma_series(cutoff + 1).differentiate("t")
     return f * gprime ** g
-
-
-@dataclass(frozen=True)
-class SurfaceClassData:
-    """Intersection data for a family of classes ``A(d) = base + d * fiber``.
-
-    ``a_sq_base`` is the self-intersection of the base class; the family has
-    ``A(d)^2 = a_sq_base + 2 d * f_dot_a``.  ``k_dot_a`` is the (d-independent)
-    canonical pairing.  Defaults describe the section classes of the rational
-    elliptic surface.
-    """
-
-    k_dot_a: int = -1
-    a_sq_base: int = -1
-    f_dot_a: int = 1
-
-
-def trr_genus1(data: SurfaceClassData, gw0: Sequence[Fraction | int],
-               fiber_elliptic: Mapping[int, Fraction] | None = None
-               ) -> Series:
-    """Genus-one descendant counts from the genus-zero ones.
-
-    For each fiber degree ``d``::
-
-        H_d = (f.A / 24) (A(d)^2 + K.A) gw0_d
-              + sum_{k=1..d} k * fiber_elliptic[k] * gw0_{d-k}
-
-    With the elliptic-surface inputs (``fiber_elliptic[k] = sigma(k)/k``)
-    this assembles to ``(t F0' - F0)/12 + F0 * G``.
-    """
-    cutoff = len(gw0) - 1
-    if fiber_elliptic is None:
-        fiber_elliptic = {k: Fraction(divisor_sum(k), k)
-                          for k in range(1, cutoff + 1)}
-    coeffs = []
-    for d in range(cutoff + 1):
-        a_sq = data.a_sq_base + 2 * d * data.f_dot_a
-        value = Fraction(data.f_dot_a * (a_sq + data.k_dot_a), 24) \
-            * Fraction(gw0[d])
-        for k in range(1, d + 1):
-            value += k * fiber_elliptic[k] * Fraction(gw0[d - k])
-        coeffs.append(value)
-    ctx = fiber_context()
-    return Series(ctx, cutoff,
-                  {ctx.exponents({"t": d}): c for d, c in enumerate(coeffs)})
 
 
 def genus1_via_fiber_recursion(cutoff: int) -> Series:

@@ -41,6 +41,7 @@ from sumkit.contacts import (
     multiset_stats,
 )
 from sumkit.series import (
+    GradedTable,
     Series,
     VariableContext,
     graded_exp,
@@ -207,30 +208,21 @@ class RelKey:
         }
 
 
-class RelSeries:
+class RelSeries(GradedTable):
     """Truncated table of relative curve counts.
 
-    Keys are :class:`RelKey` values with ``end_count`` contact multisets
-    each; every stored key satisfies ``grade(class) <= cutoff`` and, on each
-    end, ``deg(contacts) == pair_v(class)``.  Values are nonzero Fractions.
-    Immutable: ``terms`` is a read-only view, so a memoized series such as
-    :func:`identity_element`'s cannot be changed under later callers.
-
-    The constructor checks every term; it is the boundary for caller data
-    (:meth:`unit`, :meth:`zero`, :func:`relseries_from_json`, catalog tables,
-    unpickled series).  ``+``, ``-``, :meth:`scale`, :meth:`disjoint_mul`
-    and :func:`convolve` build their results through :meth:`_trusted`
-    instead, without revalidating: their inputs already hold the
-    invariants, and each operation keeps them.  Sums and scalings keep the
-    keys, disjoint products add classes and contact degrees (both pairings
-    are linear), and grades are filtered against the result's cutoff.
-    Exact Fraction arithmetic on nonzero Fractions gives nonzero Fractions,
-    and accumulated sums that cancel are dropped.  ``convolve`` accepts any
-    ``glue`` map, so it still checks each glued class, once per pair of
-    input classes.
+    Keys are :class:`RelKey` values graded by their class.  The constructor
+    checks that ``end_count`` is 0, 1 or 2 and that each key has
+    ``end_count`` contact multisets, a class of the geometry's dimension
+    with ``0 <= grade(class) <= cutoff``, and on each end ``deg(contacts) ==
+    pair_v(class)``; it converts coefficients to Fractions and drops zeros.
+    :func:`convolve` accepts any ``glue`` map, so it still checks each glued
+    class, once per pair of input classes.
     """
 
-    __slots__ = ("geometry", "end_count", "cutoff", "terms")
+    __slots__ = ("geometry", "end_count")
+    _HEADER = ("geometry", "end_count")
+    _Error = _Mismatch = GluingError
 
     def __init__(self, geometry: Geometry, end_count: int, cutoff: int,
                  terms: Mapping[RelKey, Fraction | int] | None = None):
@@ -275,26 +267,8 @@ class RelSeries:
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
-    @classmethod
-    def _trusted(cls, geometry: Geometry, end_count: int, cutoff: int,
-                 terms: dict[RelKey, Fraction]) -> "RelSeries":
-        """Wrap ``terms`` without checks; see the class docstring for when."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "end_count", end_count)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "terms", MappingProxyType(terms))
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RelSeries is immutable")
-
-    def __reduce__(self):
-        # unpickled data is caller data: it goes through the checks again
-        return RelSeries, (self.geometry, self.end_count, self.cutoff,
-                           dict(self.terms))
-
-    # -- basics -------------------------------------------------------------
+    def _grade(self, key: RelKey) -> int:
+        return self.geometry.grade(key.class_key)
 
     @classmethod
     def zero(cls, geometry: Geometry, end_count: int, cutoff: int) -> "RelSeries":
@@ -310,66 +284,9 @@ class RelSeries:
     def coefficient(self, key: RelKey) -> Fraction:
         return self.terms.get(key, Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RelSeries)
-            and self.geometry == other.geometry
-            and self.end_count == other.end_count
-            and self.cutoff == other.cutoff
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.geometry, self.end_count, self.cutoff,
-                     frozenset(self.terms.items())))
-
     def __repr__(self):
         return (f"RelSeries(ends={self.end_count}, cutoff={self.cutoff}, "
                 f"terms={len(self.terms)})")
-
-    def sorted_keys(self) -> list[RelKey]:
-        return sorted(
-            self.terms,
-            key=lambda k: (self.geometry.grade(k.class_key), k.class_key,
-                           k.chi, k.contacts, k.tag),
-        )
-
-    def __add__(self, other: "RelSeries") -> "RelSeries":
-        self._compatible(other)
-        cutoff = min(self.cutoff, other.cutoff)
-        grade = self.geometry.grade
-        # a side whose own cutoff is not above the result's needs no filter
-        out = {k: c for k, c in self.terms.items()
-               if self.cutoff == cutoff or grade(k.class_key) <= cutoff}
-        trim_other = other.cutoff > cutoff
-        for k, c in other.terms.items():
-            if trim_other and grade(k.class_key) > cutoff:
-                continue
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            elif s := s + c:
-                out[k] = s
-            else:
-                del out[k]
-        return RelSeries._trusted(self.geometry, self.end_count, cutoff, out)
-
-    def __sub__(self, other: "RelSeries") -> "RelSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "RelSeries":
-        c = Fraction(c)
-        if not c:
-            return RelSeries.zero(self.geometry, self.end_count, self.cutoff)
-        return RelSeries._trusted(self.geometry, self.end_count, self.cutoff,
-                                  {k: v * c for k, v in self.terms.items()})
-
-    def _compatible(self, other: "RelSeries") -> None:
-        if self.geometry != other.geometry or self.end_count != other.end_count:
-            raise GluingError("incompatible series")
 
     # -- the disjoint (disconnected-union) product ---------------------------
 
@@ -381,7 +298,7 @@ class RelSeries:
         split the merged multiset, matching the divided-power normalization
         of the coefficient tables.
         """
-        self._compatible(other)
+        self._check(other)
         cutoff = min(self.cutoff, other.cutoff)
         geo = self.geometry
         out: dict[RelKey, Fraction] = {}
@@ -406,29 +323,12 @@ class RelSeries:
                     out[key] = s
                 else:
                     del out[key]
-        return RelSeries._trusted(geo, self.end_count, cutoff, out)
-
-    def _grade(self, key: RelKey) -> int:
-        return self.geometry.grade(key.class_key)
-
-    def _wrap(self, terms: dict[RelKey, Fraction]) -> "RelSeries":
-        return RelSeries._trusted(self.geometry, self.end_count, self.cutoff,
-                                  terms)
-
-    def _positive_grading_part(self) -> "RelSeries":
-        geo = self.geometry
-        bad = [k for k in self.terms if geo.grade(k.class_key) == 0]
-        if bad:
-            raise GluingError(
-                f"terms of grading zero obstruct the exponential: {bad[:3]}"
-            )
-        return self
+        return self._wrap(out, cutoff)
 
 
 def tw_from_gw(gw: RelSeries) -> RelSeries:
     """Disconnected counts from connected ones: the disjoint-product exponential."""
-    gw._positive_grading_part()
-    return graded_exp(gw, gw._grade, RelSeries.disjoint_mul, gw._wrap,
+    return graded_exp(gw, RelSeries.disjoint_mul,
                       RelSeries.unit(gw.geometry, gw.end_count, gw.cutoff))
 
 
@@ -438,8 +338,7 @@ def gw_from_tw(tw: RelSeries) -> RelSeries:
     rest = tw - unit
     if rest.terms.keys() & unit.terms.keys():
         raise GluingError("series must have coefficient 1 on the empty key")
-    rest._positive_grading_part()
-    return graded_log(rest, tw._grade, RelSeries.disjoint_mul, tw._wrap)
+    return graded_log(rest, RelSeries.disjoint_mul)
 
 
 # -- convolution --------------------------------------------------------------

@@ -5,7 +5,9 @@ sparse map from exponent vectors to ``Fraction`` coefficients, truncated by a
 weighted grading.  Each variable in a :class:`VariableContext` has a
 nonnegative integer weight; a monomial is kept only while its total weight is
 at most the series cutoff.  Arithmetic is exact -- coefficients are
-``fractions.Fraction`` values and are never stored as zero.
+``fractions.Fraction`` values and are never stored as zero.  The table
+policy (sums, scaling, truncation, equality, pickling) lives in
+:class:`GradedTable`, which ``gluing.RelSeries`` shares.
 
 One variable per context may be marked *laurent*, in which case negative
 exponents are allowed on it.  Its weight must be 0, so truncation never
@@ -120,27 +122,158 @@ class VariableContext:
                 )
 
 
-class Series:
-    """Sparse truncated power series with exact rational coefficients.
+class GradedTable:
+    """Sparse table from keys to nonzero Fractions, truncated at a grade.
 
-    Immutable once constructed; all operations return new series, and
-    ``terms`` is a read-only view.  Stored monomials always satisfy
-    ``grading <= cutoff`` and never carry a zero coefficient.
+    The shared policy of :class:`Series` and ``gluing.RelSeries``.  A
+    subclass names its other constructor fields in ``_HEADER`` (they come
+    before ``cutoff`` and ``terms``), the grade of a key in :meth:`_grade`,
+    and its error types in ``_Error`` and ``_Mismatch`` (operands with
+    different headers).  Stored keys always satisfy ``grade <= cutoff``.
+    Immutable once constructed: ``terms`` is a read-only view, so a memoized
+    table cannot be changed under later callers.
 
-    The constructor checks every term; it is the boundary for caller data
-    (:meth:`term`, :meth:`constant`, :meth:`from_text`, unpickled series).
-    Binary ``+`` and ``-``, unary ``-``, ``*`` by a series or a scalar,
-    :meth:`differentiate` and :meth:`truncate` -- and through them ``**``,
-    :meth:`exp` and :meth:`log` -- build their results through
-    :meth:`_trusted` instead, without revalidating: their inputs already
-    hold the invariants, and each operation keeps them.  Exponent vectors
-    keep their length, sums of exponents and a derivative's lowered
-    exponent stay nonnegative off the laurent variable, and gradings are
-    filtered against the result's cutoff.  Coefficients stay Fractions, and
-    the zeros that cancellation or a scalar 0 produce are dropped.
+    The subclass constructor checks every term; it is the boundary for
+    caller data, unpickled tables included.  The operations build their
+    results through :meth:`_trusted` instead, without revalidating: their
+    inputs already hold the invariants, and each operation keeps them.
+    Sums and scalings keep the keys; products add exponents, or classes
+    and contact degrees (both pairings are linear); a derivative lowers one
+    exponent that was positive off the laurent variable, and its cutoff by
+    that variable's weight; other grades are filtered against the result's
+    cutoff.  Exact Fraction arithmetic on nonzero Fractions gives nonzero
+    Fractions; a scalar 0 gives the empty table, and each accumulating loop
+    deletes a sum that cancels, so no zero is ever stored.
     """
 
-    __slots__ = ("context", "cutoff", "terms")
+    __slots__ = ("cutoff", "terms")
+    _HEADER: tuple[str, ...] = ()
+    _Error: type[ValueError] = ValueError
+    _Mismatch: type[ValueError] = ValueError
+
+    def _grade(self, key) -> int:
+        raise NotImplementedError
+
+    def _header(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._HEADER)
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """``cls(*fields)`` without checks; see the class docstring for when.
+
+        ``fields`` are the header values, the cutoff and a dict of nonzero
+        Fraction terms, which the result takes over.
+        """
+        self = object.__new__(cls)
+        *header, cutoff, terms = fields
+        for name, value in zip(cls._HEADER, header):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+        return self
+
+    def _wrap(self, terms: dict, cutoff: int | None = None):
+        """A trusted table with this header; the cutoff defaults to ours."""
+        return self._trusted(*self._header(),
+                             self.cutoff if cutoff is None else cutoff, terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # unpickled data is caller data: it goes through the checks again
+        return type(self), (*self._header(), self.cutoff, dict(self.terms))
+
+    def _check(self, other) -> None:
+        if type(other) is not type(self) or self._header() != other._header():
+            raise self._Mismatch(
+                f"{type(self).__name__} operands differ in "
+                f"{' or '.join(self._HEADER)}")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._header() == other._header()
+            and self.cutoff == other.cutoff
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((*self._header(), self.cutoff,
+                     frozenset(self.terms.items())))
+
+    def sorted_keys(self) -> list:
+        """Keys in canonical order: by grade, then by key."""
+        grade = self._grade
+        return sorted(self.terms, key=lambda k: (grade(k), k))
+
+    def __add__(self, other):
+        self._check(other)
+        cutoff = min(self.cutoff, other.cutoff)
+        grade = self._grade
+        # a side whose own cutoff is not above the result's needs no filter
+        if self.cutoff == cutoff:
+            out = self.terms.copy()
+        else:
+            out = {k: c for k, c in self.terms.items() if grade(k) <= cutoff}
+        trim_other = other.cutoff > cutoff
+        for k, c in other.terms.items():
+            if trim_other and grade(k) > cutoff:
+                continue
+            s = out.get(k)
+            if s is None:
+                out[k] = c
+            elif s := s + c:
+                out[k] = s
+            else:
+                del out[k]
+        return self._wrap(out, cutoff)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c: Coeff):
+        """Every coefficient times the scalar ``c``."""
+        c = Fraction(c)
+        if not c:
+            return self._wrap({})
+        return self._wrap({k: v * c for k, v in self.terms.items()})
+
+    def truncate(self, cutoff: int):
+        """Drop every term of grade above ``cutoff``."""
+        if cutoff > self.cutoff:
+            raise self._Error("cannot raise a cutoff; recompute instead")
+        grade = self._grade
+        return self._wrap(
+            {k: c for k, c in self.terms.items() if grade(k) <= cutoff},
+            cutoff)
+
+    def _require_positive_grading(self) -> None:
+        bad = [k for k in self.terms if self._grade(k) <= 0]
+        if bad:
+            raise self._Error(
+                f"terms of grading zero obstruct exp and log: {bad[:3]}")
+
+
+class Series(GradedTable):
+    """Sparse truncated power series with exact rational coefficients.
+
+    Keys are exponent vectors over a :class:`VariableContext`, graded by
+    its weights.  The constructor checks that each vector has the context's
+    length, is nonnegative off the laurent variable and has grading at most
+    ``cutoff``; it converts coefficients to Fractions and drops zeros.
+    """
+
+    __slots__ = ("context",)
+    _HEADER = ("context",)
+    _Error = SeriesError
+    _Mismatch = ContextMismatch
 
     def __init__(self, context: VariableContext, cutoff: int,
                  terms: Mapping[tuple[int, ...], Coeff] | None = None):
@@ -159,27 +292,8 @@ class Series:
                 clean[exps] = c
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
-    @classmethod
-    def _trusted(cls, context: VariableContext, cutoff: int,
-                 terms: dict[tuple[int, ...], Fraction]) -> "Series":
-        """Wrap ``terms`` without checks; see the class docstring for when.
-
-        Zero coefficients are dropped here, so callers may accumulate
-        without removing cancelled sums.
-        """
-        clean = {e: c for e, c in terms.items() if c}
-        self = object.__new__(cls)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
-        return self
-
-    def __reduce__(self):
-        # unpickled data is caller data: it goes through the checks again
-        return Series, (self.context, self.cutoff, dict(self.terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
+    def _grade(self, key: tuple[int, ...]) -> int:
+        return self.context.grading(key)
 
     # -- constructors ------------------------------------------------------
 
@@ -203,9 +317,6 @@ class Series:
 
     # -- inspection --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, powers: Mapping[str, int] | tuple[int, ...]) -> Fraction:
         """Coefficient of a monomial; raises :class:`CutoffExceeded` beyond cutoff."""
         if isinstance(powers, tuple):
@@ -221,23 +332,8 @@ class Series:
 
     def monomials(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """Terms in canonical (graded lexicographic) order."""
-        key = lambda e: (self.context.grading(e), e)
-        for exps in sorted(self.terms, key=key):
+        for exps in self.sorted_keys():
             yield exps, self.terms[exps]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Series)
-            and self.context == other.context
-            and self.cutoff == other.cutoff
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.context, self.cutoff, frozenset(self.terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __repr__(self) -> str:
         body = self.to_text().replace("\n", "; ")
@@ -245,48 +341,28 @@ class Series:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other: "Series") -> None:
-        if self.context != other.context:
-            raise ContextMismatch("series built over different contexts")
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Series.constant(self.context, self.cutoff, other)
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Series.constant(self.context, self.cutoff, other)
-        self._check(other)
-        cutoff = min(self.cutoff, other.cutoff)
-        grading = self.context.grading
-        # a side whose own cutoff is not above the result's needs no filter
-        if self.cutoff == cutoff:
-            out = dict(self.terms)
-        else:
-            out = {e: c for e, c in self.terms.items() if grading(e) <= cutoff}
-        trim_other = other.cutoff > cutoff
-        for e, c in other.terms.items():
-            if trim_other and grading(e) > cutoff:
-                continue
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return Series._trusted(self.context, cutoff, out)
+        return super().__add__(self._coerce(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series._trusted(self.context, self.cutoff,
-                               {e: -c for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Series.constant(self.context, self.cutoff, other)
-        return self + (-other)
+        return super().__sub__(self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Series._trusted(
-                self.context, self.cutoff,
-                {e: c * other for e, c in self.terms.items()})
+            return self.scale(other)
         self._check(other)
         cutoff = min(self.cutoff, other.cutoff)
         grading = self.context.grading
@@ -300,8 +376,13 @@ class Series:
                     break
                 e = tuple(map(add, e1, e2))
                 s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return Series._trusted(self.context, cutoff, out)
+                if s is None:
+                    out[e] = c1 * c2
+                elif s := s + c1 * c2:
+                    out[e] = s
+                else:
+                    del out[e]
+        return self._wrap(out, cutoff)
 
     __rmul__ = __mul__
 
@@ -317,18 +398,7 @@ class Series:
             n >>= 1
         return result
 
-    def truncate(self, cutoff: int) -> "Series":
-        """Drop every term of grading above ``cutoff``."""
-        if cutoff > self.cutoff:
-            raise SeriesError("cannot raise a cutoff; recompute instead")
-        grading = self.context.grading
-        out = {e: c for e, c in self.terms.items() if grading(e) <= cutoff}
-        return Series._trusted(self.context, cutoff, out)
-
     # -- transcendental operations ----------------------------------------
-
-    def _grading_zero_part(self) -> list[tuple[int, ...]]:
-        return [e for e in self.terms if self.context.grading(e) == 0]
 
     def exp(self) -> "Series":
         """Exponential ``sum f^n / n!``, by :func:`graded_exp`.
@@ -337,23 +407,15 @@ class Series:
         only finitely many powers reach each graded piece.  Laurent exponents
         are unrestricted.
         """
-        if self._grading_zero_part():
-            raise SeriesError("exp needs all terms in positive grading")
-        return graded_exp(self, self.context.grading, Series.__mul__,
-                          self._wrap, Series.one(self.context, self.cutoff))
+        return graded_exp(self, Series.__mul__,
+                          Series.one(self.context, self.cutoff))
 
     def log(self) -> "Series":
         """Logarithm of f with constant term 1, by :func:`graded_log`."""
         const = (0,) * len(self.context)
         if self.terms.get(const) != 1:
             raise SeriesError("log needs constant term exactly 1")
-        g = self - 1
-        if g._grading_zero_part():
-            raise SeriesError("log needs all non-constant terms in positive grading")
-        return graded_log(g, self.context.grading, Series.__mul__, self._wrap)
-
-    def _wrap(self, terms: dict[tuple[int, ...], Fraction]) -> "Series":
-        return Series._trusted(self.context, self.cutoff, terms)
+        return graded_log(self - 1, Series.__mul__)
 
     def differentiate(self, name: str) -> "Series":
         """Formal partial derivative.  The cutoff drops by the variable weight."""
@@ -366,7 +428,7 @@ class Series:
             d = list(e)
             d[i] -= 1
             out[tuple(d)] = c * e[i]
-        return Series._trusted(self.context, cutoff, out)
+        return self._wrap(out, cutoff)
 
     # -- serialization -----------------------------------------------------
 
@@ -450,27 +512,24 @@ def geometric_inverse(context: VariableContext, cutoff: int,
 
 # -- exp and log by the Euler grading ------------------------------------------
 
-def _graded_pieces(g, grade) -> dict[int, dict]:
+def _graded_pieces(g: GradedTable) -> dict[int, dict]:
+    g._require_positive_grading()
     pieces: dict[int, dict] = {}
     for key, c in g.terms.items():
-        pieces.setdefault(grade(key), {})[key] = c
+        pieces.setdefault(g._grade(key), {})[key] = c
     return pieces
 
 
-def graded_exp(g, grade, mul, wrap, one):
-    """``exp(g)``, generic over the series type and its product.
-
-    ``g.terms`` maps keys to Fractions, ``g.cutoff`` bounds the grading
-    ``grade(key)``, which ``mul`` adds and which is positive on every term
-    of ``g``; ``wrap(terms)`` builds a series of ``g``'s type and cutoff from
-    nonzero terms, and ``one`` is its unit.  Let D multiply a term of
-    grading n by n.  It is a derivation, so ``D E = D(g) E`` for ``E =
-    exp(g)``, which on graded pieces reads ``n E_n = sum_{k=1..n} k g_k
-    E_(n-k)``: about one full product in all, where a sum of powers takes
-    one product per power.
+def graded_exp(g: GradedTable, mul, one: GradedTable) -> GradedTable:
+    """``exp(g)`` for a table ``g`` of positive grade on every term, where
+    ``mul`` is a product of ``g``'s type that adds grades and ``one`` its
+    unit.  Let D multiply a term of grade n by n.  It is a derivation, so
+    ``D E = D(g) E`` for ``E = exp(g)``, which on graded pieces reads ``n
+    E_n = sum_{k=1..n} k g_k E_(n-k)``: about one full product in all,
+    where a sum of powers takes one product per power.
     """
-    dg = {k: wrap({key: c * k for key, c in piece.items()})
-          for k, piece in _graded_pieces(g, grade).items()}
+    dg = {k: g._wrap({key: c * k for key, c in piece.items()})
+          for k, piece in _graded_pieces(g).items()}
     pieces = {0: one}
     for n in range(1, g.cutoff + 1):
         acc: dict = {}
@@ -480,16 +539,16 @@ def graded_exp(g, grade, mul, wrap, one):
                     acc[key] = acc.get(key, 0) + c
         acc = {key: c / n for key, c in acc.items() if c}
         if acc:
-            pieces[n] = wrap(acc)
-    return wrap({key: c for piece in pieces.values()
-                 for key, c in piece.terms.items()})
+            pieces[n] = g._wrap(acc)
+    return g._wrap({key: c for piece in pieces.values()
+                    for key, c in piece.terms.items()})
 
 
-def graded_log(g, grade, mul, wrap):
-    """``log(1 + g)`` for ``g``, ``grade``, ``mul`` and ``wrap`` as in
-    :func:`graded_exp`: ``(1 + g) D L = D(g)`` for ``L = log(1 + g)`` reads
-    ``(DL)_n = n g_n - sum_{k<n} g_(n-k) (DL)_k`` on graded pieces."""
-    pieces = {k: wrap(piece) for k, piece in _graded_pieces(g, grade).items()}
+def graded_log(g: GradedTable, mul) -> GradedTable:
+    """``log(1 + g)`` for ``g`` and ``mul`` as in :func:`graded_exp`:
+    ``(1 + g) D L = D(g)`` for ``L = log(1 + g)`` reads ``(DL)_n = n g_n -
+    sum_{k<n} g_(n-k) (DL)_k`` on graded pieces."""
+    pieces = {k: g._wrap(piece) for k, piece in _graded_pieces(g).items()}
     dl: dict = {}
     for n in range(1, g.cutoff + 1):
         acc = {key: c * n for key, c in pieces[n].terms.items()} \
@@ -500,6 +559,6 @@ def graded_log(g, grade, mul, wrap):
                     acc[key] = acc.get(key, 0) - c
         acc = {key: c for key, c in acc.items() if c}
         if acc:
-            dl[n] = wrap(acc)
-    return wrap({key: c / n for n, piece in dl.items()
-                 for key, c in piece.terms.items()})
+            dl[n] = g._wrap(acc)
+    return g._wrap({key: c / n for n, piece in dl.items()
+                    for key, c in piece.terms.items()})

@@ -12,6 +12,7 @@ from sumkit import checks
 from sumkit.cli import (CATALOG_MAX_ORDER, ELLIPTIC_MAX_GENUS,
                         ELLIPTIC_MAX_ORDER, ENGINE_VERSION,
                         HURWITZ_MAX_BRANCH, HURWITZ_MAX_DEGREE,
+                        ORACLE_KONTSEVICH_MAX_DEGREE, ORACLE_SIGMA_MAX_N,
                         SEVERI_MAX_DEGREE, ValueCache, run)
 from sumkit.gluing import GluingError
 
@@ -330,6 +331,37 @@ class TestCatalogOrderLimit:
         err = rejected_at_once(capsys, "catalog", name, "--order", order)
         assert f"--order expects an integer <= 20 for catalog; got {order}" \
             in err
+
+
+class TestOracleValueLimits:
+    def test_admits_every_golden_request(self):
+        degrees = golden_option("oracle kontsevich ", "--degree")
+        assert len(degrees) >= 9
+        assert max(degrees) <= ORACLE_KONTSEVICH_MAX_DEGREE == 100
+        assert ORACLE_SIGMA_MAX_N == 10 ** 12
+
+    @pytest.mark.parametrize("argv, row", [
+        (("kontsevich", "--degree", "100"), {"d": 100}),
+        (("sigma", "--n", "12"), {"n": 12, "value": "28"}),
+        # sigma(2^12 5^12) = (2^13 - 1)(5^13 - 1) / 4
+        (("sigma", "--n", str(10 ** 12)),
+         {"n": 10 ** 12, "value": str((2 ** 13 - 1) * (5 ** 13 - 1) // 4)})])
+    def test_admits_the_bounds(self, capsys, argv, row):
+        code, out, _ = invoke(capsys, "oracle", *argv)
+        assert code == 0 and row.items() <= json.loads(out).items()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("kontsevich", "--degree", "101"),
+         "--degree expects an integer <= 100 for oracle kontsevich; got 101"),
+        (("kontsevich", "--degree", str(10 ** 12)),
+         "--degree expects an integer <= 100 for oracle kontsevich"),
+        (("sigma", "--n", str(10 ** 12 + 1)),
+         f"--n expects an integer <= {10 ** 12} for oracle sigma; "
+         f"got {10 ** 12 + 1}"),
+        (("sigma", "--n", str(10 ** 18)),
+         f"--n expects an integer <= {10 ** 12} for oracle sigma")])
+    def test_rejects_past_the_bounds_at_once(self, capsys, argv, message):
+        assert message in rejected_at_once(capsys, "oracle", *argv)
 
 
 class TestEllipticLimits:

@@ -76,7 +76,7 @@ class TestEnumerate:
 class TestDual:
     def test_identity_pairing(self):
         m = ContactMultiset([((2, 0), 1), ((1, 1), 2)])
-        assert dual_multiset(m, IntersectionMatrix.identity(2)) == {m: 1}
+        assert dual_multiset(m, IntersectionMatrix([[1, 0], [0, 1]])) == {m: 1}
 
     def test_sphere_pairing_swaps(self):
         m = ContactMultiset([((2, 0), 1)])

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from sumkit.elliptic import (
-    SurfaceClassData,
     euler_product,
     f0_product,
     fiber_context,
@@ -13,7 +12,6 @@ from sumkit.elliptic import (
     genus1_via_fiber_sum,
     lsplit_suite,
     sigma_series,
-    trr_genus1,
 )
 from sumkit.oracles import divisor_sum
 from sumkit.series import Series, geometric_inverse
@@ -117,19 +115,6 @@ class TestGenusOneRoutes:
         h = genus1_via_fiber_recursion(50)
         for n in range(51):
             assert 24 % h.coefficient({"t": n}).denominator == 0
-
-    def test_trr_assembly_matches(self):
-        f0 = f0_product(40)
-        gw0 = [f0.coefficient({"t": n}) for n in range(41)]
-        assert trr_genus1(SurfaceClassData(), gw0) \
-            == genus1_via_fiber_recursion(40)
-
-    def test_trr_with_explicit_fiber_inputs(self):
-        f0 = f0_product(10)
-        gw0 = [f0.coefficient({"t": n}) for n in range(11)]
-        fibers = {k: Fraction(divisor_sum(k), k) for k in range(1, 11)}
-        assert trr_genus1(SurfaceClassData(), gw0, fibers) \
-            == genus1_via_fiber_recursion(10)
 
 
 class TestSplitSuite:

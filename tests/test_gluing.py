@@ -87,7 +87,7 @@ class TestRelSeries:
             RelSeries(geo, 2, 5, {first: 1, second: 1})
 
     def test_keys_built_apart_are_equal_and_hash_equal(self):
-        a = ContactMultiset.from_seq([(1, 0), (2, 1), (1, 0)])
+        a = ContactMultiset([((1, 0), 1), ((2, 1), 1), ((1, 0), 1)])
         b = ContactMultiset([((2, 1), 1), ((1, 0), 2)])
         c = ContactMultiset.from_string("1^2(0) 2^1(1)")
         assert a == b == c

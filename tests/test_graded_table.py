@@ -1,0 +1,95 @@
+"""The truncated-table policy that Series and RelSeries share through
+``series.GradedTable``, checked once on each type."""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from sumkit.contacts import ContactMultiset
+from sumkit.gluing import (
+    GluingError,
+    RelKey,
+    RelSeries,
+    riemann_surface_geometry,
+)
+from sumkit.series import ContextMismatch, Series, SeriesError, VariableContext
+
+
+def _series():
+    """A Series with terms of grade 1 to 4, one over another context, the
+    grade of a key and the type's errors."""
+    c = VariableContext("t", ("lam", 0, True))
+    x = Series(c, 4, {(1, 0): 2, (2, -2): Fraction(1, 3), (3, 2): -1,
+                      (4, 0): 5})
+    other = Series(VariableContext("s", ("lam", 0, True)), 4, {(1, 0): 1})
+    return x, other, lambda e: e[0], SeriesError, ContextMismatch
+
+
+def _relseries():
+    """The same for a two-ended RelSeries; ``other`` has one end."""
+    geo = riemann_surface_geometry()
+
+    def key(a, ends):
+        return RelKey((a,), 2, (ContactMultiset([((a, 0), 1)]),) * ends)
+
+    x = RelSeries(geo, 2, 4, {key(1, 2): 2, key(2, 2): Fraction(1, 3),
+                              key(3, 2): -1, key(4, 2): 5})
+    other = RelSeries(geo, 1, 4, {key(1, 1): 1})
+    return x, other, lambda k: k.class_key[0], GluingError, GluingError
+
+
+@pytest.fixture(params=[_series, _relseries], ids=["Series", "RelSeries"])
+def table(request):
+    return request.param()
+
+
+class TestGradedTable:
+    def test_pickling_goes_through_the_validating_constructor(self, table):
+        x, _, _, error, _ = table
+        twin = pickle.loads(pickle.dumps(x))
+        assert type(twin) is type(x) and twin == x and hash(twin) == hash(x)
+        beyond = type(x)._trusted(*x._header(), 3, dict(x.terms))
+        with pytest.raises(error, match="term beyond cutoff"):
+            pickle.loads(pickle.dumps(beyond))
+
+    def test_assignment_raises(self, table):
+        x = table[0]
+        for name in (*x._HEADER, "cutoff", "terms"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, getattr(x, name))
+
+    def test_cancelled_and_zero_scaled_tables_store_no_terms(self, table):
+        x = table[0]
+        for empty in (x - x, x.scale(0), x + x.scale(-1)):
+            assert not empty.terms and empty.cutoff == x.cutoff
+            assert empty.is_zero() and not empty
+        # the sum keeps the lower cutoff, where every term cancels
+        trimmed = x - x.truncate(2)
+        assert not trimmed.terms and trimmed.cutoff == 2
+
+    def test_series_never_equals_a_relseries(self):
+        s, r = _series()[0], _relseries()[0]
+        assert s != r and r != s
+        assert s.scale(0) != r.scale(0) and r.scale(0) != s.scale(0)
+
+    def test_different_headers_raise_the_mismatch_error(self, table):
+        x, other, _, _, mismatch = table
+        for a, b in ((x, other), (other, x)):
+            with pytest.raises(mismatch):
+                a + b
+            with pytest.raises(mismatch):
+                a - b
+        foreign = (_relseries() if type(x) is Series else _series())[0]
+        with pytest.raises(mismatch):
+            x + foreign
+
+    def test_truncate_drops_exactly_the_terms_above_the_cutoff(self, table):
+        x, _, grade, error, _ = table
+        for cutoff in range(5):
+            cut = x.truncate(cutoff)
+            assert cut.cutoff == cutoff
+            assert dict(cut.terms) == {k: c for k, c in x.terms.items()
+                                       if grade(k) <= cutoff}
+        with pytest.raises(error, match="cannot raise a cutoff"):
+            x.truncate(5)
