@@ -335,17 +335,3 @@ def glue_weights(m: ContactMultiset, q: IntersectionMatrix
     weight = Fraction(product, fact)
     return length, tuple((dual, weight * w)
                          for dual, w in dual_multiset(m, q).items())
-
-
-def dual_combination(comb: dict[ContactMultiset, Fraction], q: IntersectionMatrix
-                     ) -> dict[ContactMultiset, Fraction]:
-    """Linear extension of :func:`dual_multiset` to weighted combinations."""
-    out: dict[ContactMultiset, Fraction] = {}
-    for m, w in comb.items():
-        for m2, w2 in dual_multiset(m, q).items():
-            val = out.get(m2, Fraction(0)) + w * w2
-            if val:
-                out[m2] = val
-            else:
-                out.pop(m2, None)
-    return out

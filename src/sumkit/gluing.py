@@ -650,21 +650,34 @@ def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
     return result
 
 
+@functools.lru_cache(maxsize=16)
+def _convolution_power(twf: RelSeries, k: int,
+                       q: IntersectionMatrix) -> RelSeries:
+    """``twf^k`` under convolution, each power built on the one below."""
+    if k == 0:
+        return identity_element(twf.geometry, q, twf.cutoff)
+    return convolve(_convolution_power(twf, k - 1, q), twf, q)
+
+
 def neck_identity(twf: RelSeries, n: int, q: IntersectionMatrix) -> RelSeries:
     """Alternating binomial sum of convolution powers from an n-fold neck cut.
 
     Evaluates ``sum_{k=1..2n} (-1)^(k-1) C(2n, k) * twf^(k-1)`` under
     convolution.  When the residual square vanishes at the cutoff this equals
-    the scattering matrix for every ``n >= 1``.
+    the scattering matrix for every ``n >= 1``.  The powers come from the
+    shared memo :func:`_convolution_power`, so the sums for several ``n`` on
+    one series convolve each power once.  They are powers of the full
+    ``twf``, never of its residual ``twf - unit``: the sum stays an
+    independent route to the inverse that :func:`s_matrix` computes.
     """
     if n < 1:
         raise GluingError("neck count must be >= 1")
     if twf.end_count != 2:
         raise GluingError("scattering input must be two-ended")
-    power = identity_element(twf.geometry, q, twf.cutoff)
+    power = _convolution_power(twf, 0, q)
     total = power.scale(math.comb(2 * n, 1))
     for k in range(2, 2 * n + 1):
-        power = convolve(power, twf, q)
+        power = _convolution_power(twf, k - 1, q)
         if power.is_zero():
             break
         total = total + power.scale((-1) ** (k - 1) * math.comb(2 * n, k))

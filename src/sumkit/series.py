@@ -144,9 +144,14 @@ class GradedTable:
     cutoff.  Exact Fraction arithmetic on nonzero Fractions gives nonzero
     Fractions; a scalar 0 gives the empty table, and each accumulating loop
     deletes a sum that cancels, so no zero is ever stored.
+
+    The hash is computed on the first ``hash()`` and kept in ``_hash``; a
+    memo keyed by a table rehashes nothing.  It is never pickled:
+    :meth:`__reduce__` rebuilds through the constructor, so a copy hashes
+    anew in its own process.
     """
 
-    __slots__ = ("cutoff", "terms")
+    __slots__ = ("cutoff", "terms", "_hash")
     _HEADER: tuple[str, ...] = ()
     _Error: type[ValueError] = ValueError
     _Mismatch: type[ValueError] = ValueError
@@ -205,8 +210,13 @@ class GradedTable:
         )
 
     def __hash__(self):
-        return hash((*self._header(), self.cutoff,
-                     frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((*self._header(), self.cutoff,
+                      frozenset(self.terms.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def sorted_keys(self) -> list:
         """Keys in canonical order: by grade, then by key."""

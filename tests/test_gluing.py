@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import pickle
 import random
@@ -13,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sumkit import gluing
 from sumkit.contacts import ContactMultiset, IntersectionMatrix, enumerate_multisets
 from sumkit.gluing import (
     Geometry,
@@ -385,6 +387,34 @@ class TestScattering:
             s = s_matrix(twf, SPHERE)
             for n in range(1, 6):
                 assert neck_identity(twf, n, SPHERE) == s
+
+    def test_neck_sums_convolve_each_power_once(self, monkeypatch):
+        rng = random.Random(44)
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        cutoff = 5
+        ident = identity_element(geo, SPHERE, cutoff)
+        r = random_two_ended(rng, geo, cutoff, 2, min_base=cutoff // 2 + 1)
+        assert r
+        twf = ident + r
+        powers = [ident]
+        for _ in range(9):
+            powers.append(convolve(powers[-1], twf, SPHERE))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return convolve(*args, **kwargs)
+
+        monkeypatch.setattr(gluing, "convolve", counted)
+        gluing._convolution_power.cache_clear()
+        for n in range(1, 6):
+            expected = RelSeries.zero(geo, 2, cutoff)
+            for k in range(1, 2 * n + 1):
+                expected = expected + powers[k - 1].scale(
+                    (-1) ** (k - 1) * math.comb(2 * n, k))
+            assert neck_identity(twf, n, SPHERE) == expected
+        # T^1..T^9 once each, where separate sums would convolve 25 times
+        assert len(calls) == 9
 
     def test_neck_identity_of_unit(self):
         geo = neck_geometry(base_dim=1, v_basis=1)

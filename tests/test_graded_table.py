@@ -59,6 +59,28 @@ class TestGradedTable:
             with pytest.raises(AttributeError):
                 setattr(x, name, getattr(x, name))
 
+    def test_hash_is_kept_once_and_never_inherited(self, table):
+        x = table[0]
+
+        def twin(t):
+            return type(t)(*t._header(), t.cutoff, dict(t.terms))
+
+        for first in (0, 1):
+            pair = [twin(x), twin(x)]
+            assert hash(pair[first]) == hash(pair[1 - first])
+        hash(x)
+        round_trip = pickle.loads(pickle.dumps(x))
+        with pytest.raises(AttributeError):
+            round_trip._hash
+        assert hash(round_trip) == hash(x)
+        for derived in (x.scale(2), x + x):
+            assert derived == twin(derived) and hash(derived) != hash(x)
+            assert hash(derived) == hash(twin(derived))
+        for t in (twin(x), x):  # not yet hashed, and hashed
+            with pytest.raises(AttributeError):
+                t._hash = 0
+        assert hash(x) == hash(twin(x))
+
     def test_cancelled_and_zero_scaled_tables_store_no_terms(self, table):
         x = table[0]
         for empty in (x - x, x.scale(0), x + x.scale(-1)):

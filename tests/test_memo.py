@@ -4,16 +4,18 @@ import importlib
 import pkgutil
 import sys
 import threading
+from fractions import Fraction
 
 import sumkit
 from sumkit import contacts, gluing, hurwitz, severi
-from sumkit.contacts import IntersectionMatrix, partitions
+from sumkit.contacts import ContactMultiset, IntersectionMatrix, partitions
 
 MEMOS = (
     contacts.enumerate_multisets,
     contacts._dual_multiset_cached,
     contacts.glue_weights,
     gluing.identity_element,
+    gluing._convolution_power,
     hurwitz._build_table,
     severi.tw_value,
     severi.irreducible,
@@ -37,8 +39,27 @@ def test_every_memo_is_a_bounded_lru_cache():
         assert isinstance(maxsize, int) and maxsize > 0, memo
 
 
+def _square_zero(cutoff):
+    """Neck unit plus a residual whose convolution square is cut off."""
+    base = cutoff // 2 + 1
+    r = gluing.RelSeries(gluing.neck_geometry(1, 2), 2, cutoff, {
+        gluing.RelKey((0, base), 0, (ContactMultiset(), ContactMultiset())):
+            Fraction(3, 2),
+        gluing.RelKey((1, base), 2, (ContactMultiset([((1, 0), 1)]),
+                                     ContactMultiset([((1, 1), 1)]))): -2,
+    })
+    return _unit(cutoff) + r
+
+
+def _unit(cutoff):
+    return gluing.identity_element(gluing.neck_geometry(1, 2),
+                                   IntersectionMatrix.sphere_pairing(),
+                                   cutoff)
+
+
 def _workload():
-    """Severi numbers and Hurwitz numbers up to degree 6, and neck units."""
+    """Severi numbers and Hurwitz numbers up to degree 6, neck units, and
+    the neck sums n = 1..5 on one square-zero series per cutoff 4..6."""
     out = []
     for d in range(1, 7):
         for delta in range(severi.genus(d, 0) + 1):
@@ -48,6 +69,10 @@ def _workload():
                 out.append(("hurwitz", d, g, alpha))
     for cutoff in range(3, 7):
         out.append(("unit", cutoff))
+    for cutoff in range(4, 7):
+        twf = _square_zero(cutoff)
+        for n in range(1, 6):
+            out.append(("neck", twf, n))
     return out
 
 
@@ -56,9 +81,10 @@ def _compute(item):
         return severi.severi_number(item[1], item[2])
     if item[0] == "hurwitz":
         return hurwitz.hurwitz_number(*item[1:])
-    return gluing.identity_element(gluing.neck_geometry(1, 2),
-                                   IntersectionMatrix.sphere_pairing(),
-                                   item[1])
+    if item[0] == "neck":
+        return gluing.neck_identity(item[1], item[2],
+                                    IntersectionMatrix.sphere_pairing())
+    return _unit(item[1])
 
 
 def _clear_all():
