@@ -121,23 +121,28 @@ def check_elliptic() -> CheckResult:
 
 def _random_residual(rng: random.Random, geo: gluing.Geometry, cutoff: int,
                      min_base: int, basis: int) -> gluing.RelSeries:
-    terms: dict[gluing.RelKey, Fraction] = {}
-    for _ in range(rng.randint(1, 6)):
-        fiber_part = rng.randint(0, 2)
-        base = rng.randint(min_base, max(min_base, cutoff - 1))
-        if fiber_part + base > cutoff:
-            continue
-        candidates = enumerate_multisets(fiber_part, basis)
-        key = gluing.RelKey(
-            (fiber_part, base),
-            2 * rng.randint(-1, 1),
-            (rng.choice(candidates), rng.choice(candidates)),
-        )
-        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-        if coeff:
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-    return gluing.RelSeries(geo, 2, cutoff,
-                            {k: v for k, v in terms.items() if v})
+    """A random two-ended residual; a draw in which every term drops out
+    (coefficient 0, or beyond the cutoff) is drawn again, up to 100 times."""
+    for _ in range(100):
+        terms: dict[gluing.RelKey, Fraction] = {}
+        for _ in range(rng.randint(1, 6)):
+            fiber_part = rng.randint(0, 2)
+            base = rng.randint(min_base, max(min_base, cutoff - 1))
+            if fiber_part + base > cutoff:
+                continue
+            candidates = enumerate_multisets(fiber_part, basis)
+            key = gluing.RelKey(
+                (fiber_part, base),
+                2 * rng.randint(-1, 1),
+                (rng.choice(candidates), rng.choice(candidates)),
+            )
+            coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            if coeff:
+                terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms = {k: v for k, v in terms.items() if v}
+        if terms:
+            break
+    return gluing.RelSeries(geo, 2, cutoff, terms)
 
 
 def check_scattering() -> CheckResult:
@@ -153,6 +158,7 @@ def check_scattering() -> CheckResult:
             if trial % 2 == 0:
                 # nilpotency up to 6 at this cutoff
                 r = _random_residual(rng, geo, cutoff, 1, 2)
+                assert r, trial  # an empty residual would test only the unit
                 twf = ident + r
                 s = gluing.s_matrix(twf, q)
                 assert gluing.convolve(s, twf, q) == ident, trial
@@ -161,6 +167,7 @@ def check_scattering() -> CheckResult:
             else:
                 # residual square vanishes at cutoff: neck sums collapse
                 r = _random_residual(rng, geo, cutoff, cutoff // 2 + 1, 2)
+                assert r, trial
                 twf = ident + r
                 s = gluing.s_matrix(twf, q)
                 assert gluing.convolve(s, twf, q) == ident, trial

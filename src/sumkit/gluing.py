@@ -44,9 +44,12 @@ from sumkit.series import (
     GradedTable,
     Series,
     VariableContext,
+    add_ratio,
     graded_exp,
     graded_log,
+    linear_combination,
     parse_fraction,
+    reduced_sums,
 )
 
 ClassKey = tuple[int, ...]
@@ -406,22 +409,26 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
     glue, out_geometry, out_ends, cutoff = _convolution_frame(
         x, y, q, glue, out_geometry)
 
-    # Index both factors by class key, then by glued-end multiset; group the
-    # classes of y by their divisor degree.
-    x_index: dict[ClassKey, dict[ContactMultiset, list[tuple[RelKey, Fraction]]]] = {}
+    # Index both factors by class key, then by glued-end multiset, each term
+    # as (key, numerator, denominator); group the classes of y by their
+    # divisor degree.
+    x_index: dict[ClassKey, dict[ContactMultiset, list[tuple[RelKey, int, int]]]] = {}
     for k, c in x.terms.items():
         x_index.setdefault(k.class_key, {}).setdefault(
-            k.contacts[-1], []).append((k, c))
-    y_index: dict[ClassKey, dict[ContactMultiset, list[tuple[RelKey, Fraction]]]] = {}
+            k.contacts[-1], []).append((k, c.numerator, c.denominator))
+    y_index: dict[ClassKey, dict[ContactMultiset, list[tuple[RelKey, int, int]]]] = {}
     for k, c in y.terms.items():
         y_index.setdefault(k.class_key, {}).setdefault(
-            k.contacts[0], []).append((k, c))
+            k.contacts[0], []).append((k, c.numerator, c.denominator))
     y_by_degree: dict[int, list[tuple[ClassKey, dict]]] = {}
     for ay, y_ends in y_index.items():
         y_by_degree.setdefault(y.geometry.pair_v(ay), []).append((ay, y_ends))
 
     tags: dict[tuple[str, str], str] = {}
-    out: dict[RelKey, Fraction] = {}
+    # glue_weights(m) in integers, once per multiset
+    weights: dict[ContactMultiset, tuple[int, list[tuple]]] = {}
+    # an integer numerator and denominator per key, reduced once at the end
+    acc: dict[RelKey, list[int]] = {}
     # Every surviving end has degree deg_m, because x and y are valid; the
     # glued class is checked against it once per class pair.
     trusted = True
@@ -437,7 +444,13 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
         for m in enumerate_multisets(deg_m, q.size):
             left = x_ends.get(m)
             if left:
-                glued.append((*glue_weights(m, q), left))
+                w = weights.get(m)
+                if w is None:
+                    length, duals = glue_weights(m, q)
+                    w = weights[m] = (length, [
+                        (dual, f.numerator, f.denominator)
+                        for dual, f in duals])
+                glued.append((*w, left))
         for ay, y_ends in y_classes:
             out_class = glue(ax, ay, deg_m)
             grade = out_geometry.grade(out_class)  # checks the dimension
@@ -447,29 +460,23 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
                              and out_geometry.pair_v(out_class) != deg_m):
                 trusted = False
             for length, duals, left in glued:
-                for m_dual, w_dual in duals:
+                for m_dual, wn, wd in duals:
                     right = y_ends.get(m_dual)
                     if not right:
                         continue
-                    for kx, cx in left:
+                    for kx, xn, xd in left:
                         head = kx.contacts[:-1]
                         chi = kx.chi - 2 * length
-                        cw = w_dual * cx
-                        for ky, cy in right:
+                        cwn, cwd = wn * xn, wd * xd
+                        for ky, yn, yd in right:
                             tag = tags.get((kx.tag, ky.tag))
                             if tag is None:
                                 tag = tags[kx.tag, ky.tag] = \
                                     tag_mul(kx.tag, ky.tag)
                             key = RelKey(out_class, chi + ky.chi,
                                          head + ky.contacts[1:], tag)
-                            c = cw * cy
-                            s = out.get(key)
-                            if s is None:
-                                out[key] = c
-                            elif s := s + c:
-                                out[key] = s
-                            else:
-                                del out[key]
+                            add_ratio(acc, key, cwn * yn, cwd * yd)
+    out = reduced_sums(acc)
     if not trusted:
         # a bad glued class is an error only if one of its terms survives;
         # the validating constructor raises for the first such term
@@ -623,7 +630,8 @@ def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
 
     ``R`` must have strictly positive base grading on every term (true of
     every non-fiber contribution), which makes its convolution powers vanish
-    at the cutoff; the inverse is the alternating sum of those powers.
+    at the cutoff; the inverse is the alternating sum of those powers,
+    reduced once by :func:`~sumkit.series.linear_combination`.
     """
     if twf.end_count != 2:
         raise GluingError("scattering input must be two-ended")
@@ -635,7 +643,7 @@ def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
                 "series does not have unit fiber part: residual term "
                 f"{key} lacks positive base grading"
             )
-    result = ident
+    pairs = [(1, ident)]
     power = ident
     sign = 1
     for _ in range(twf.cutoff + 1):
@@ -643,11 +651,11 @@ def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
         if power.is_zero():
             break
         sign = -sign
-        result = result + power.scale(sign)
+        pairs.append((sign, power))
     else:
         if not power.is_zero():
             raise GluingError("residual part is not nilpotent at this cutoff")
-    return result
+    return linear_combination(pairs)
 
 
 @functools.lru_cache(maxsize=16)
@@ -668,20 +676,20 @@ def neck_identity(twf: RelSeries, n: int, q: IntersectionMatrix) -> RelSeries:
     shared memo :func:`_convolution_power`, so the sums for several ``n`` on
     one series convolve each power once.  They are powers of the full
     ``twf``, never of its residual ``twf - unit``: the sum stays an
-    independent route to the inverse that :func:`s_matrix` computes.
+    independent route to the inverse that :func:`s_matrix` computes.  The
+    sum is reduced once, by :func:`~sumkit.series.linear_combination`.
     """
     if n < 1:
         raise GluingError("neck count must be >= 1")
     if twf.end_count != 2:
         raise GluingError("scattering input must be two-ended")
-    power = _convolution_power(twf, 0, q)
-    total = power.scale(math.comb(2 * n, 1))
+    pairs = [(2 * n, _convolution_power(twf, 0, q))]
     for k in range(2, 2 * n + 1):
         power = _convolution_power(twf, k - 1, q)
         if power.is_zero():
             break
-        total = total + power.scale((-1) ** (k - 1) * math.comb(2 * n, k))
-    return total
+        pairs.append(((-1) ** (k - 1) * math.comb(2 * n, k), power))
+    return linear_combination(pairs)
 
 
 # -- dimension bookkeeping ----------------------------------------------------

@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from operator import add, mul
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 Coeff = Union[Fraction, int]
 
@@ -142,8 +142,11 @@ class GradedTable:
     exponent that was positive off the laurent variable, and its cutoff by
     that variable's weight; other grades are filtered against the result's
     cutoff.  Exact Fraction arithmetic on nonzero Fractions gives nonzero
-    Fractions; a scalar 0 gives the empty table, and each accumulating loop
-    deletes a sum that cancels, so no zero is ever stored.
+    Fractions; a scalar 0 gives the empty table, each accumulating loop
+    deletes a sum that cancels, and the numerator/denominator accumulators
+    (:func:`add_ratio` under :func:`linear_combination` and
+    ``gluing.convolve``) drop a key whose numerator sums to 0, so no zero is
+    ever stored.
 
     The hash is computed on the first ``hash()`` and kept in ``_hash``; a
     memo keyed by a table rehashes nothing.  It is never pickled:
@@ -518,6 +521,71 @@ def geometric_inverse(context: VariableContext, cutoff: int,
         terms[tuple(k * e for e in exps)] = Fraction(1)
         k += 1
     return Series(context, cutoff, terms)
+
+
+# -- sums reduced once ---------------------------------------------------------
+
+def linear_combination(pairs: Iterable[tuple[Coeff, GradedTable]]
+                       ) -> GradedTable:
+    """``sum c * t`` over the ``(c, t)`` pairs, reduced once per key.
+
+    Every ``t`` has one type and header (else the type's mismatch error),
+    and the result takes the least cutoff, trimming the rest, as ``+``
+    does.  Each ``c`` is converted to a Fraction once per table, and the
+    terms are summed by :func:`add_ratio`.  A term with coefficient 1 on a
+    key no other term reaches keeps its Fraction as is.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("linear_combination needs at least one table")
+    first = pairs[0][1]
+    for _, t in pairs:
+        first._check(t)
+    cutoff = min(t.cutoff for _, t in pairs)
+    grade = first._grade
+    acc: dict = {}
+    for c, t in pairs:
+        c = Fraction(c)
+        if not c:
+            continue
+        cn, cd = c.numerator, c.denominator
+        unit = c == 1
+        trim = t.cutoff > cutoff
+        for key, v in t.terms.items():
+            if trim and grade(key) > cutoff:
+                continue
+            if unit and key not in acc:
+                acc[key] = v
+            else:
+                add_ratio(acc, key, cn * v.numerator, cd * v.denominator)
+    return first._wrap(reduced_sums(acc), cutoff)
+
+
+def add_ratio(acc: dict, key, n: int, d: int) -> None:
+    """Add ``n/d`` to ``acc[key]``, an integer ``[numerator, denominator]``
+    multiplied up only when the denominators differ, or a lone Fraction."""
+    s = acc.get(key)
+    if s is None:
+        acc[key] = [n, d]
+    elif type(s) is not list:
+        acc[key] = [s.numerator * d + n * s.denominator, s.denominator * d]
+    elif s[1] == d:
+        s[0] += n
+    else:
+        s[0] = s[0] * d + n * s[1]
+        s[1] *= d
+
+
+def reduced_sums(acc: dict) -> dict:
+    """The sums of :func:`add_ratio` as Fractions, each reduced once; a key
+    whose numerator sums to 0 stores no term."""
+    out = {}
+    for key, s in acc.items():
+        if type(s) is not list:
+            out[key] = s
+        elif s[0]:
+            out[key] = Fraction(s[0], s[1])
+    return out
 
 
 # -- exp and log by the Euler grading ------------------------------------------

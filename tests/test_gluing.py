@@ -46,19 +46,27 @@ def single(a, i=0):
 
 
 def random_two_ended(rng, geo, cutoff, basis, min_base=0):
-    terms = {}
-    for _ in range(rng.randint(1, 6)):
-        d = rng.randint(0, 2)
-        b = rng.randint(min_base, max(min_base, 2))
-        if d + b > cutoff:
-            continue
-        options = enumerate_multisets(d, basis)
-        key = RelKey((d, b), 2 * rng.randint(-1, 1),
-                     (rng.choice(options), rng.choice(options)))
-        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        if c:
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return RelSeries(geo, 2, cutoff, {k: v for k, v in terms.items() if v})
+    """A random two-ended series with at least one term: a draw in which
+    every term drops out (coefficient 0, or beyond the cutoff) is drawn
+    again, so no caller tests only the empty series."""
+    for _ in range(100):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            d = rng.randint(0, 2)
+            b = rng.randint(min_base, max(min_base, 2))
+            if d + b > cutoff:
+                continue
+            options = enumerate_multisets(d, basis)
+            key = RelKey((d, b), 2 * rng.randint(-1, 1),
+                         (rng.choice(options), rng.choice(options)))
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            if c:
+                terms[key] = terms.get(key, Fraction(0)) + c
+        terms = {k: v for k, v in terms.items() if v}
+        if terms:
+            break
+    assert terms, "no draw kept a term"
+    return RelSeries(geo, 2, cutoff, terms)
 
 
 class TestRelSeries:
@@ -345,6 +353,23 @@ class TestConvolve:
             x = random_two_ended(rng, geo, 3, 2)
             y = random_two_ended(rng, geo, 3, 2)
             assert convolve(x, y, q) == convolve_via_operator(x, y, q)
+
+    def test_products_over_different_denominators_add_or_cancel(self):
+        # x(a) y(b) and x(b) y(a) both land on the class (0, 3): over the
+        # denominators 2 and 3 they add to 5/6, over 2 and 6 they cancel
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        none = (ContactMultiset(), ContactMultiset())
+        a, b = RelKey((0, 1), 0, none), RelKey((0, 2), 0, none)
+        aa, ab, bb = (RelKey((0, n), 0, none) for n in (2, 3, 4))
+        x = RelSeries(geo, 2, 4, {a: Fraction(1, 2), b: Fraction(1, 3)})
+        for y_a, cross in ((1, Fraction(5, 6)), (Fraction(-3, 2), 0)):
+            y = RelSeries(geo, 2, 4, {a: y_a, b: 1})
+            glued = convolve(x, y, SPHERE)
+            assert dict(glued.terms) == {
+                aa: y_a * Fraction(1, 2), bb: Fraction(1, 3),
+                **({ab: cross} if cross else {})}
+            assert all(type(c) is Fraction for c in glued.terms.values())
+            assert glued == convolve_via_operator(x, y, SPHERE)
 
     def test_pairing_size_mismatch(self):
         geo = riemann_surface_geometry()

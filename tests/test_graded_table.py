@@ -2,6 +2,7 @@
 ``series.GradedTable``, checked once on each type."""
 
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,13 @@ from sumkit.gluing import (
     RelSeries,
     riemann_surface_geometry,
 )
-from sumkit.series import ContextMismatch, Series, SeriesError, VariableContext
+from sumkit.series import (
+    ContextMismatch,
+    Series,
+    SeriesError,
+    VariableContext,
+    linear_combination,
+)
 
 
 def _series():
@@ -115,3 +122,57 @@ class TestGradedTable:
                                        if grade(k) <= cutoff}
         with pytest.raises(error, match="cannot raise a cutoff"):
             x.truncate(5)
+
+    def test_linear_combination_equals_the_scale_and_add_chain(self, table):
+        x, _, grade, _, _ = table
+        rng = random.Random(12)
+        keys = list(x.terms)
+        for _ in range(60):
+            pairs = []
+            for _ in range(rng.randint(1, 5)):
+                cutoff = rng.randint(1, 4)  # cutoffs differ between tables
+                terms = {k: Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                         for k in rng.sample(keys, rng.randint(0, 4))
+                         if grade(k) <= cutoff}
+                c = rng.choice([rng.randint(-3, 3),
+                                Fraction(rng.randint(-3, 3), rng.randint(1, 4))])
+                pairs.append((c, type(x)(*x._header(), cutoff, terms)))
+            chain = pairs[0][1].scale(pairs[0][0])
+            for c, t in pairs[1:]:
+                chain = chain + t.scale(c)
+            got = linear_combination(pairs)
+            assert got == chain and got.cutoff == chain.cutoff
+            assert all(type(v) is Fraction and v for v in got.terms.values())
+
+    def test_linear_combination_stores_no_zero_sum(self, table):
+        x = table[0]
+        for pairs in ([(1, x), (-1, x)], [(0, x)],
+                      [(Fraction(1, 2), x), (0, x), (Fraction(-1, 2), x)]):
+            empty = linear_combination(pairs)
+            assert not empty.terms and empty.cutoff == x.cutoff
+        # the lower cutoff wins, and every term up to it cancels
+        trimmed = linear_combination([(1, x), (-1, x.truncate(2))])
+        assert not trimmed.terms and trimmed.cutoff == 2
+
+    def test_linear_combination_adds_over_different_denominators(self, table):
+        x = table[0]
+        key = next(iter(x.terms))
+
+        def single(c):
+            return type(x)(*x._header(), x.cutoff, {key: c})
+
+        halves = [(1, single(Fraction(1, 2))), (1, single(Fraction(1, 3)))]
+        scaled = [(Fraction(1, 2), single(1)), (Fraction(1, 3), single(1))]
+        for pairs in (halves, scaled):
+            got = linear_combination(pairs)
+            assert dict(got.terms) == {key: Fraction(5, 6)}
+
+    def test_linear_combination_of_different_headers_raises(self, table):
+        x, other, _, _, mismatch = table
+        foreign = (_relseries() if type(x) is Series else _series())[0]
+        for pairs in ([(1, x), (1, other)], [(1, other), (2, x)],
+                      [(1, x), (0, foreign)]):
+            with pytest.raises(mismatch):
+                linear_combination(pairs)
+        with pytest.raises(ValueError, match="at least one table"):
+            linear_combination([])
