@@ -180,7 +180,15 @@ def tag_mul(t1: str, t2: str) -> str:
 
 @dataclass(frozen=True, order=True)
 class RelKey:
-    """Index of one coefficient: class, Euler characteristic, contacts, tag."""
+    """Index of one coefficient: class, Euler characteristic, contacts, tag.
+
+    The keys that the algebra builds (products, units, fiber covers) come
+    from :func:`_rel_key`, one object per key while it stays in that memo,
+    so table lookups and comparisons mostly meet the same object and take
+    the identity fast path of ``dict``.  Equality and hashing never depend
+    on identity: a key built apart, unpickled, or rebuilt after the memo
+    dropped it compares and hashes by value.
+    """
 
     class_key: ClassKey
     chi: int
@@ -209,6 +217,14 @@ class RelKey:
             "contacts": [m.to_string() for m in self.contacts],
             "tag": self.tag,
         }
+
+
+@functools.lru_cache(maxsize=2048)
+def _rel_key(class_key: ClassKey, chi: int,
+             contacts: tuple[ContactMultiset, ...], tag: str) -> RelKey:
+    """The interned ``RelKey(class_key, chi, contacts, tag)``: a key met
+    again costs one memo lookup instead of a construction."""
+    return RelKey(class_key, chi, contacts, tag)
 
 
 class RelSeries(GradedTable):
@@ -280,8 +296,8 @@ class RelSeries(GradedTable):
     @classmethod
     def unit(cls, geometry: Geometry, end_count: int, cutoff: int) -> "RelSeries":
         """Coefficient 1 on the empty-curve key."""
-        key = RelKey(geometry.zero_key(), 0,
-                     tuple(ContactMultiset() for _ in range(end_count)))
+        key = _rel_key(geometry.zero_key(), 0,
+                       tuple(ContactMultiset() for _ in range(end_count)), "1")
         return cls(geometry, end_count, cutoff, {key: 1})
 
     def coefficient(self, key: RelKey) -> Fraction:
@@ -315,9 +331,9 @@ class RelSeries(GradedTable):
                 weight = Fraction(1)
                 for merged, part in zip(contacts, k1.contacts):
                     weight *= multiset_binomial(merged, part)
-                key = RelKey(geo.add(k1.class_key, k2.class_key),
-                             k1.chi + k2.chi, contacts,
-                             tag_mul(k1.tag, k2.tag))
+                key = _rel_key(geo.add(k1.class_key, k2.class_key),
+                               k1.chi + k2.chi, contacts,
+                               tag_mul(k1.tag, k2.tag))
                 c = weight * c1 * c2
                 s = out.get(key)
                 if s is None:
@@ -473,8 +489,8 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
                             if tag is None:
                                 tag = tags[kx.tag, ky.tag] = \
                                     tag_mul(kx.tag, ky.tag)
-                            key = RelKey(out_class, chi + ky.chi,
-                                         head + ky.contacts[1:], tag)
+                            key = _rel_key(out_class, chi + ky.chi,
+                                           head + ky.contacts[1:], tag)
                             add_ratio(acc, key, cwn * yn, cwd * yd)
     out = reduced_sums(acc)
     if not trusted:
@@ -609,9 +625,9 @@ def identity_element(geometry: Geometry, q: IntersectionMatrix,
                 w = qinv[i, j]
                 if not w:
                     continue
-                key = RelKey(class_key, 2,
-                             (ContactMultiset([((a, i), 1)]),
-                              ContactMultiset([((a, j), 1)])))
+                key = _rel_key(class_key, 2,
+                               (ContactMultiset([((a, i), 1)]),
+                                ContactMultiset([((a, j), 1)])), "1")
                 terms[key] = Fraction(1, a) * w
         a += 1
     gw = RelSeries(geometry, 2, cutoff, terms)
@@ -636,7 +652,8 @@ def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
     if twf.end_count != 2:
         raise GluingError("scattering input must be two-ended")
     ident = identity_element(twf.geometry, q, twf.cutoff)
-    r = twf - ident
+    # the unit's keys cancel in integers, with no Fraction per key
+    r = linear_combination([(1, twf), (-1, ident)])
     for key in r.terms:
         if _base_grading(twf.geometry, key.class_key) < 1:
             raise GluingError(

@@ -152,6 +152,12 @@ class GradedTable:
     memo keyed by a table rehashes nothing.  It is never pickled:
     :meth:`__reduce__` rebuilds through the constructor, so a copy hashes
     anew in its own process.
+
+    ``gluing`` interns the keys its algebra builds (``gluing._rel_key``), so
+    ``==`` and the accumulators mostly meet the very same key object, which
+    ``dict`` matches by identity before it calls ``__eq__``.  That is only a
+    fast path: equality never depends on identity, and keys built apart
+    compare and hash by value.
     """
 
     __slots__ = ("cutoff", "terms", "_hash")

@@ -466,6 +466,86 @@ class TestScattering:
         with pytest.raises(GluingError):
             s_matrix(bad, POINT)
 
+    # the empty key, a fiber cover, and a product of two fiber covers
+    @pytest.mark.parametrize("class_key, coefficient", [
+        ((0, 0), 2), ((0, 0), 0), ((1, 0), 3), ((2, 0), Fraction(1, 7))])
+    def test_changed_unit_coefficient_lacks_base_grading(self, class_key,
+                                                         coefficient):
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        ident = identity_element(geo, SPHERE, 4)
+        terms = dict(ident.terms)
+        key = min(k for k in terms if k.class_key == class_key)
+        terms[key] = coefficient
+        r = RelSeries(geo, 2, 4, {
+            RelKey((0, 3), 0, (ContactMultiset(), ContactMultiset())): 1})
+        twf = RelSeries(geo, 2, 4, terms) + r
+        with pytest.raises(GluingError, match="lacks positive base grading"):
+            s_matrix(twf, SPHERE)
+
+
+def _stored_key(series, key):
+    """The key object that ``series`` stores under a key equal to ``key``."""
+    return {k: k for k in series.terms}[key]
+
+
+class TestInternedKeys:
+    """The algebra's keys are interned; equality never depends on it."""
+
+    def test_separate_convolutions_share_key_objects(self):
+        rng = random.Random(45)
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        ident = identity_element(geo, SPHERE, 4)
+        r = random_two_ended(rng, geo, 4, 2, min_base=1)
+        left = convolve(ident, r, SPHERE)
+        right = convolve(r, ident, SPHERE)
+        assert left == right == r
+        for key in left.terms:
+            assert _stored_key(right, key) is key
+
+    def test_results_after_clearing_the_memo_are_equal(self):
+        rng = random.Random(46)
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        cutoff = 5
+        twf = identity_element(geo, SPHERE, cutoff) + random_two_ended(
+            rng, geo, cutoff, 2, min_base=cutoff // 2 + 1)
+
+        def compute():
+            return [s_matrix(twf, SPHERE)] + [
+                neck_identity(twf, n, SPHERE) for n in (1, 3)]
+
+        before = compute()
+        for memo in (gluing._rel_key, gluing._convolution_power,
+                     identity_element):
+            memo.cache_clear()
+        after = compute()
+        assert after == before
+        assert [hash(t) for t in after] == [hash(t) for t in before]
+        old = {id(k) for t in before for k in t.terms}
+        assert any(id(k) not in old for t in after for k in t.terms)
+
+    def test_keys_built_apart_find_their_values(self):
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        ident = identity_element(geo, SPHERE, 3)
+        apart = {
+            RelKey(tuple(k.class_key),
+                   k.chi,
+                   tuple(ContactMultiset.from_string(m.to_string())
+                         for m in k.contacts),
+                   str(k.tag)): c
+            for k, c in ident.terms.items()}
+        twin = RelSeries(geo, 2, 3, apart)
+        assert twin == ident and ident == twin
+        assert hash(twin) == hash(ident)
+        for key, c in apart.items():
+            assert _stored_key(ident, key) is not key
+            assert ident.coefficient(key) == c
+
+    def test_odd_chi_raises_and_caches_nothing(self):
+        before = gluing._rel_key.cache_info().currsize
+        with pytest.raises(GluingError, match="must be even"):
+            gluing._rel_key((1, 0), 3, (single(1), single(1)), "1")
+        assert gluing._rel_key.cache_info().currsize == before
+
 
 class TestDimensions:
     def test_sphere_relative_two_points(self):

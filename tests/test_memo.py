@@ -14,6 +14,7 @@ MEMOS = (
     contacts.enumerate_multisets,
     contacts._dual_multiset_cached,
     contacts.glue_weights,
+    gluing._rel_key,
     gluing.identity_element,
     gluing._convolution_power,
     hurwitz._build_table,
