@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -101,20 +100,6 @@ class ContactMultiset:
         if not self.items:
             return "-"
         return " ".join(f"{a}^{n}({i})" for (a, i), n in self.items)
-
-    @classmethod
-    def from_string(cls, text: str) -> "ContactMultiset":
-        text = text.strip()
-        if text in ("", "-"):
-            return cls()
-        counts = []
-        for group in text.split():
-            m = re.fullmatch(r"(\d+)\^(\d+)\((\d+)\)", group)
-            if not m:
-                raise ContactError(f"bad contact group {group!r}")
-            a, n, i = (int(g) for g in m.groups())
-            counts.append(((a, i), n))
-        return cls(counts)
 
 
 def multiset_stats(m: ContactMultiset) -> tuple[int, int, int, int]:

@@ -48,7 +48,6 @@ from sumkit.series import (
     graded_exp,
     graded_log,
     linear_combination,
-    parse_fraction,
     reduced_sums,
 )
 
@@ -320,29 +319,25 @@ class RelSeries(GradedTable):
         self._check(other)
         cutoff = min(self.cutoff, other.cutoff)
         geo = self.geometry
-        out: dict[RelKey, Fraction] = {}
+        acc: dict = {}
+        right = [(k2, geo.grade(k2.class_key), c2.numerator, c2.denominator)
+                 for k2, c2 in other.terms.items()]
         for k1, c1 in self.terms.items():
             g1 = geo.grade(k1.class_key)
-            for k2, c2 in other.terms.items():
-                if g1 + geo.grade(k2.class_key) > cutoff:
+            n1, d1 = c1.numerator, c1.denominator
+            for k2, g2, n2, d2 in right:
+                if g1 + g2 > cutoff:
                     continue
                 contacts = tuple(a.union(b)
                                  for a, b in zip(k1.contacts, k2.contacts))
-                weight = Fraction(1)
+                weight = 1
                 for merged, part in zip(contacts, k1.contacts):
                     weight *= multiset_binomial(merged, part)
                 key = _rel_key(geo.add(k1.class_key, k2.class_key),
                                k1.chi + k2.chi, contacts,
                                tag_mul(k1.tag, k2.tag))
-                c = weight * c1 * c2
-                s = out.get(key)
-                if s is None:
-                    out[key] = c
-                elif s := s + c:
-                    out[key] = s
-                else:
-                    del out[key]
-        return self._wrap(out, cutoff)
+                add_ratio(acc, key, weight * n1 * n2, d1 * d2)
+        return self._wrap(reduced_sums(acc), cutoff)
 
 
 def tw_from_gw(gw: RelSeries) -> RelSeries:
@@ -746,70 +741,3 @@ def relseries_to_json(series: RelSeries) -> dict:
             for series_key in series.sorted_keys()
         ],
     }
-
-
-_JSON_KINDS: dict[str, Callable[[object], bool]] = {
-    "an object": lambda v: isinstance(v, dict),
-    "a list": lambda v: isinstance(v, (list, tuple)),
-    "an integer": lambda v: type(v) is int,
-    "a string": lambda v: type(v) is str,
-    "a list of integers": lambda v: isinstance(v, (list, tuple))
-    and all(type(x) is int for x in v),
-    "a list of strings": lambda v: isinstance(v, (list, tuple))
-    and all(type(x) is str for x in v),
-}
-
-_TERM_FIELDS = (("class", "a list of integers"), ("chi", "an integer"),
-                ("contacts", "a list of strings"), ("tag", "a string"),
-                ("coeff", "a string"))
-
-
-def _json_field(record: object, name: str, where: str, kind: str):
-    """``record[name]``, which must be of ``kind`` (a key of _JSON_KINDS)."""
-    if not isinstance(record, dict):
-        raise GluingError(f"{where} must be an object; got {record!r:.60}")
-    if name not in record:
-        raise GluingError(f"{where}: missing field {name!r}")
-    value = record[name]
-    if not _JSON_KINDS[kind](value):
-        raise GluingError(
-            f"{where}: field {name!r} must be {kind}; got {value!r:.60}")
-    return value
-
-
-def relseries_from_json(data: dict) -> RelSeries:
-    """Inverse of :func:`relseries_to_json`.
-
-    Malformed data raises :class:`GluingError` naming the field, and the
-    term by its index in ``terms``.
-    """
-    g = _json_field(data, "geometry", "relseries", "an object")
-
-    def ints(name):
-        return tuple(_json_field(g, name, "geometry", "a list of integers"))
-
-    geometry = Geometry(
-        class_dim=_json_field(g, "class_dim", "geometry", "an integer"),
-        v_degree=ints("v_degree"),
-        canonical_k=ints("canonical_k"),
-        grading=ints("grading"),
-        v_basis=_json_field(g, "v_basis", "geometry", "an integer"),
-        fiber=ints("fiber") if g.get("fiber") is not None else None,
-    )
-    terms = {}
-    for index, t in enumerate(_json_field(data, "terms", "relseries",
-                                          "a list")):
-        where = f"term {index}"
-        class_key, chi, contacts, tag, coeff = (
-            _json_field(t, name, where, kind) for name, kind in _TERM_FIELDS)
-        try:
-            key = RelKey(tuple(class_key), chi,
-                         tuple(ContactMultiset.from_string(s)
-                               for s in contacts), tag)
-            terms[key] = parse_fraction(coeff)
-        except ValueError as exc:  # GluingError, ContactError, SeriesError
-            raise GluingError(f"{where}: {exc}") from None
-    return RelSeries(geometry,
-                     _json_field(data, "end_count", "relseries", "an integer"),
-                     _json_field(data, "cutoff", "relseries", "an integer"),
-                     terms)

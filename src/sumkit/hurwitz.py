@@ -58,7 +58,7 @@ from typing import Sequence
 
 from sumkit.contacts import partitions
 from sumkit.oracles import branch_count_rh
-from sumkit.series import Series, VariableContext
+from sumkit.series import Series, VariableContext, add_ratio, reduced_sums
 
 
 class HurwitzError(ValueError):
@@ -159,17 +159,19 @@ class CutJoinTable:
         weighted = self._weighted
         r = len(self._levels)
         last = weighted[r - 1]
-        # (series, powers) pairs: the level is the sum of each series times
-        # its monomial, over 2r (the 1/2 of both terms, the 1/r of the u-lift)
+        # (multiplier, series, shift) triples: the level is the sum of each
+        # series times its multiplier and its monomial (the shift), over 2r
+        # (the 1/2 of both terms, the 1/r of the u-lift)
         parts = []
         for k in range(2, d_max + 1):
             # only z-degree <= room survives the z_k factor
             room = d_max - k
-            join = Series.zero(ctx, room)
+            join = ctx.exponents({z[k]: 1, "lam": 2, "u": 1})
             for i in range(1, k):
                 j = k - i
                 if last[i]:
-                    join = join + last[i].differentiate(z[j]) * j
+                    parts.append(
+                        (j, last[i].differentiate(z[j]).truncate(room), join))
                 # (s, i) and its mirror (t, j) give one product: once,
                 # doubled when they differ
                 for s in range(r):
@@ -178,21 +180,18 @@ class CutJoinTable:
                         continue
                     left, right = weighted[s][i], weighted[t][j]
                     if left and right:
-                        product = left.truncate(room) * right
-                        join = join + (product if (s, i) == (t, j)
-                                       else product * 2)
+                        parts.append((1 if (s, i) == (t, j) else 2,
+                                      left.truncate(room) * right, join))
                 # the cut: z_i z_j times k dG/dz_k, over ordered (i, j)
                 if last[k]:
-                    parts.append((last[k], Counter((z[i], z[j], "u"))))
-            parts.append((join, {z[k]: 1, "lam": 2, "u": 1}))
-        lifted = {}
-        for series, powers in parts:
-            shift = ctx.exponents(powers)
+                    parts.append((1, last[k], ctx.exponents(
+                        Counter((z[i], z[j], "u")))))
+        acc: dict = {}
+        for m, series, shift in parts:
             for exps, c in series.terms.items():
-                exps = tuple(map(add, exps, shift))
-                lifted[exps] = lifted.get(exps, 0) + c
-        self._add_level(Series(ctx, d_max, {
-            exps: c / (2 * r) for exps, c in lifted.items()}))
+                add_ratio(acc, tuple(map(add, exps, shift)),
+                          m * c.numerator, 2 * r * c.denominator)
+        self._add_level(Series(ctx, d_max, reduced_sums(acc)))
 
 
 @functools.lru_cache(maxsize=32)

@@ -141,11 +141,13 @@ class GradedTable:
     and contact degrees (both pairings are linear); a derivative lowers one
     exponent that was positive off the laurent variable, and its cutoff by
     that variable's weight; other grades are filtered against the result's
-    cutoff.  Exact Fraction arithmetic on nonzero Fractions gives nonzero
-    Fractions; a scalar 0 gives the empty table, each accumulating loop
-    deletes a sum that cancels, and the numerator/denominator accumulators
-    (:func:`add_ratio` under :func:`linear_combination` and
-    ``gluing.convolve``) drop a key whose numerator sums to 0, so no zero is
+    cutoff.  One exact accumulator sums every table: ``+``, ``-`` and
+    :meth:`scale` are each one :func:`linear_combination`, and the products
+    (``Series.__mul__``, ``RelSeries.disjoint_mul``, ``gluing.convolve``)
+    and the level sum of ``hurwitz.CutJoinTable`` pass integer products to
+    :func:`add_ratio`.  :func:`reduced_sums` reduces each sum once and drops
+    a key whose numerator sums to 0; a scalar 0 adds no term, and exact
+    arithmetic on nonzero Fractions gives nonzero Fractions, so no zero is
     ever stored.
 
     The hash is computed on the first ``hash()`` and kept in ``_hash``; a
@@ -233,36 +235,14 @@ class GradedTable:
         return sorted(self.terms, key=lambda k: (grade(k), k))
 
     def __add__(self, other):
-        self._check(other)
-        cutoff = min(self.cutoff, other.cutoff)
-        grade = self._grade
-        # a side whose own cutoff is not above the result's needs no filter
-        if self.cutoff == cutoff:
-            out = self.terms.copy()
-        else:
-            out = {k: c for k, c in self.terms.items() if grade(k) <= cutoff}
-        trim_other = other.cutoff > cutoff
-        for k, c in other.terms.items():
-            if trim_other and grade(k) > cutoff:
-                continue
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            elif s := s + c:
-                out[k] = s
-            else:
-                del out[k]
-        return self._wrap(out, cutoff)
+        return linear_combination([(1, self), (1, other)])
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return linear_combination([(1, self), (-1, other)])
 
     def scale(self, c: Coeff):
         """Every coefficient times the scalar ``c``."""
-        c = Fraction(c)
-        if not c:
-            return self._wrap({})
-        return self._wrap({k: v * c for k, v in self.terms.items()})
+        return linear_combination([(c, self)])
 
     def truncate(self, cutoff: int):
         """Drop every term of grade above ``cutoff``."""
@@ -385,23 +365,18 @@ class Series(GradedTable):
         self._check(other)
         cutoff = min(self.cutoff, other.cutoff)
         grading = self.context.grading
-        out: dict[tuple[int, ...], Fraction] = {}
+        acc: dict = {}
         # ascending grading, so each row stops at the first factor too high
-        right = sorted((grading(e), e, c) for e, c in other.terms.items())
+        right = sorted((grading(e), e, c.numerator, c.denominator)
+                       for e, c in other.terms.items())
         for e1, c1 in self.terms.items():
+            n1, d1 = c1.numerator, c1.denominator
             room = cutoff - grading(e1)
-            for g2, e2, c2 in right:
+            for g2, e2, n2, d2 in right:
                 if g2 > room:
                     break
-                e = tuple(map(add, e1, e2))
-                s = out.get(e)
-                if s is None:
-                    out[e] = c1 * c2
-                elif s := s + c1 * c2:
-                    out[e] = s
-                else:
-                    del out[e]
-        return self._wrap(out, cutoff)
+                add_ratio(acc, tuple(map(add, e1, e2)), n1 * n2, d1 * d2)
+        return self._wrap(reduced_sums(acc), cutoff)
 
     __rmul__ = __mul__
 
@@ -462,24 +437,6 @@ class Series(GradedTable):
             lines.append(" ".join(parts))
         return "\n".join(lines)
 
-    @classmethod
-    def from_text(cls, context: VariableContext, cutoff: int, text: str) -> "Series":
-        """Inverse of :meth:`to_text`; repeated monomials add up.
-
-        A malformed line raises :class:`SeriesError` naming its number.
-        """
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for number, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                exps, c = _parse_term(context, cutoff, line)
-            except ValueError as exc:  # a SeriesError, or int()'s digit limit
-                raise SeriesError(f"line {number} {line!r}: {exc}") from None
-            terms[exps] = terms.get(exps, Fraction(0)) + c
-        return cls(context, cutoff, terms)
-
 
 def parse_fraction(text: str) -> Fraction:
     """``num/den`` as :meth:`Series.to_text` writes it: decimal integers,
@@ -493,25 +450,6 @@ def parse_fraction(text: str) -> Fraction:
         raise SeriesError(f"coefficient {text!r} has denominator 0") from None
     except ValueError as exc:  # beyond the interpreter's digit limit
         raise SeriesError(f"coefficient {text[:20]!r}...: {exc}") from None
-
-
-def _parse_term(context: VariableContext, cutoff: int, line: str
-                ) -> tuple[tuple[int, ...], Fraction]:
-    head, *factors = line.split()
-    c = parse_fraction(head)
-    powers: dict[str, int] = {}
-    for factor in factors:
-        name, _, e = factor.rpartition("^")
-        if not name or not re.fullmatch(r"-?[0-9]+", e):
-            raise SeriesError(f"factor {factor!r} is not name^exponent")
-        if name in powers:
-            raise SeriesError(f"variable {name!r} appears twice")
-        powers[name] = int(e)
-    exps = context.exponents(powers)
-    context.validate(exps)
-    if context.grading(exps) > cutoff:
-        raise SeriesError(f"term beyond cutoff {cutoff}")
-    return exps, c
 
 
 def geometric_inverse(context: VariableContext, cutoff: int,
@@ -536,27 +474,37 @@ def linear_combination(pairs: Iterable[tuple[Coeff, GradedTable]]
     """``sum c * t`` over the ``(c, t)`` pairs, reduced once per key.
 
     Every ``t`` has one type and header (else the type's mismatch error),
-    and the result takes the least cutoff, trimming the rest, as ``+``
-    does.  Each ``c`` is converted to a Fraction once per table, and the
-    terms are summed by :func:`add_ratio`.  A term with coefficient 1 on a
-    key no other term reaches keeps its Fraction as is.
+    and the result takes the least cutoff, trimming the rest.  Each ``c`` is
+    converted to a Fraction once per table, and the terms are summed by
+    :func:`add_ratio`, reduced once at the end.  A term with coefficient 1
+    on a key no other term reaches keeps its Fraction as is: a first table
+    with coefficient 1 and nothing to trim is copied whole, and a sum that
+    sent no term to :func:`add_ratio` is not reduced, so ``a + b`` with no
+    key shared costs a copy of ``a`` and one lookup per term of ``b``.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("linear_combination needs at least one table")
     first = pairs[0][1]
-    for _, t in pairs:
+    for _, t in pairs[1:]:
         first._check(t)
     cutoff = min(t.cutoff for _, t in pairs)
     grade = first._grade
     acc: dict = {}
+    summed = False
     for c, t in pairs:
-        c = Fraction(c)
         if not c:
             continue
-        cn, cd = c.numerator, c.denominator
-        unit = c == 1
         trim = t.cutoff > cutoff
+        unit = c == 1
+        if unit:
+            if not (trim or acc):
+                acc = t.terms.copy()
+                continue
+            cn = cd = 1
+        else:
+            c = Fraction(c)
+            cn, cd = c.numerator, c.denominator
         for key, v in t.terms.items():
             if trim and grade(key) > cutoff:
                 continue
@@ -564,7 +512,8 @@ def linear_combination(pairs: Iterable[tuple[Coeff, GradedTable]]
                 acc[key] = v
             else:
                 add_ratio(acc, key, cn * v.numerator, cd * v.denominator)
-    return first._wrap(reduced_sums(acc), cutoff)
+                summed = True
+    return first._wrap(reduced_sums(acc) if summed else acc, cutoff)
 
 
 def add_ratio(acc: dict, key, n: int, d: int) -> None:
@@ -612,20 +561,15 @@ def graded_exp(g: GradedTable, mul, one: GradedTable) -> GradedTable:
     E_n = sum_{k=1..n} k g_k E_(n-k)``: about one full product in all,
     where a sum of powers takes one product per power.
     """
-    dg = {k: g._wrap({key: c * k for key, c in piece.items()})
+    dg = {k: g._wrap(piece).scale(k)
           for k, piece in _graded_pieces(g).items()}
     pieces = {0: one}
     for n in range(1, g.cutoff + 1):
-        acc: dict = {}
-        for k, dg_k in dg.items():
-            if n - k in pieces:
-                for key, c in mul(dg_k, pieces[n - k]).terms.items():
-                    acc[key] = acc.get(key, 0) + c
-        acc = {key: c / n for key, c in acc.items() if c}
-        if acc:
-            pieces[n] = g._wrap(acc)
-    return g._wrap({key: c for piece in pieces.values()
-                    for key, c in piece.terms.items()})
+        products = [(Fraction(1, n), mul(dg_k, pieces[n - k]))
+                    for k, dg_k in dg.items() if n - k in pieces]
+        if products and (piece := linear_combination(products)):
+            pieces[n] = piece
+    return linear_combination((1, piece) for piece in pieces.values())
 
 
 def graded_log(g: GradedTable, mul) -> GradedTable:
@@ -635,14 +579,11 @@ def graded_log(g: GradedTable, mul) -> GradedTable:
     pieces = {k: g._wrap(piece) for k, piece in _graded_pieces(g).items()}
     dl: dict = {}
     for n in range(1, g.cutoff + 1):
-        acc = {key: c * n for key, c in pieces[n].terms.items()} \
-            if n in pieces else {}
-        for k, dl_k in dl.items():
-            if n - k in pieces:
-                for key, c in mul(pieces[n - k], dl_k).terms.items():
-                    acc[key] = acc.get(key, 0) - c
-        acc = {key: c for key, c in acc.items() if c}
-        if acc:
-            dl[n] = g._wrap(acc)
-    return g._wrap({key: c / n for n, piece in dl.items()
-                    for key, c in piece.terms.items()})
+        terms = [(n, pieces[n])] if n in pieces else []
+        terms += [(-1, mul(pieces[n - k], dl_k))
+                  for k, dl_k in dl.items() if n - k in pieces]
+        if terms and (piece := linear_combination(terms)):
+            dl[n] = piece
+    # g at coefficient 0 sets the header and cutoff when every piece is 0
+    return linear_combination(
+        [(0, g)] + [(Fraction(1, n), piece) for n, piece in dl.items()])

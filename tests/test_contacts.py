@@ -161,15 +161,3 @@ class TestStrings:
     def test_canonical_form(self):
         m = ContactMultiset([((3, 0), 1), ((1, 0), 2)])
         assert m.to_string() == "1^2(0) 3^1(0)"
-
-    def test_roundtrip(self):
-        m = ContactMultiset([((2, 1), 4), ((1, 0), 1)])
-        assert ContactMultiset.from_string(m.to_string()) == m
-
-    def test_empty_roundtrip(self):
-        assert ContactMultiset.from_string(
-            ContactMultiset().to_string()) == ContactMultiset()
-
-    def test_bad_string(self):
-        with pytest.raises(ContactError):
-            ContactMultiset.from_string("2(0)")

@@ -51,6 +51,39 @@ def table(request):
     return request.param()
 
 
+def _reference(pairs, grade):
+    """``sum c * t`` on plain dicts of Fractions, trimmed to the least
+    cutoff and without zeros: the cutoff and the terms."""
+    cutoff = min(t.cutoff for _, t in pairs)
+    out = {}
+    for c, t in pairs:
+        for k, v in t.terms.items():
+            if grade(k) <= cutoff:
+                out[k] = out.get(k, Fraction(0)) + Fraction(c) * v
+    return cutoff, {k: v for k, v in out.items() if v}
+
+
+def _cancelling_product(kind):
+    """Two tables whose product cancels on one key, their product and the
+    product written out by hand: ``(1 + t)(1 - t) = 1 - t^2``, and the
+    disjoint product of ``A + B`` and ``A - B`` for keys that differ only
+    in their tag, where ``AB`` and ``BA`` are one key with one weight."""
+    if kind == "Series":
+        c = VariableContext("t", ("lam", 0, True))
+        a = Series(c, 4, {(0, 0): 1, (1, 0): 1})
+        b = Series(c, 4, {(0, 0): 1, (1, 0): -1})
+        return a, b, Series.__mul__, {(0, 0): 1, (2, 0): -1}
+    geo = riemann_surface_geometry()
+    one, two = ContactMultiset([((1, 0), 1)]), ContactMultiset([((1, 0), 2)])
+    ka, kb = (RelKey((1,), 2, (one, one), tag) for tag in "pq")
+    a = RelSeries(geo, 2, 4, {ka: 1, kb: 1})
+    b = RelSeries(geo, 2, 4, {ka: 1, kb: -1})
+    # each end merges two single points: C(2, 1) ways, on both ends
+    return a, b, RelSeries.disjoint_mul, {
+        RelKey((2,), 4, (two, two), "p^2"): 4,
+        RelKey((2,), 4, (two, two), "q^2"): -4}
+
+
 class TestGradedTable:
     def test_pickling_goes_through_the_validating_constructor(self, table):
         x, _, _, error, _ = table
@@ -176,3 +209,65 @@ class TestGradedTable:
                 linear_combination(pairs)
         with pytest.raises(ValueError, match="at least one table"):
             linear_combination([])
+
+    def test_sums_and_scalings_match_a_dict_reference(self, table):
+        x, _, grade, _, _ = table
+        rng = random.Random(14)
+        keys = list(x.terms)
+
+        def draw():
+            cutoff = rng.randint(1, 4)
+            return type(x)(*x._header(), cutoff, {
+                k: Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                for k in rng.sample(keys, rng.randint(0, 4))
+                if grade(k) <= cutoff})
+
+        def coefficient():
+            return rng.choice([0, 1, -1, rng.randint(-3, 3),
+                               Fraction(rng.randint(-3, 3), rng.randint(1, 4))])
+
+        for _ in range(80):
+            a, b = draw(), draw()
+            c = coefficient()
+            pairs = [(coefficient(), draw()) for _ in range(rng.randint(1, 4))]
+            for got, want in ((a + b, [(1, a), (1, b)]),
+                              (a - b, [(1, a), (-1, b)]),
+                              (a.scale(c), [(c, a)]),
+                              (linear_combination(pairs), pairs)):
+                cutoff, terms = _reference(want, grade)
+                assert got.cutoff == cutoff and dict(got.terms) == terms
+                assert all(type(v) is Fraction for v in got.terms.values())
+                assert type(got) is type(x) and got._header() == x._header()
+            for empty in (a - a, a.scale(0)):
+                assert not empty.terms and empty.cutoff == a.cutoff
+
+    def test_sum_over_two_cutoffs_trims_to_the_least(self, table):
+        x, _, grade, _, _ = table
+        low = x.truncate(2)
+        for got in (x + low, low + x, x - low, low - x,
+                    linear_combination([(3, x), (Fraction(1, 2), low)])):
+            assert got.cutoff == 2
+            assert all(grade(k) <= 2 for k in got.terms)
+        assert dict((x + low).terms) == {k: 2 * c for k, c in low.terms.items()}
+
+    def test_whole_table_copy_leaves_its_source_and_trims_the_rest(self, table):
+        x, _, grade, _, _ = table
+        low = x.truncate(2)
+        before = dict(low.terms)
+        # low is copied whole (coefficient 1, already at the least cutoff);
+        # x is trimmed to it, and a sum on every copied key changes the copy
+        pairs = [(1, low), (Fraction(1, 3), x), (-2, x)]
+        got = linear_combination(pairs)
+        assert (got.cutoff, dict(got.terms)) == _reference(pairs, grade)
+        assert dict(low.terms) == before
+        assert linear_combination([(1, low), (-1, x)]).is_zero()
+        assert dict(low.terms) == before
+
+
+@pytest.mark.parametrize("kind", ["Series", "RelSeries"])
+def test_a_product_that_cancels_stores_no_key(kind):
+    a, b, mul, expected = _cancelling_product(kind)
+    product = mul(a, b)
+    assert dict(product.terms) == expected
+    assert all(type(v) is Fraction and v for v in product.terms.values())
+    assert mul(b, a) == product

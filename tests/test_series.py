@@ -1,6 +1,5 @@
 import copy
 import pickle
-import re
 from fractions import Fraction
 
 import pytest
@@ -315,50 +314,6 @@ def test_ring_results_pass_the_validating_constructor(a, b, k):
     for f in (a + b, b + a, a - b, b - a, -a, a * b, a * k, k * a,
               a.differentiate("t"), a.differentiate("lam"), a.truncate(5)):
         assert_valid(f)
-
-
-@settings(max_examples=40, deadline=None)
-@given(series_strategy)
-def test_text_roundtrip(f):
-    back = Series.from_text(f.context, f.cutoff, f.to_text())
-    assert back == f
-
-
-# each turns a line of to_text into one that from_text must reject
-LINE_CORRUPTIONS = [
-    lambda line: line.replace("/", " ", 1),            # bare integer
-    lambda line: re.sub(r"/[0-9]+", "/0", line, 1),    # zero denominator
-    lambda line: re.sub(r"^-?[0-9]+", "a", line),      # not an integer
-    lambda line: line + " t",                          # factor without ^
-    lambda line: line + " q^1",                        # unknown variable
-    lambda line: line + " lam^1.5",                    # bad exponent
-    lambda line: line + " t^-1",                       # negative exponent
-    lambda line: line + " t^99",                       # beyond the cutoff
-]
-
-
-@settings(max_examples=60, deadline=None)
-@given(series_strategy, st.data())
-def test_malformed_text_names_its_line(f, data):
-    lines = f.to_text().splitlines()
-    if not lines:
-        lines = ["1/1"]
-    index = data.draw(st.integers(0, len(lines) - 1))
-    corrupt = data.draw(st.sampled_from(LINE_CORRUPTIONS))
-    lines[index] = corrupt(lines[index])
-    with pytest.raises(SeriesError, match=f"^line {index + 1} "):
-        Series.from_text(f.context, f.cutoff, "\n".join(lines))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.text(alphabet="0123456789-/^ \ntlamq.", max_size=30))
-def test_arbitrary_text_parses_or_raises_series_error(text):
-    c = ctx()
-    try:
-        f = Series.from_text(c, 6, text)
-    except SeriesError:
-        return
-    assert Series.from_text(c, 6, f.to_text()) == f
 
 
 def test_canonical_text_order():
