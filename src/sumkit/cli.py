@@ -110,6 +110,9 @@ class ValueCache:
                         continue
                     try:
                         record = json.loads(line)
+                        if not isinstance(record, dict) or not isinstance(
+                                record.get("key"), str):
+                            raise ValueError("not a cache record")
                         if record.get("engine") != ENGINE_VERSION:
                             continue
                         entries[record["key"]] = record["value"]

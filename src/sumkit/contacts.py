@@ -3,9 +3,12 @@
 A curve hits a distinguished divisor in finitely many points, each with a
 multiplicity and each decorated by an index into a chosen homology basis of
 the divisor.  An ordered list of such pairs is a *contact sequence*; the
-unordered version with counts is a :class:`ContactMultiset`.  The numerical
+unordered version with counts is a :class:`ContactMultiset`.  It owns its
+arithmetic: its total multiplicity is its ``degree``, and ``merge`` returns a
+union with the binomial split count that weights a disjoint product.  The
 statistics (number of points, total multiplicity, product of multiplicities,
-factorial of the counts) are the weights appearing in every gluing sum.
+factorial of the counts) weight every gluing sum; :func:`glue_weights` gives
+a convolution each weighted dual term as a reduced integer pair.
 
 The pairing on the divisor homology enters through
 :class:`IntersectionMatrix`; :func:`dual_multiset` re-expresses a multiset in
@@ -53,7 +56,7 @@ class ContactMultiset:
     tables and serialized as ``a^count(i)`` groups.
     """
 
-    __slots__ = ("items", "_hash")
+    __slots__ = ("items", "degree", "_hash")
 
     def __init__(self, counts: Iterable[tuple[ContactPair, int]] = ()):
         merged: dict[ContactPair, int] = {}
@@ -64,14 +67,19 @@ class ContactMultiset:
             if n:
                 merged[(a, i)] = merged.get((a, i), 0) + n
         items = tuple(sorted(merged.items()))
+        self._fill(items, sum(a * n for (a, _), n in items))
+
+    def _fill(self, items: tuple, degree: int) -> None:
+        """Set the slots from canonical ``items`` and their ``degree``."""
         object.__setattr__(self, "items", items)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_hash", hash(items))
 
     def __setattr__(self, name, value):
         raise AttributeError("ContactMultiset is immutable")
 
     def __reduce__(self):
-        # rebuild through the constructor, so the cached hash is recomputed
+        # rebuild through the constructor, which recomputes hash and degree
         return ContactMultiset, (self.items,)
 
     def __iter__(self) -> Iterator[tuple[ContactPair, int]]:
@@ -92,8 +100,23 @@ class ContactMultiset:
     def __repr__(self):
         return f"ContactMultiset({self.to_string()!r})"
 
-    def union(self, other: "ContactMultiset") -> "ContactMultiset":
-        return ContactMultiset(tuple(self.items) + tuple(other.items))
+    def merge(self, other: "ContactMultiset"
+              ) -> tuple["ContactMultiset", int]:
+        """The union with ``other`` and the number of ways to split it back:
+        ``C(n + k, n)`` multiplied over the pairs held ``n`` times here and
+        ``k`` times there.  Both inputs are valid, so none is revalidated."""
+        counts = dict(self.items)
+        split = 1
+        for pair, k in other.items:
+            n = counts.get(pair)
+            if n is None:
+                counts[pair] = k
+            else:
+                counts[pair] = n + k
+                split *= math.comb(n + k, n)
+        merged = object.__new__(ContactMultiset)
+        merged._fill(tuple(sorted(counts.items())), self.degree + other.degree)
+        return merged, split
 
     def to_string(self) -> str:
         """Canonical form ``a^count(i) ...``; empty multiset is ``-``."""
@@ -105,29 +128,11 @@ class ContactMultiset:
 def multiset_stats(m: ContactMultiset) -> tuple[int, int, int, int]:
     """(number of points, total multiplicity, product a^count, count factorial)."""
     length = sum(n for _, n in m)
-    degree = sum(a * n for (a, _), n in m)
-    product = 1
-    fact = 1
+    product = fact = 1
     for (a, _), n in m:
         product *= a ** n
         fact *= math.factorial(n)
-    return length, degree, product, fact
-
-
-def multiset_degree(m: ContactMultiset) -> int:
-    return sum(a * n for (a, _), n in m)
-
-
-def multiset_binomial(m: ContactMultiset, sub: ContactMultiset) -> int:
-    """Product of binomials ``C(count_m, count_sub)``; 0 if not a submultiset."""
-    counts = dict(m.items)
-    out = 1
-    for pair, n in sub:
-        have = counts.get(pair, 0)
-        if n > have:
-            return 0
-        out *= math.comb(have, n)
-    return out
+    return length, m.degree, product, fact
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -310,13 +315,18 @@ def _dual_multiset_cached(m: ContactMultiset, q: IntersectionMatrix
 
 @functools.lru_cache(maxsize=65536)
 def glue_weights(m: ContactMultiset, q: IntersectionMatrix
-                 ) -> tuple[int, tuple[tuple[ContactMultiset, Fraction], ...]]:
-    """Per-multiset data of a gluing sum: ``len(m)`` and the dual expansion.
+                 ) -> tuple[int, tuple[tuple[ContactMultiset, int, int], ...]]:
+    """Per-multiset data of a gluing sum: the number of points of ``m`` and
+    its dual expansion as ``(dual, numerator, denominator)`` triples.
 
     Each dual weight comes already multiplied by ``|m|/m!``, the product of
-    the multiplicities over the factorial of the counts.
+    the multiplicities over the factorial of the counts, and reduced, so a
+    convolution multiplies integers.
     """
     length, _, product, fact = multiset_stats(m)
     weight = Fraction(product, fact)
-    return length, tuple((dual, weight * w)
-                         for dual, w in dual_multiset(m, q).items())
+    duals = []
+    for dual, w in dual_multiset(m, q).items():
+        w *= weight
+        duals.append((dual, w.numerator, w.denominator))
+    return length, tuple(duals)

@@ -36,9 +36,8 @@ from sumkit.contacts import (
     IntersectionMatrix,
     enumerate_multisets,
     glue_weights,
-    multiset_binomial,
-    multiset_degree,
     multiset_stats,
+    seq_stats,
 )
 from sumkit.series import (
     GradedTable,
@@ -248,10 +247,9 @@ class RelSeries(GradedTable):
             raise GluingError("end_count must be 0, 1 or 2")
         clean: dict[RelKey, Fraction] = {}
         if terms:
-            # the class checks depend only on the class key and the degree
-            # only on the multiset, so each is worked out once per call
+            # the class checks depend only on the class key, so they are
+            # worked out once per call
             class_degree: dict[ClassKey, int] = {}
-            contact_degree: dict[ContactMultiset, int] = {}
             for key, c in terms.items():
                 if type(c) is not Fraction:
                     c = Fraction(c)
@@ -271,12 +269,12 @@ class RelSeries(GradedTable):
                     deg_v = geometry.pair_v(key.class_key)
                     class_degree[key.class_key] = deg_v
                 for m in key.contacts:
-                    deg = contact_degree.get(m)
-                    if deg is None:
-                        deg = contact_degree[m] = multiset_degree(m)
-                    if deg != deg_v:
+                    if not isinstance(m, ContactMultiset):
                         raise GluingError(
-                            f"contact degree {deg} != class "
+                            f"contact {m!r} is not a ContactMultiset")
+                    if m.degree != deg_v:
+                        raise GluingError(
+                            f"contact degree {m.degree} != class "
                             f"pairing {deg_v} for key {key}"
                         )
                 clean[key] = c
@@ -287,10 +285,6 @@ class RelSeries(GradedTable):
 
     def _grade(self, key: RelKey) -> int:
         return self.geometry.grade(key.class_key)
-
-    @classmethod
-    def zero(cls, geometry: Geometry, end_count: int, cutoff: int) -> "RelSeries":
-        return cls(geometry, end_count, cutoff)
 
     @classmethod
     def unit(cls, geometry: Geometry, end_count: int, cutoff: int) -> "RelSeries":
@@ -328,15 +322,14 @@ class RelSeries(GradedTable):
             for k2, g2, n2, d2 in right:
                 if g1 + g2 > cutoff:
                     continue
-                contacts = tuple(a.union(b)
-                                 for a, b in zip(k1.contacts, k2.contacts))
-                weight = 1
-                for merged, part in zip(contacts, k1.contacts):
-                    weight *= multiset_binomial(merged, part)
+                contacts, weight = (), n1 * n2
+                for a, b in zip(k1.contacts, k2.contacts):
+                    merged, split = a.merge(b)
+                    contacts, weight = contacts + (merged,), weight * split
                 key = _rel_key(geo.add(k1.class_key, k2.class_key),
                                k1.chi + k2.chi, contacts,
                                tag_mul(k1.tag, k2.tag))
-                add_ratio(acc, key, weight * n1 * n2, d1 * d2)
+                add_ratio(acc, key, weight, d1 * d2)
         return self._wrap(reduced_sums(acc), cutoff)
 
 
@@ -436,8 +429,6 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
         y_by_degree.setdefault(y.geometry.pair_v(ay), []).append((ay, y_ends))
 
     tags: dict[tuple[str, str], str] = {}
-    # glue_weights(m) in integers, once per multiset
-    weights: dict[ContactMultiset, tuple[int, list[tuple]]] = {}
     # an integer numerator and denominator per key, reduced once at the end
     acc: dict[RelKey, list[int]] = {}
     # Every surviving end has degree deg_m, because x and y are valid; the
@@ -455,13 +446,7 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
         for m in enumerate_multisets(deg_m, q.size):
             left = x_ends.get(m)
             if left:
-                w = weights.get(m)
-                if w is None:
-                    length, duals = glue_weights(m, q)
-                    w = weights[m] = (length, [
-                        (dual, f.numerator, f.denominator)
-                        for dual, f in duals])
-                glued.append((*w, left))
+                glued.append((*glue_weights(m, q), left))
         for ay, y_ends in y_classes:
             out_class = glue(ax, ay, deg_m)
             grade = out_geometry.grade(out_class)  # checks the dimension
@@ -716,11 +701,7 @@ def moduli_dimension(geometry: Geometry, class_key: ClassKey, chi: int,
     Euler characteristic of the domain.  Each contact of multiplicity ``a``
     cuts the dimension by ``2(a - 1)``.
     """
-    deg_s = 0
-    len_s = 0
-    for a, _ in contacts:
-        deg_s += a
-        len_s += 1
+    len_s, deg_s, _ = seq_stats(contacts)
     return (-2 * geometry.pair_k(class_key)
             + (chi * (dim_x - 6)) // 2
             + 2 * n_points

@@ -519,6 +519,29 @@ class TestCache:
                            for name in "abc" for i in range(30)}
         assert os.listdir(tmp_path) == ["severi.jsonl"]
 
+    @pytest.mark.parametrize("verb, table, line", [
+        (("hurwitz", "--degree", "3", "--genus", "0", "--partition", "3"),
+         "hurwitz", 5),
+        (("severi", "--degree", "4", "--delta", "3"), "severi", ["x"]),
+        (("hurwitz", "--degree", "3", "--genus", "0", "--partition", "3"),
+         "hurwitz", {"engine": ENGINE_VERSION, "key": [3, 0, [3]],
+                     "value": "1/3"}),
+        (("hurwitz", "--degree", "3", "--genus", "0", "--partition", "3"),
+         "hurwitz", {"engine": ENGINE_VERSION, "key": 3, "value": "1/3"})])
+    def test_line_that_is_not_a_record_is_skipped_and_recomputed(
+            self, capsys, tmp_path, verb, table, line):
+        plain = invoke(capsys, *verb)
+        (tmp_path / f"{table}.jsonl").write_text(json.dumps(line) + "\n")
+        assert ValueCache(str(tmp_path)).load(table) == {}
+        assert f"skipping corrupt cache line in {table}.jsonl" \
+            in capsys.readouterr().err
+        code, out, err = invoke(capsys, "--cache-dir", str(tmp_path), *verb)
+        assert (code, out) == plain[:2] and code == 0
+        assert f"skipping corrupt cache line in {table}.jsonl" in err
+        # the recomputed value is stored beside the line that stays skipped
+        stored = ValueCache(str(tmp_path)).load(table)
+        assert list(stored.values()) == [json.loads(out)["value"]]
+
     @pytest.mark.parametrize("verb, table, key, value", [
         (("hurwitz", "--degree", "3", "--genus", "0", "--partition", "2,1"),
          "hurwitz", "[3, 0, [2, 1]]", "zz"),

@@ -1,3 +1,5 @@
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,6 @@ from sumkit.contacts import (
     dual_multiset,
     enumerate_multisets,
     glue_weights,
-    multiset_binomial,
     multiset_stats,
     partitions,
     seq_stats,
@@ -29,6 +30,12 @@ def _dual_combination(comb, q):
             else:
                 out.pop(m2, None)
     return out
+
+
+multisets = st.lists(
+    st.tuples(st.tuples(st.integers(1, 4), st.integers(0, 2)),
+              st.integers(0, 3)),
+    max_size=4).map(ContactMultiset)
 
 
 class TestSeqStats:
@@ -120,8 +127,13 @@ class TestGlueWeights:
             length, _, product, fact = multiset_stats(m)
             got_length, duals = glue_weights(m, q)
             assert got_length == length
-            assert dict(duals) == {d: Fraction(product, fact) * w
-                                   for d, w in dual_multiset(m, q).items()}
+            assert {d: Fraction(n, den) for d, n, den in duals} == {
+                d: Fraction(product, fact) * w
+                for d, w in dual_multiset(m, q).items()}
+            # each weight is a reduced integer pair with a positive denominator
+            for _, n, den in duals:
+                assert type(n) is int and type(den) is int and den > 0
+                assert math.gcd(n, den) == 1
 
     def test_memo_is_filled_through_dual_multiset(self, monkeypatch):
         import sumkit.contacts as contacts
@@ -145,16 +157,50 @@ class TestProperties:
         b = ContactMultiset([((2, 0), 2), ((3, 0), 1)])
         la, da, pa, fa = multiset_stats(a)
         lb, db, pb, fb = multiset_stats(b)
-        lu, du, pu, fu = multiset_stats(a.union(b))
+        merged, split = a.merge(b)
+        lu, du, pu, fu = multiset_stats(merged)
         assert (lu, du, pu) == (la + lb, da + db, pa * pb)
         # counts merge, so the factorial picks up binomials of merged counts
         assert fu % (fa * fb) == 0
+        assert fu == fa * fb * split
 
     def test_binomial_of_submultiset(self):
         m = ContactMultiset([((1, 0), 3), ((2, 0), 1)])
         sub = ContactMultiset([((1, 0), 2)])
-        assert multiset_binomial(m, sub) == 3
-        assert multiset_binomial(sub, m) == 0
+        rest = ContactMultiset([((1, 0), 1), ((2, 0), 1)])
+        assert sub.merge(rest) == (m, 3)
+        assert rest.merge(sub) == (m, 3)
+        # m is not part of sub, so no merge into m gives sub back
+        for x in [ContactMultiset()] + enumerate_multisets(2, 1):
+            assert m.merge(x)[0] != sub
+
+    @settings(max_examples=60, deadline=None)
+    @given(multisets, multisets)
+    def test_merge_is_the_union_with_its_split_count(self, a, b):
+        merged, split = a.merge(b)
+        union = ContactMultiset(a.items + b.items)
+        assert merged == union and hash(merged) == hash(union)
+        assert merged.items == union.items
+        assert merged.degree == union.degree == a.degree + b.degree
+        counts = dict(a.items)
+        expected = 1
+        for pair, k in b.items:
+            expected *= math.comb(counts.get(pair, 0) + k, k)
+        assert split == expected
+
+    def test_shared_pair_splits_three_ways(self):
+        # (1,0)^1 and (1,0)^2: one of three points goes to the first factor
+        a = ContactMultiset([((1, 0), 1)])
+        b = ContactMultiset([((1, 0), 2)])
+        assert a.merge(b) == (ContactMultiset([((1, 0), 3)]), 3)
+
+    @given(multisets)
+    def test_degree_is_the_total_multiplicity_and_survives_pickling(self, m):
+        assert m.degree == sum(a * n for (a, _), n in m.items)
+        assert m.degree == multiset_stats(m)[1]
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and back.degree == m.degree
+        assert hash(back) == hash(m)
 
 
 class TestStrings:

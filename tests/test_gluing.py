@@ -78,8 +78,8 @@ class TestRelSeries:
             RelSeries(geo, 2, 3, {
                 RelKey((4,), 2, (single(4), single(4))): 1})
 
-    # Validation is memoized per class key and per multiset inside one
-    # constructor call; the per-term checks must still see every term.
+    # Validation is memoized per class key inside one constructor call;
+    # the per-term checks must still see every term.
     @pytest.mark.parametrize("second, message", [
         (RelKey((2,), 0, (single(3), single(2))), "contact degree 3"),
         (RelKey((2,), 0, (single(2), single(1))), "contact degree 1"),
@@ -91,6 +91,14 @@ class TestRelSeries:
         first = RelKey((2,), 2, (single(2), single(2)))
         with pytest.raises(GluingError, match=message):
             RelSeries(geo, 2, 5, {first: 1, second: 1})
+
+    @pytest.mark.parametrize("contact", [
+        ((((1, 0), 1),)), "1^1(0)", None, frozenset()])
+    def test_contact_that_is_not_a_multiset_is_rejected(self, contact):
+        geo = neck_geometry(base_dim=1)
+        key = RelKey((1, 0), 2, (contact,) * 2)
+        with pytest.raises(GluingError, match="not a ContactMultiset"):
+            RelSeries(geo, 2, 3, {key: 1})
 
     def test_keys_built_apart_are_equal_and_hash_equal(self):
         a = ContactMultiset([((1, 0), 1), ((2, 1), 1), ((1, 0), 1)])
@@ -151,7 +159,7 @@ class TestTags:
 class TestExpLog:
     def test_exp_of_zero_is_unit(self):
         geo = riemann_surface_geometry()
-        zero = RelSeries.zero(geo, 1, 5)
+        zero = RelSeries(geo, 1, 5)
         assert tw_from_gw(zero) == RelSeries.unit(geo, 1, 5)
 
     def test_single_term_squares(self):
@@ -338,7 +346,7 @@ class TestScattering:
         monkeypatch.setattr(gluing, "convolve", counted)
         gluing._convolution_power.cache_clear()
         for n in range(1, 6):
-            expected = RelSeries.zero(geo, 2, cutoff)
+            expected = RelSeries(geo, 2, cutoff)
             for k in range(1, 2 * n + 1):
                 expected = expected + powers[k - 1].scale(
                     (-1) ** (k - 1) * math.comb(2 * n, k))
@@ -612,7 +620,7 @@ class TestTrustedResults:
         geo = neck_geometry(base_dim=1, v_basis=2)
         x = identity_element(geo, SPHERE, 3)
         for zero in (0, 0.0, Fraction(0)):
-            assert x.scale(zero) == RelSeries.zero(geo, 2, 3)
+            assert x.scale(zero) == RelSeries(geo, 2, 3)
 
     def test_scale_by_float_stores_exact_fractions(self):
         geo = neck_geometry(base_dim=1, v_basis=2)
