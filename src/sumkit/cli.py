@@ -67,6 +67,21 @@ ORACLE_KONTSEVICH_MAX_DEGREE = 100
 
 # -- persistent memo cache ----------------------------------------------------
 
+def _record(line) -> dict | None:
+    """The cache record on ``line``, or None when the line is corrupt.  A
+    record of another engine version needs no value: it is skipped, not
+    read."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(record, dict) or not isinstance(record.get("key"), str):
+        return None
+    if record.get("engine") == ENGINE_VERSION and "value" not in record:
+        return None
+    return record
+
+
 class ValueCache:
     """JSON-lines cache, one append-only file per table.
 
@@ -76,12 +91,14 @@ class ValueCache:
     a half-written append.  ``load`` never writes: a cache hit leaves the
     directory untouched.  Unreadable directories disable caching with a
     warning; corrupt lines and entries from other engine versions are
-    skipped.
+    skipped, and a ``store`` after a ``load`` that warned of corrupt lines
+    rewrites the table without them, so they warn once.
     """
 
     def __init__(self, directory: str | None):
         self.directory = directory
         self.enabled = False
+        self._corrupt: set[str] = set()  # tables load found corrupt lines in
         if directory:
             try:
                 os.makedirs(directory, exist_ok=True)
@@ -105,20 +122,15 @@ class ValueCache:
             with open(self._path(table)) as fh:
                 fcntl.flock(fh, fcntl.LOCK_SH)
                 for line in fh:
-                    line = line.strip()
-                    if not line:
+                    if not line.strip():
                         continue
-                    try:
-                        record = json.loads(line)
-                        if not isinstance(record, dict) or not isinstance(
-                                record.get("key"), str):
-                            raise ValueError("not a cache record")
-                        if record.get("engine") != ENGINE_VERSION:
-                            continue
-                        entries[record["key"]] = record["value"]
-                    except (ValueError, KeyError):
+                    record = _record(line)
+                    if record is None:
+                        self._corrupt.add(table)
                         print(f"warning: skipping corrupt cache line in "
                               f"{table}.jsonl", file=sys.stderr)
+                    elif record.get("engine") == ENGINE_VERSION:
+                        entries[record["key"]] = record["value"]
         except FileNotFoundError:
             pass
         return entries
@@ -132,6 +144,15 @@ class ValueCache:
         # the lock is released when the file closes, after the flush
         with open(self._path(table), "ab+") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
+            if table in self._corrupt:
+                # rewrite in place, not by rename: a writer waiting for
+                # this lock appends to this inode
+                fh.seek(0)
+                kept = b"".join(line for line in fh
+                                if _record(line) is not None)
+                fh.truncate(0)
+                fh.write(kept)
+                self._corrupt.discard(table)
             end = fh.seek(0, os.SEEK_END)
             if end:
                 fh.seek(end - 1)
@@ -335,7 +356,7 @@ def _cmd_catalog(args, _cache: ValueCache) -> list[dict]:
     if isinstance(produced, Series):
         return _series_rows(produced)
     if isinstance(produced, RelSeries):
-        return relseries_to_json(produced)["terms"]
+        return relseries_to_json(produced)
     if isinstance(produced, dict):
         rows = []
         for family, series in produced.items():

@@ -3,12 +3,14 @@
 A curve hits a distinguished divisor in finitely many points, each with a
 multiplicity and each decorated by an index into a chosen homology basis of
 the divisor.  An ordered list of such pairs is a *contact sequence*; the
-unordered version with counts is a :class:`ContactMultiset`.  It owns its
-arithmetic: its total multiplicity is its ``degree``, and ``merge`` returns a
-union with the binomial split count that weights a disjoint product.  The
-statistics (number of points, total multiplicity, product of multiplicities,
-factorial of the counts) weight every gluing sum; :func:`glue_weights` gives
-a convolution each weighted dual term as a reduced integer pair.
+unordered version with counts is a :class:`ContactMultiset`, the sorted tuple
+of its ``((a, i), count)`` items, which hashes, compares and pickles as that
+tuple.  It computes its total multiplicity, its ``degree``, and ``merge``
+returns a union with the binomial split count that weights a disjoint
+product.  The statistics (number of points, total multiplicity, product of
+multiplicities, factorial of the counts) weight every gluing sum;
+:func:`glue_weights` gives a convolution each weighted dual term as a reduced
+integer pair.
 
 The pairing on the divisor homology enters through
 :class:`IntersectionMatrix`; :func:`dual_multiset` re-expresses a multiset in
@@ -49,16 +51,18 @@ def seq_stats(s: Sequence[ContactPair]) -> tuple[int, int, int]:
     return length, degree, product
 
 
-class ContactMultiset:
-    """Multiset of (multiplicity, basis index) pairs, canonically sorted.
+class ContactMultiset(tuple):
+    """Multiset of (multiplicity, basis index) pairs: the sorted tuple of its
+    ``((a, i), count)`` items.
 
-    Hashable and immutable; used directly as a dictionary key in coefficient
-    tables and serialized as ``a^count(i)`` groups.
+    Immutable, and hashed, compared and ordered as that tuple; used directly
+    as a dictionary key in coefficient tables and serialized as
+    ``a^count(i)`` groups.
     """
 
-    __slots__ = ("items", "degree", "_hash")
+    __slots__ = ()
 
-    def __init__(self, counts: Iterable[tuple[ContactPair, int]] = ()):
+    def __new__(cls, counts: Iterable[tuple[ContactPair, int]] = ()):
         merged: dict[ContactPair, int] = {}
         for (a, i), n in counts:
             _validate_pair(a, i)
@@ -66,36 +70,12 @@ class ContactMultiset:
                 raise ContactError("counts must be nonnegative")
             if n:
                 merged[(a, i)] = merged.get((a, i), 0) + n
-        items = tuple(sorted(merged.items()))
-        self._fill(items, sum(a * n for (a, _), n in items))
+        return tuple.__new__(cls, sorted(merged.items()))
 
-    def _fill(self, items: tuple, degree: int) -> None:
-        """Set the slots from canonical ``items`` and their ``degree``."""
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_hash", hash(items))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ContactMultiset is immutable")
-
-    def __reduce__(self):
-        # rebuild through the constructor, which recomputes hash and degree
-        return ContactMultiset, (self.items,)
-
-    def __iter__(self) -> Iterator[tuple[ContactPair, int]]:
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __eq__(self, other):
-        return isinstance(other, ContactMultiset) and self.items == other.items
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self.items < other.items
+    @property
+    def degree(self) -> int:
+        """The total multiplicity."""
+        return sum(a * n for (a, _), n in self)
 
     def __repr__(self):
         return f"ContactMultiset({self.to_string()!r})"
@@ -105,34 +85,34 @@ class ContactMultiset:
         """The union with ``other`` and the number of ways to split it back:
         ``C(n + k, n)`` multiplied over the pairs held ``n`` times here and
         ``k`` times there.  Both inputs are valid, so none is revalidated."""
-        counts = dict(self.items)
+        counts = dict(self)
         split = 1
-        for pair, k in other.items:
+        for pair, k in other:
             n = counts.get(pair)
             if n is None:
                 counts[pair] = k
             else:
                 counts[pair] = n + k
                 split *= math.comb(n + k, n)
-        merged = object.__new__(ContactMultiset)
-        merged._fill(tuple(sorted(counts.items())), self.degree + other.degree)
-        return merged, split
+        return tuple.__new__(ContactMultiset, sorted(counts.items())), split
 
     def to_string(self) -> str:
         """Canonical form ``a^count(i) ...``; empty multiset is ``-``."""
-        if not self.items:
+        if not self:
             return "-"
-        return " ".join(f"{a}^{n}({i})" for (a, i), n in self.items)
+        return " ".join(f"{a}^{n}({i})" for (a, i), n in self)
 
 
 def multiset_stats(m: ContactMultiset) -> tuple[int, int, int, int]:
     """(number of points, total multiplicity, product a^count, count factorial)."""
-    length = sum(n for _, n in m)
+    length = degree = 0
     product = fact = 1
     for (a, _), n in m:
+        length += n
+        degree += a * n
         product *= a ** n
         fact *= math.factorial(n)
-    return length, m.degree, product, fact
+    return length, degree, product, fact
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -109,16 +109,6 @@ class Geometry:
     def add(self, k1: ClassKey, k2: ClassKey) -> ClassKey:
         return tuple(a + b for a, b in zip(k1, k2))
 
-    def to_json(self) -> dict:
-        return {
-            "class_dim": self.class_dim,
-            "v_degree": list(self.v_degree),
-            "canonical_k": list(self.canonical_k),
-            "grading": list(self.grading),
-            "v_basis": self.v_basis,
-            "fiber": list(self.fiber) if self.fiber is not None else None,
-        }
-
 
 def neck_geometry(base_dim: int = 1, v_basis: int = 1,
                   base_canonical: tuple[int, ...] | None = None) -> Geometry:
@@ -710,15 +700,11 @@ def moduli_dimension(geometry: Geometry, class_key: ClassKey, chi: int,
 
 # -- serialization -------------------------------------------------------------
 
-def relseries_to_json(series: RelSeries) -> dict:
-    return {
-        "geometry": series.geometry.to_json(),
-        "end_count": series.end_count,
-        "cutoff": series.cutoff,
-        "terms": [
-            dict(series_key.to_json(),
-                 coeff=f"{series.terms[series_key].numerator}/"
-                       f"{series.terms[series_key].denominator}")
-            for series_key in series.sorted_keys()
-        ],
-    }
+def relseries_to_json(series: RelSeries) -> list[dict]:
+    """One row per term, in canonical key order, its coefficient ``p/q``."""
+    return [
+        dict(series_key.to_json(),
+             coeff=f"{series.terms[series_key].numerator}/"
+                   f"{series.terms[series_key].denominator}")
+        for series_key in series.sorted_keys()
+    ]

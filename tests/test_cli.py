@@ -538,9 +538,20 @@ class TestCache:
         code, out, err = invoke(capsys, "--cache-dir", str(tmp_path), *verb)
         assert (code, out) == plain[:2] and code == 0
         assert f"skipping corrupt cache line in {table}.jsonl" in err
-        # the recomputed value is stored beside the line that stays skipped
+        # the recomputed value is stored, and the corrupt line is dropped
         stored = ValueCache(str(tmp_path)).load(table)
         assert list(stored.values()) == [json.loads(out)["value"]]
+
+    def test_corrupt_line_warns_only_until_a_store_drops_it(
+            self, capsys, tmp_path):
+        verb = ("hurwitz", "--degree", "3", "--genus", "0", "--partition", "3")
+        (tmp_path / "hurwitz.jsonl").write_text("5\n")
+        runs = [invoke(capsys, "--cache-dir", str(tmp_path), *verb)
+                for _ in range(3)]
+        warning = "warning: skipping corrupt cache line in hurwitz.jsonl"
+        assert [warning in err for _, _, err in runs] == [True, False, False]
+        assert [(code, out) for code, out, _ in runs] == [runs[0][:2]] * 3
+        assert runs[0][0] == 0
 
     @pytest.mark.parametrize("verb, table, key, value", [
         (("hurwitz", "--degree", "3", "--genus", "0", "--partition", "2,1"),

@@ -178,13 +178,13 @@ class TestProperties:
     @given(multisets, multisets)
     def test_merge_is_the_union_with_its_split_count(self, a, b):
         merged, split = a.merge(b)
-        union = ContactMultiset(a.items + b.items)
+        union = ContactMultiset(tuple(a) + tuple(b))
         assert merged == union and hash(merged) == hash(union)
-        assert merged.items == union.items
+        assert tuple(merged) == tuple(union)
         assert merged.degree == union.degree == a.degree + b.degree
-        counts = dict(a.items)
+        counts = dict(tuple(a))
         expected = 1
-        for pair, k in b.items:
+        for pair, k in tuple(b):
             expected *= math.comb(counts.get(pair, 0) + k, k)
         assert split == expected
 
@@ -196,11 +196,23 @@ class TestProperties:
 
     @given(multisets)
     def test_degree_is_the_total_multiplicity_and_survives_pickling(self, m):
-        assert m.degree == sum(a * n for (a, _), n in m.items)
+        assert m.degree == sum(a * n for (a, _), n in tuple(m))
         assert m.degree == multiset_stats(m)[1]
         back = pickle.loads(pickle.dumps(m))
         assert back == m and back.degree == m.degree
         assert hash(back) == hash(m)
+
+    @given(st.lists(multisets, max_size=5))
+    def test_multiset_behaves_as_its_canonical_tuple(self, ms):
+        for m in ms:
+            assert m == tuple(m) and hash(m) == hash(tuple(m))
+            back = pickle.loads(pickle.dumps(m))
+            assert type(back) is ContactMultiset and back.degree == m.degree
+            with pytest.raises(AttributeError):
+                m.degree = m.degree + 1
+            with pytest.raises(AttributeError):
+                m.points = 0
+        assert [tuple(m) for m in sorted(ms)] == sorted(tuple(m) for m in ms)
 
 
 class TestStrings:
