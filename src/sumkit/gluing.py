@@ -221,8 +221,9 @@ class RelSeries(GradedTable):
     Keys are :class:`RelKey` values graded by their class.  The constructor
     checks that ``end_count`` is 0, 1 or 2 and that each key has
     ``end_count`` contact multisets, a class of the geometry's dimension
-    with ``0 <= grade(class) <= cutoff``, and on each end ``deg(contacts) ==
-    pair_v(class)``; it converts coefficients to Fractions and drops zeros.
+    with ``0 <= grade(class) <= cutoff``, on each end ``deg(contacts) ==
+    pair_v(class)``, and every contact label below ``v_basis``; it converts
+    coefficients to Fractions and drops zeros.
     :func:`convolve` accepts any ``glue`` map, so it still checks each glued
     class, once per pair of input classes.
     """
@@ -267,6 +268,12 @@ class RelSeries(GradedTable):
                             f"contact degree {m.degree} != class "
                             f"pairing {deg_v} for key {key}"
                         )
+                    for (a, i), _ in m:
+                        if i >= geometry.v_basis:
+                            raise GluingError(
+                                f"contact label ({a}, {i}) is outside the "
+                                f"divisor basis, v_basis={geometry.v_basis}, "
+                                f"for key {key}")
                 clean[key] = c
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "end_count", end_count)

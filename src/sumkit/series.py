@@ -17,6 +17,8 @@ characteristic marker, which appears with exponents of both signs.
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from fractions import Fraction
 from operator import add, mul
@@ -155,11 +157,14 @@ class GradedTable:
     :meth:`__reduce__` rebuilds through the constructor, so a copy hashes
     anew in its own process.
 
-    ``gluing`` interns the keys its algebra builds (``gluing._rel_key``), so
-    ``==`` and the accumulators mostly meet the very same key object, which
-    ``dict`` matches by identity before it calls ``__eq__``.  That is only a
-    fast path: equality never depends on identity, and keys built apart
-    compare and hash by value.
+    ``gluing`` interns the keys its algebra builds (``gluing._rel_key``),
+    and :func:`reduced_sums` the coefficients (``_ratio``): equal values in
+    the tables the operations build are mostly one shared object.  So
+    ``==`` and the accumulators mostly meet the very same key and
+    coefficient objects, which ``dict`` matches by identity before it calls
+    ``__eq__``.  That is only a fast path: equality never depends on
+    identity, and keys or coefficients built apart compare and hash by
+    value.
     """
 
     __slots__ = ("cutoff", "terms", "_hash")
@@ -533,14 +538,33 @@ def add_ratio(acc: dict, key, n: int, d: int) -> None:
 
 def reduced_sums(acc: dict) -> dict:
     """The sums of :func:`add_ratio` as Fractions, each reduced once; a key
-    whose numerator sums to 0 stores no term."""
+    whose numerator sums to 0 stores no term.
+
+    Each sum ``[n, d]`` (``d > 0``) is divided by ``gcd(n, d)`` and its
+    Fraction taken from the memo :func:`_ratio`, so equal values are mostly
+    one shared object and a value met again costs no construction.  Equality
+    never depends on that: a value built apart, unpickled, or rebuilt after
+    the memo dropped it compares by value.  A lone Fraction that
+    :func:`linear_combination` copied is kept as it is.
+    """
     out = {}
+    gcd = math.gcd
     for key, s in acc.items():
         if type(s) is not list:
             out[key] = s
-        elif s[0]:
-            out[key] = Fraction(s[0], s[1])
+        else:
+            n, d = s
+            if n:
+                g = gcd(n, d)
+                out[key] = _ratio(n // g, d // g)
     return out
+
+
+@functools.lru_cache(maxsize=8192)
+def _ratio(n: int, d: int) -> Fraction:
+    """The interned ``Fraction(n, d)`` for a coprime pair with ``d > 0``:
+    one object per value while it stays in the memo."""
+    return Fraction(n, d)
 
 
 # -- exp and log by the Euler grading ------------------------------------------

@@ -100,6 +100,33 @@ class TestRelSeries:
         with pytest.raises(GluingError, match="not a ContactMultiset"):
             RelSeries(geo, 2, 3, {key: 1})
 
+    @staticmethod
+    def _outside_basis():
+        m = ContactMultiset([((1, 5), 1)])
+        return neck_geometry(1, 2), {RelKey((1, 1), 0, (m, m)): 1}
+
+    def test_contact_label_outside_the_basis_is_rejected(self):
+        geo, terms = self._outside_basis()
+        with pytest.raises(GluingError,
+                           match=r"label \(1, 5\).*v_basis=2"):
+            RelSeries(geo, 2, 4, terms)
+        bad = RelSeries._trusted(geo, 2, 4, {k: Fraction(v)
+                                             for k, v in terms.items()})
+        with pytest.raises(GluingError, match="v_basis=2"):
+            pickle.loads(pickle.dumps(bad))
+
+    # such a label stops at the constructor, before either route sees it;
+    # a label inside the basis glues alike on both
+    @pytest.mark.parametrize("route", [convolve, convolve_via_operator])
+    def test_no_glue_route_sees_a_label_outside_the_basis(self, route):
+        geo, terms = self._outside_basis()
+        with pytest.raises(GluingError, match=r"label \(1, 5\)"):
+            x = RelSeries(geo, 2, 4, terms)
+            route(x, x, SPHERE)
+        inside = {RelKey((1, 1), 0, (single(1, 1), single(1, 1))): 1}
+        x = RelSeries(geo, 2, 4, inside)
+        assert route(x, x, SPHERE) == convolve(x, x, SPHERE)
+
     def test_keys_built_apart_are_equal_and_hash_equal(self):
         a = ContactMultiset([((1, 0), 1), ((2, 1), 1), ((1, 0), 1)])
         b = ContactMultiset([((2, 1), 1), ((1, 0), 2)])
@@ -665,6 +692,27 @@ def _pickle_samples():
     series = RelSeries(neck_geometry(base_dim=1, v_basis=2), 2, 4,
                        {key: Fraction(-2, 3)})
     return [m, SPHERE, key, series]
+
+
+class TestInternedCoefficients:
+    def test_two_convolutions_share_their_coefficient_objects(self):
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        rng = random.Random(7)
+        x = identity_element(geo, SPHERE, 4) + random_two_ended(
+            rng, geo, 4, 2, min_base=1)
+        first, second = convolve(x, x, SPHERE), convolve(x, x, SPHERE)
+        assert first is not second and first == second
+        assert len(first.terms) > len(set(map(id, first.terms.values())))
+        assert all(second.terms[k] is c for k, c in first.terms.items())
+
+    def test_a_pickled_convolution_round_trips_equal(self):
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        x = identity_element(geo, SPHERE, 3) + random_two_ended(
+            random.Random(3), geo, 3, 2, min_base=1)
+        glued = convolve(x, x, SPHERE)
+        twin = pickle.loads(pickle.dumps(glued))
+        assert twin == glued and hash(twin) == hash(glued)
+        assert twin == convolve_via_operator(x, x, SPHERE)
 
 
 class TestPickling:

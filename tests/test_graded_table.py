@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sumkit import series
 from sumkit.contacts import ContactMultiset
 from sumkit.gluing import (
     GluingError,
@@ -19,7 +21,9 @@ from sumkit.series import (
     Series,
     SeriesError,
     VariableContext,
+    add_ratio,
     linear_combination,
+    reduced_sums,
 )
 
 
@@ -271,3 +275,64 @@ def test_a_product_that_cancels_stores_no_key(kind):
     assert dict(product.terms) == expected
     assert all(type(v) is Fraction and v for v in product.terms.values())
     assert mul(b, a) == product
+
+
+# -- the interned coefficients of reduced_sums ---------------------------------
+
+# integers far past the memo's bound, of both signs
+_BIG = 100 * series._ratio.cache_info().maxsize ** 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(
+    st.integers(0, 20),
+    st.tuples(
+        st.lists(st.tuples(st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+                 min_size=1, max_size=4),
+        st.booleans()),
+    max_size=8))
+def test_reduced_sums_is_the_fraction_of_each_sum(streams):
+    acc = {}
+    expected = {}
+    for key, (stream, cancel) in streams.items():
+        if cancel:  # every term again with the opposite sign: the sum is 0
+            stream = stream + [(-n, d) for n, d in stream]
+        for n, d in stream:
+            add_ratio(acc, key, n, d)
+        total = sum(Fraction(n, d) for n, d in stream)
+        if total:
+            expected[key] = total
+    got = reduced_sums(acc)
+    assert got == expected
+    assert all(type(v) is Fraction for v in got.values())
+
+
+def test_reduced_sums_past_the_memo_bound_and_back():
+    # more distinct values than the memo holds: each is still its Fraction,
+    # and a value the memo dropped is rebuilt equal
+    size = series._ratio.cache_info().maxsize + 100
+    acc = {k: [2 * k + 1, 6] for k in range(size)}
+    first = reduced_sums({k: list(v) for k, v in acc.items()})
+    assert first == {k: Fraction(2 * k + 1, 6) for k in range(size)}
+    # the newest value is still held; the oldest was dropped and is rebuilt
+    newest, oldest = reduced_sums({"new": acc[size - 1], "old": acc[0]}
+                                  ).values()
+    assert newest is first[size - 1]
+    assert oldest == first[0] and oldest is not first[0]
+    lone = Fraction(7, 3)
+    assert reduced_sums({"x": lone, "y": [3, 9]}) == {"x": lone,
+                                                      "y": Fraction(1, 3)}
+    assert reduced_sums({"x": lone})["x"] is lone
+
+
+def test_equal_values_built_apart_share_one_object(table):
+    x = table[0]
+    product = RelSeries.disjoint_mul if isinstance(x, RelSeries) \
+        else Series.__mul__
+    first, second = product(x, x), product(x, x)
+    assert first == second and first.terms
+    assert all(second.terms[k] is v for k, v in first.terms.items())
+    twin = pickle.loads(pickle.dumps(first))
+    assert twin == first and hash(twin) == hash(first)
+    # the twin's coefficients are new objects: equality is by value
+    assert all(twin.terms[k] is not v for k, v in first.terms.items())

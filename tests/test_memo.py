@@ -7,7 +7,7 @@ import threading
 from fractions import Fraction
 
 import sumkit
-from sumkit import contacts, gluing, hurwitz, severi
+from sumkit import contacts, gluing, hurwitz, series, severi
 from sumkit.contacts import ContactMultiset, IntersectionMatrix, partitions
 
 MEMOS = (
@@ -18,6 +18,7 @@ MEMOS = (
     gluing.identity_element,
     gluing._convolution_power,
     hurwitz._build_table,
+    series._ratio,
     severi.tw_value,
     severi.irreducible,
 )
