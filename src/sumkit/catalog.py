@@ -88,15 +88,13 @@ def torus_context() -> VariableContext:
     return VariableContext("t")
 
 
-def torus_rel_series(cutoff: int, points: int = 0) -> Series:
-    """Genus-one cover counts of the torus relative to ``points`` marked points.
+def torus_rel_series(cutoff: int) -> Series:
+    """Genus-one cover counts of the torus relative to marked points.
 
     The count is independent of the number of relative points; it equals the
     divisor-sum generating function, computed here from the expansion
     ``sum_d d t^d / (1 - t^d)``.
     """
-    if points < 0:
-        raise CatalogError("points must be >= 0")
     ctx = torus_context()
     total = Series.zero(ctx, cutoff)
     for d in range(1, cutoff + 1):

@@ -1,8 +1,9 @@
 """Acceptance suite: the headline exact identities, one check per criterion.
 
-Each check returns a :class:`CheckResult`; :func:`run_all` executes the whole
-battery.  Every comparison is exact integer/rational equality.  These checks
-back both the ``check`` command-line verb and the acceptance tests.
+Each check is declared once, by :func:`criterion`, and returns a
+:class:`CheckResult`; :func:`run_all` executes the whole battery.  Every
+comparison is exact integer/rational equality.  These checks back both the
+``check`` command-line verb and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -43,80 +44,89 @@ def _run(name: str, body: Callable[[], str]) -> CheckResult:
     return CheckResult(name, passed, detail, time.perf_counter() - start)
 
 
-def check_severi_kontsevich() -> CheckResult:
-    def body():
-        expected = [oracles.kontsevich_oracle(d) for d in range(1, 6)]
-        got = [severi.rational_degree(d) for d in range(1, 6)]
-        assert got == expected, f"{got} != {expected}"
-        # every log the irreducible counts are read from, for d <= 6: a
-        # connected curve has genus >= 0, and its count is an integer
-        entries = 0
-        for d in range(1, 7):
-            for w in range(d + 1):
-                for a, b in itertools.product(partitions(w), partitions(d - w)):
-                    alpha = severi.trim_partition(a)
-                    beta = severi.trim_partition(b)
-                    for chi in range(2 - 2 * severi.genus(d, 0), 3, 2):
-                        logs = severi.connected_counts(d, chi, alpha, beta)
-                        for key, value in logs.items():
-                            assert key[1] <= 2, \
-                                f"connected term {value} with chi > 2 at {key}"
-                            assert value.denominator == 1, \
-                                f"non-integer connected count {value} at {key}"
-                        entries += len(logs)
-        return (f"rational degrees {got}; {entries} log entries for d<=6, "
-                "all integers with chi<=2")
-    return _run("severi-kontsevich", body)
+ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = ()
 
 
-def check_smooth_curves() -> CheckResult:
-    def body():
-        got = [severi.severi_number(d, 0) for d in range(1, 5)]
-        assert got == [1, 1, 1, 1], got
-        return "unique smooth curve through the full point count, d=1..4"
-    return _run("smooth-curves", body)
+def criterion(name: str):
+    """Register a function that returns its detail string or raises as the
+    check ``name``: a check that runs it through :func:`_run`, carries
+    ``name`` as ``.name`` and is appended to :data:`ALL_CHECKS`."""
+    def register(body: Callable[[], str]) -> Callable[[], CheckResult]:
+        global ALL_CHECKS
+
+        def check() -> CheckResult:
+            return _run(name, body)
+
+        check.name = name
+        ALL_CHECKS += (check,)
+        return check
+    return register
 
 
-def check_hurwitz_oracle() -> CheckResult:
-    def body():
-        checked = 0
-        for d in range(1, 6):
-            for alpha in partitions(d):
-                for g in range(0, 7):
-                    r = hurwitz.branch_count(d, g, alpha)
-                    if r < 0 or r > 6:
-                        continue
-                    fast = hurwitz.hurwitz_number(d, g, alpha)
-                    slow = oracles.hurwitz_oracle(d, g, alpha)
-                    assert fast == slow, (d, g, alpha, fast, slow)
-                    checked += 1
-        return f"{checked} keys against tuple enumeration"
-    return _run("hurwitz-oracle", body)
+@criterion("severi-kontsevich")
+def check_severi_kontsevich() -> str:
+    expected = [oracles.kontsevich_oracle(d) for d in range(1, 6)]
+    got = [severi.rational_degree(d) for d in range(1, 6)]
+    assert got == expected, f"{got} != {expected}"
+    # every log the irreducible counts are read from, for d <= 6: a
+    # connected curve has genus >= 0, and its count is an integer
+    entries = 0
+    for d in range(1, 7):
+        for w in range(d + 1):
+            for a, b in itertools.product(partitions(w), partitions(d - w)):
+                alpha = severi.trim_partition(a)
+                beta = severi.trim_partition(b)
+                for chi in range(2 - 2 * severi.genus(d, 0), 3, 2):
+                    logs = severi.connected_counts(d, chi, alpha, beta)
+                    for key, value in logs.items():
+                        assert key[1] <= 2, \
+                            f"connected term {value} with chi > 2 at {key}"
+                        assert value.denominator == 1, \
+                            f"non-integer connected count {value} at {key}"
+                    entries += len(logs)
+    return (f"rational degrees {got}; {entries} log entries for d<=6, "
+            "all integers with chi<=2")
 
 
-def check_cut_join_residual() -> CheckResult:
-    def body():
-        residual = hurwitz.cut_join_residual(4, 4)
-        assert residual.is_zero(), residual.to_text()
-        return "transport-equation residual vanishes through d<=4, r<=4"
-    return _run("cut-join-residual", body)
+@criterion("smooth-curves")
+def check_smooth_curves() -> str:
+    got = [severi.severi_number(d, 0) for d in range(1, 5)]
+    assert got == [1, 1, 1, 1], got
+    return "unique smooth curve through the full point count, d=1..4"
 
 
-def check_elliptic() -> CheckResult:
-    def body():
-        ode = elliptic.f0_via_ode(100)
-        prod = elliptic.f0_product(100)
-        assert ode == prod, "recursion and product expansion differ"
-        lead = [ode.coefficient({"t": n}) for n in range(5)]
-        assert lead == [1, 12, 90, 520, 2535], lead
-        r1 = elliptic.genus1_via_fiber_recursion(100)
-        r2 = elliptic.genus1_via_fiber_sum(100)
-        assert r1 == r2, "the two genus-one routes differ"
-        residuals = elliptic.lsplit_suite(3, 60)
-        bad = [k for k, v in residuals.items() if not v.is_zero()]
-        assert not bad, f"nonzero residuals: {bad}"
-        return f"series identities at order 100; {len(residuals)} residuals zero"
-    return _run("elliptic-surface", body)
+@criterion("hurwitz-oracle")
+def check_hurwitz_oracle() -> str:
+    checked = 0
+    for d in range(1, 6):
+        for alpha in partitions(d):
+            for g in range(0, 7):
+                r = hurwitz.branch_count(d, g, alpha)
+                if r < 0 or r > 6:
+                    continue
+                fast = hurwitz.hurwitz_number(d, g, alpha)
+                slow = oracles.hurwitz_oracle(d, g, alpha)
+                assert fast == slow, (d, g, alpha, fast, slow)
+                checked += 1
+    return f"{checked} keys against tuple enumeration"
+
+
+@criterion("cut-join-residual")
+def check_cut_join_residual() -> str:
+    residual = hurwitz.cut_join_residual(4, 4)
+    assert residual.is_zero(), residual.to_text()
+    return "transport-equation residual vanishes through d<=4, r<=4"
+
+
+@criterion("elliptic-surface")
+def check_elliptic() -> str:
+    f0 = elliptic.f0_via_ode(100)
+    lead = [f0.coefficient({"t": n}) for n in range(5)]
+    assert lead == [1, 12, 90, 520, 2535], lead
+    residuals = elliptic.identity_residuals(3, 100)
+    bad = [k for k, v in residuals.items() if not v.is_zero()]
+    assert not bad, f"nonzero residuals: {bad}"
+    return f"series identities at order 100; {len(residuals)} residuals zero"
 
 
 def _random_residual(rng: random.Random, geo: gluing.Geometry, cutoff: int,
@@ -145,38 +155,37 @@ def _random_residual(rng: random.Random, geo: gluing.Geometry, cutoff: int,
     return gluing.RelSeries(geo, 2, cutoff, terms)
 
 
-def check_scattering() -> CheckResult:
-    def body():
-        rng = random.Random(20260810)
-        geo = gluing.neck_geometry(base_dim=1, v_basis=2)
-        q = IntersectionMatrix.sphere_pairing()
-        cutoff = 5
-        ident = gluing.identity_element(geo, q, cutoff)
-        inverses = 0
-        necks = 0
-        for trial in range(200):
-            if trial % 2 == 0:
-                # nilpotency up to 6 at this cutoff
-                r = _random_residual(rng, geo, cutoff, 1, 2)
-                assert r, trial  # an empty residual would test only the unit
-                twf = ident + r
-                s = gluing.s_matrix(twf, q)
-                assert gluing.convolve(s, twf, q) == ident, trial
-                assert gluing.convolve(twf, s, q) == ident, trial
-                inverses += 1
-            else:
-                # residual square vanishes at cutoff: neck sums collapse
-                r = _random_residual(rng, geo, cutoff, cutoff // 2 + 1, 2)
-                assert r, trial
-                twf = ident + r
-                s = gluing.s_matrix(twf, q)
-                assert gluing.convolve(s, twf, q) == ident, trial
-                for n in range(1, 6):
-                    assert gluing.neck_identity(twf, n, q) == s, (trial, n)
-                necks += 1
-        assert inverses and necks
-        return f"{inverses} inverse checks, {necks} neck-sum checks (n=1..5)"
-    return _run("scattering-algebra", body)
+@criterion("scattering-algebra")
+def check_scattering() -> str:
+    rng = random.Random(20260810)
+    geo = gluing.neck_geometry(base_dim=1, v_basis=2)
+    q = IntersectionMatrix.sphere_pairing()
+    cutoff = 5
+    ident = gluing.identity_element(geo, q, cutoff)
+    inverses = 0
+    necks = 0
+    for trial in range(200):
+        if trial % 2 == 0:
+            # nilpotency up to 6 at this cutoff
+            r = _random_residual(rng, geo, cutoff, 1, 2)
+            assert r, trial  # an empty residual would test only the unit
+            twf = ident + r
+            s = gluing.s_matrix(twf, q)
+            assert gluing.convolve(s, twf, q) == ident, trial
+            assert gluing.convolve(twf, s, q) == ident, trial
+            inverses += 1
+        else:
+            # residual square vanishes at cutoff: neck sums collapse
+            r = _random_residual(rng, geo, cutoff, cutoff // 2 + 1, 2)
+            assert r, trial
+            twf = ident + r
+            s = gluing.s_matrix(twf, q)
+            assert gluing.convolve(s, twf, q) == ident, trial
+            for n in range(1, 6):
+                assert gluing.neck_identity(twf, n, q) == s, (trial, n)
+            necks += 1
+    assert inverses and necks
+    return f"{inverses} inverse checks, {necks} neck-sum checks (n=1..5)"
 
 
 def _random_one_ended(rng: random.Random, geo: gluing.Geometry, cutoff: int,
@@ -202,108 +211,92 @@ def _random_one_ended(rng: random.Random, geo: gluing.Geometry, cutoff: int,
                             {k: v for k, v in terms.items() if v})
 
 
-def check_convolution_routes() -> CheckResult:
-    def body():
-        rng = random.Random(97)
-        geo = gluing.neck_geometry(base_dim=1, v_basis=2)
-        q = IntersectionMatrix([[0, 1], [1, Fraction(1, 2)]])
-        cutoff = 4
-        for trial in range(100):
-            x = _random_one_ended(rng, geo, cutoff, 2)
-            y = _random_one_ended(rng, geo, cutoff, 2)
-            direct = gluing.convolve(x, y, q)
-            operator = gluing.convolve_via_operator(x, y, q)
-            assert direct == operator, f"trial {trial}"
-        return "100 random pairs, enumeration vs differential operator"
-    return _run("convolution-routes", body)
+@criterion("convolution-routes")
+def check_convolution_routes() -> str:
+    rng = random.Random(97)
+    geo = gluing.neck_geometry(base_dim=1, v_basis=2)
+    q = IntersectionMatrix([[0, 1], [1, Fraction(1, 2)]])
+    cutoff = 4
+    for trial in range(100):
+        x = _random_one_ended(rng, geo, cutoff, 2)
+        y = _random_one_ended(rng, geo, cutoff, 2)
+        direct = gluing.convolve(x, y, q)
+        operator = gluing.convolve_via_operator(x, y, q)
+        assert direct == operator, f"trial {trial}"
+    return "100 random pairs, enumeration vs differential operator"
 
 
-def check_catalog() -> CheckResult:
-    def body():
-        # dimension filters against every nonzero catalog value
-        for b in range(1, 8):
-            for a in (0, 1):
-                for g in (0, 1, 2):
-                    inv = catalog.ruled_rel(1, a, b, g, [(b, 0)],
-                                            [(b + a, 0)], "point",
-                                            contacts_fixed=True)
-                    if inv.value:
-                        assert catalog.vanishing_filter(a, g, 1), (a, b, g)
-        for d in range(1, 8):
-            for g in (0, 1):
-                value = catalog.p1_rel(d, g, [(d, 0)], [(d, 0)])
-                if value:
-                    dim = gluing.moduli_dimension(
-                        gluing.riemann_surface_geometry(), (d,), 2 - 2 * g,
-                        0, [(d, 0), (d, 0)], 2)
-                    assert dim == 0, (d, g, dim)
-        # self-gluing of the sphere reproduces 1/d for d <= 10
-        q = IntersectionMatrix.point_pairing()
-        cutoff = 10
-        tw = catalog.p1_tw_series(cutoff)
-        glued = gluing.convolve(tw, tw, q)
-        assert glued == tw, "self-gluing changed the cover series"
-        ident = gluing.identity_element(gluing.riemann_surface_geometry(),
-                                        q, cutoff)
-        assert tw == ident, "cover series is not the convolution unit"
-        for d in range(1, 11):
-            key = gluing.RelKey((d,), 2,
-                                (ContactMultiset([((d, 0), 1)]),
-                                 ContactMultiset([((d, 0), 1)])))
-            got = gluing.gw_from_tw(glued).coefficient(key)
-            assert got == Fraction(1, d), (d, got)
-        return "dimension filters + sphere self-gluing 1/d, d<=10"
-    return _run("catalog-consistency", body)
+@criterion("catalog-consistency")
+def check_catalog() -> str:
+    # dimension filters against every nonzero catalog value
+    for b in range(1, 8):
+        for a in (0, 1):
+            for g in (0, 1, 2):
+                inv = catalog.ruled_rel(1, a, b, g, [(b, 0)],
+                                        [(b + a, 0)], "point",
+                                        contacts_fixed=True)
+                if inv.value:
+                    assert catalog.vanishing_filter(a, g, 1), (a, b, g)
+    for d in range(1, 8):
+        for g in (0, 1):
+            value = catalog.p1_rel(d, g, [(d, 0)], [(d, 0)])
+            if value:
+                dim = gluing.moduli_dimension(
+                    gluing.riemann_surface_geometry(), (d,), 2 - 2 * g,
+                    0, [(d, 0), (d, 0)], 2)
+                assert dim == 0, (d, g, dim)
+    # self-gluing of the sphere reproduces 1/d for d <= 10
+    q = IntersectionMatrix.point_pairing()
+    cutoff = 10
+    tw = catalog.p1_tw_series(cutoff)
+    glued = gluing.convolve(tw, tw, q)
+    assert glued == tw, "self-gluing changed the cover series"
+    ident = gluing.identity_element(gluing.riemann_surface_geometry(),
+                                    q, cutoff)
+    assert tw == ident, "cover series is not the convolution unit"
+    for d in range(1, 11):
+        key = gluing.RelKey((d,), 2,
+                            (ContactMultiset([((d, 0), 1)]),
+                             ContactMultiset([((d, 0), 1)])))
+        got = gluing.gw_from_tw(glued).coefficient(key)
+        assert got == Fraction(1, d), (d, got)
+    return "dimension filters + sphere self-gluing 1/d, d<=10"
 
 
-def check_series_core() -> CheckResult:
-    def body():
-        rng = random.Random(11)
-        ctx = VariableContext("t", ("lam", 0, True))
-        cutoff = 30
+@criterion("series-core")
+def check_series_core() -> str:
+    rng = random.Random(11)
+    ctx = VariableContext("t", ("lam", 0, True))
+    cutoff = 30
 
-        def random_series(max_terms=8, laurent=3, unit=False):
-            terms = {}
-            for _ in range(rng.randint(1, max_terms)):
-                t_exp = rng.randint(0 if not unit else 1, cutoff)
-                l_exp = rng.randint(-laurent, laurent) if laurent else 0
-                coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                if coeff:
-                    terms[ctx.exponents({"t": t_exp, "lam": l_exp})] = coeff
-            out = Series(ctx, cutoff, terms)
-            return out
+    def random_series(max_terms=8, laurent=3, unit=False):
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            t_exp = rng.randint(0 if not unit else 1, cutoff)
+            l_exp = rng.randint(-laurent, laurent) if laurent else 0
+            coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            if coeff:
+                terms[ctx.exponents({"t": t_exp, "lam": l_exp})] = coeff
+        out = Series(ctx, cutoff, terms)
+        return out
 
-        for trial in range(500):
-            a, b, c = random_series(), random_series(), random_series()
-            assert a + b == b + a
-            assert a * b == b * a
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            # Leibniz rule
-            assert (a * b).differentiate("t") == \
-                a.differentiate("t") * b.truncate(cutoff - 1) \
-                + a.truncate(cutoff - 1) * b.differentiate("t")
-            if trial % 10 == 0:
-                f = random_series(max_terms=5, laurent=1, unit=True)
-                assert f.exp().log() == f
-                g = Series.one(ctx, cutoff) + f
-                assert g.log().exp() == g
-        return "ring axioms, Leibniz, exp/log roundtrip on 500 random series"
-    return _run("series-core", body)
-
-
-ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
-    check_severi_kontsevich,
-    check_smooth_curves,
-    check_hurwitz_oracle,
-    check_cut_join_residual,
-    check_elliptic,
-    check_scattering,
-    check_convolution_routes,
-    check_catalog,
-    check_series_core,
-)
+    for trial in range(500):
+        a, b, c = random_series(), random_series(), random_series()
+        assert a + b == b + a
+        assert a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        # Leibniz rule
+        assert (a * b).differentiate("t") == \
+            a.differentiate("t") * b.truncate(cutoff - 1) \
+            + a.truncate(cutoff - 1) * b.differentiate("t")
+        if trial % 10 == 0:
+            f = random_series(max_terms=5, laurent=1, unit=True)
+            assert f.exp().log() == f
+            g = Series.one(ctx, cutoff) + f
+            assert g.log().exp() == g
+    return "ring axioms, Leibniz, exp/log roundtrip on 500 random series"
 
 
 def run_all() -> list[CheckResult]:

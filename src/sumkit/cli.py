@@ -327,19 +327,10 @@ def _cmd_elliptic(args, _cache: ValueCache) -> list[dict]:
     _check_min("--order", args.order, 0)
     _check_max("--order", args.order, ELLIPTIC_MAX_ORDER, "elliptic")
     if args.check:
-        rows = []
-        ode = elliptic.f0_via_ode(args.order)
-        prod = elliptic.f0_product(args.order)
-        rows.append({"identity": "recursion-vs-product",
-                     "zero": (ode - prod).is_zero()})
-        r1 = elliptic.genus1_via_fiber_recursion(args.order)
-        r2 = elliptic.genus1_via_fiber_sum(args.order)
-        rows.append({"identity": "genus1-two-routes",
-                     "zero": (r1 - r2).is_zero()})
-        for name, res in elliptic.lsplit_suite(max(args.genus, 1),
-                                               args.order).items():
-            rows.append({"identity": name, "zero": res.is_zero()})
-        return rows
+        residuals = elliptic.identity_residuals(max(args.genus, 1),
+                                                args.order)
+        return [{"identity": name, "zero": res.is_zero()}
+                for name, res in residuals.items()]
     series = elliptic.fg(args.genus, args.order)
     return _series_rows(series)
 

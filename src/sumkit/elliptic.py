@@ -132,3 +132,18 @@ def lsplit_suite(g_max: int, cutoff: int) -> dict[str, Series]:
             f[g] - f[0] * gprime ** g
         ).truncate(cutoff)
     return residuals
+
+
+def identity_residuals(g_max: int, cutoff: int) -> dict[str, Series]:
+    """Every elliptic identity as a named residual series; all must vanish.
+
+    In order: the recursion against the product expansion, the two
+    genus-one routes, then the fiber-sum suite of :func:`lsplit_suite`.
+    """
+    residuals = {
+        "recursion-vs-product": f0_via_ode(cutoff) - f0_product(cutoff),
+        "genus1-two-routes": genus1_via_fiber_recursion(cutoff)
+        - genus1_via_fiber_sum(cutoff),
+    }
+    residuals.update(lsplit_suite(g_max, cutoff))
+    return residuals

@@ -338,11 +338,11 @@ def tw_from_gw(gw: RelSeries) -> RelSeries:
 
 def gw_from_tw(tw: RelSeries) -> RelSeries:
     """Connected counts from disconnected ones: the disjoint-product logarithm."""
-    unit = RelSeries.unit(tw.geometry, tw.end_count, tw.cutoff)
-    rest = tw - unit
-    if rest.terms.keys() & unit.terms.keys():
+    (empty,) = RelSeries.unit(tw.geometry, tw.end_count, tw.cutoff).terms
+    rest = dict(tw.terms)
+    if rest.pop(empty, None) != 1:
         raise GluingError("series must have coefficient 1 on the empty key")
-    return graded_log(rest, RelSeries.disjoint_mul)
+    return graded_log(tw._wrap(rest), RelSeries.disjoint_mul)
 
 
 # -- convolution --------------------------------------------------------------
@@ -433,8 +433,6 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
     trusted = True
     for ax, x_ends in x_index.items():
         deg_m = x.geometry.pair_v(ax)
-        if deg_m < 0:
-            continue
         y_classes = y_by_degree.get(deg_m)
         if not y_classes:
             continue
@@ -532,8 +530,6 @@ def convolve_via_operator(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
     zero_exps = (0,) * len(ctx)
     for (ax, chi_x, outer_x, tag_x), table_x in gx.items():
         deg_m = x.geometry.pair_v(ax)
-        if deg_m < 0:
-            continue
         fx = packed(table_x, "z")
         for (ay, chi_y, outer_y, tag_y), table_y in gy.items():
             if y.geometry.pair_v(ay) != deg_m:
@@ -549,11 +545,7 @@ def convolve_via_operator(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
                 if c0:
                     key = RelKey(out_class, chi_x + chi_y - 2 * k,
                                  outer_x + outer_y, tag_mul(tag_x, tag_y))
-                    s = out.get(key, Fraction(0)) + c0
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+                    out[key] = out.get(key, Fraction(0)) + c0
                 # apply the bilinear operator once and divide by the new count
                 k += 1
                 nxt = Series.zero(ctx, poly_cutoff)

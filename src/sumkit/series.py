@@ -288,7 +288,8 @@ class Series(GradedTable):
             for exps, c in terms.items():
                 exps = tuple(exps)
                 context.validate(exps)
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if not c:
                     continue
                 if context.grading(exps) > cutoff:
@@ -411,10 +412,10 @@ class Series(GradedTable):
 
     def log(self) -> "Series":
         """Logarithm of f with constant term 1, by :func:`graded_log`."""
-        const = (0,) * len(self.context)
-        if self.terms.get(const) != 1:
+        rest = dict(self.terms)
+        if rest.pop((0,) * len(self.context), None) != 1:
             raise SeriesError("log needs constant term exactly 1")
-        return graded_log(self - 1, Series.__mul__)
+        return graded_log(self._wrap(rest), Series.__mul__)
 
     def differentiate(self, name: str) -> "Series":
         """Formal partial derivative.  The cutoff drops by the variable weight."""

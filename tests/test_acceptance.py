@@ -1,7 +1,7 @@
-"""Acceptance criteria, one test per headline requirement.
+"""Acceptance criteria, one test per check registered with ``@criterion``.
 
-Each test prints its own pass/fail line (visible with ``pytest -s``) and
-enforces the stated time budget.  All equalities are exact.
+Each run prints its own pass/fail line (visible with ``pytest -s``) and
+enforces the criterion's time budget.  All equalities are exact.
 """
 
 import pytest
@@ -30,37 +30,35 @@ def _report(result):
         f"{result.name} took {result.seconds:.2f}s, budget {budget}s"
 
 
-def test_criterion_1_severi_kontsevich_agreement():
-    _report(checks.check_severi_kontsevich())
+@pytest.mark.parametrize("check", checks.ALL_CHECKS,
+                         ids=lambda check: check.name)
+def test_criterion(check):
+    _report(check())
 
 
-def test_criterion_2_smooth_curve_sanity():
-    _report(checks.check_smooth_curves())
+def _assert_budgets_match(registry):
+    names = sorted(check.name for check in registry)
+    assert names == sorted(BUDGETS), \
+        f"criteria {names} and budgets {sorted(BUDGETS)} differ"
 
 
-def test_criterion_3_hurwitz_oracle_equivalence():
-    _report(checks.check_hurwitz_oracle())
+def test_every_criterion_has_exactly_one_budget():
+    _assert_budgets_match(checks.ALL_CHECKS)
 
 
-def test_criterion_4_cut_join_residual():
-    _report(checks.check_cut_join_residual())
+def test_a_criterion_without_a_budget_fails(monkeypatch):
+    monkeypatch.setattr(checks, "ALL_CHECKS", checks.ALL_CHECKS)
+
+    @checks.criterion("unbudgeted")
+    def check_unbudgeted():
+        return "fine"
+
+    assert checks.ALL_CHECKS[-1] is check_unbudgeted
+    assert check_unbudgeted().detail == "fine"
+    with pytest.raises(AssertionError, match="differ"):
+        _assert_budgets_match(checks.ALL_CHECKS)
 
 
-def test_criterion_5_elliptic_surface():
-    _report(checks.check_elliptic())
-
-
-def test_criterion_6_scattering_algebra():
-    _report(checks.check_scattering())
-
-
-def test_criterion_7_convolution_cross_implementation():
-    _report(checks.check_convolution_routes())
-
-
-def test_criterion_8_catalog_consistency():
-    _report(checks.check_catalog())
-
-
-def test_criterion_9_series_core_properties():
-    _report(checks.check_series_core())
+def test_a_budget_without_a_criterion_fails():
+    with pytest.raises(AssertionError, match="differ"):
+        _assert_budgets_match(checks.ALL_CHECKS[1:])

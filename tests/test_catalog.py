@@ -81,10 +81,6 @@ class TestTorus:
         for n in range(1, 31):
             assert series.coefficient({"t": n}) == divisor_sum(n)
 
-    def test_independent_of_marked_points(self):
-        assert catalog.torus_rel_series(10, points=0) \
-            == catalog.torus_rel_series(10, points=3)
-
 
 class TestProductFibration:
     def test_fiber_absolute_doubles(self):

@@ -221,6 +221,12 @@ class TestExpLog:
         with pytest.raises(GluingError):
             tw_from_gw(gw)
 
+    @pytest.mark.parametrize("empty", [0, 2, -1, Fraction(1, 2)])
+    def test_log_needs_coefficient_one_on_the_empty_key(self, empty):
+        tw = RelSeries.unit(riemann_surface_geometry(), 1, 5).scale(empty)
+        with pytest.raises(GluingError, match="coefficient 1 on the empty"):
+            gw_from_tw(tw)
+
 
 class TestConvolve:
     def test_identity_element_is_identity(self):

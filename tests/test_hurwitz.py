@@ -16,7 +16,7 @@ from sumkit.hurwitz import (
     hurwitz_number,
 )
 from sumkit.oracles import branch_count_rh, hurwitz_oracle
-from sumkit.series import CutoffExceeded, Series
+from sumkit.series import CutoffExceeded, Series, _ratio
 
 
 class TestBranchCount:
@@ -175,6 +175,11 @@ class TestLevelSolve:
             digest.update(f"{r}\n{level.to_text()}\n".encode())
         assert digest.hexdigest() == \
             "f5ad28f7e42c47096b03f52ea9d2db2e9fc0b7c57215f702a1d9e9eefc509bca"
+
+    def test_level_coefficients_are_the_shared_ratio_objects(self):
+        level = CutJoinTable(8).level(10)
+        assert all(_ratio(c.numerator, c.denominator) is c
+                   for c in level.terms.values())
 
     def test_negative_level_refused(self):
         with pytest.raises(HurwitzError):

@@ -163,6 +163,13 @@ class TestCoefficient:
         with pytest.raises(CutoffExceeded):
             f.coefficient({"t": 5})
 
+    def test_constructor_keeps_a_fraction_and_converts_an_int(self):
+        shared = Fraction(3, 4)
+        f = t_series(4, {1: shared, 2: 5})
+        assert f.terms[ctx().exponents({"t": 1})] is shared
+        stored = f.terms[ctx().exponents({"t": 2})]
+        assert type(stored) is Fraction and stored == 5
+
 
 def assert_valid(f):
     """``f`` passes the validating constructor unchanged."""
