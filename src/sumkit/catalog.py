@@ -21,13 +21,25 @@ from sumkit.gluing import (
     riemann_surface_geometry,
     tw_from_gw,
 )
-from sumkit.series import Series, VariableContext, geometric_inverse
+from sumkit.series import Series, VariableContext
 
 ContactSeq = Sequence[tuple[int, int]]
 
 
 class CatalogError(ValueError):
     pass
+
+
+def _point_counts(s: ContactSeq, s_prime: ContactSeq, deg: int,
+                  deg_prime: int) -> tuple[int, int]:
+    """Point counts of the two contact sequences, whose degrees must be
+    ``deg`` and ``deg_prime``."""
+    ls, degs, _ = seq_stats(s)
+    lsp, degsp, _ = seq_stats(s_prime)
+    if (degs, degsp) != (deg, deg_prime):
+        raise CatalogError(f"contact degrees ({degs}, {degsp}) must be "
+                           f"({deg}, {deg_prime})")
+    return ls, lsp
 
 
 # -- covers of the sphere relative to two points ------------------------------
@@ -40,10 +52,7 @@ def p1_rel(d: int, g: int, s: ContactSeq, s_prime: ContactSeq) -> Fraction:
     """
     if d < 1:
         raise CatalogError("degree must be >= 1")
-    ls, degs, _ = seq_stats(s)
-    lsp, degsp, _ = seq_stats(s_prime)
-    if degs != d or degsp != d:
-        raise CatalogError(f"contact degrees {degs}, {degsp} must equal {d}")
+    ls, lsp = _point_counts(s, s_prime, d, d)
     if g == 0 and ls == 1 and lsp == 1:
         return Fraction(1, d)
     return Fraction(0)
@@ -57,10 +66,7 @@ def p1_rel_branch(d: int, g: int, s: ContactSeq, s_prime: ContactSeq) -> Fractio
     """
     if d < 1:
         raise CatalogError("degree must be >= 1")
-    ls, degs, _ = seq_stats(s)
-    lsp, degsp, _ = seq_stats(s_prime)
-    if degs != d or degsp != d:
-        raise CatalogError(f"contact degrees {degs}, {degsp} must equal {d}")
+    ls, lsp = _point_counts(s, s_prime, d, d)
     if g == 0 and ls + lsp == 3:
         return Fraction(1)
     return Fraction(0)
@@ -92,15 +98,16 @@ def torus_rel_series(cutoff: int) -> Series:
     """Genus-one cover counts of the torus relative to marked points.
 
     The count is independent of the number of relative points; it equals the
-    divisor-sum generating function, computed here from the expansion
-    ``sum_d d t^d / (1 - t^d)``.
+    divisor-sum generating function, the expansion ``sum_(d,k>=1) d t^(dk)``
+    sieved on a list of Python ints: each ``d`` adds itself at its multiples.
     """
-    ctx = torus_context()
-    total = Series.zero(ctx, cutoff)
+    coeffs = [0] * (cutoff + 1)
     for d in range(1, cutoff + 1):
-        total = total + geometric_inverse(ctx, cutoff, {"t": d}) \
-            * Series.term(ctx, cutoff, {"t": d}, d)
-    return total
+        for n in range(d, cutoff + 1, d):
+            coeffs[n] += d
+    ctx = torus_context()
+    return Series(ctx, cutoff,
+                  {ctx.exponents({"t": n}): c for n, c in enumerate(coeffs)})
 
 
 # -- the trivial elliptic fibration over the sphere -----------------------------
@@ -128,43 +135,28 @@ def t2s2_series(family: str, cutoff: int) -> Series:
     raise CatalogError(f"unknown family {family!r}; expected one of {T2S2_FAMILIES}")
 
 
-def t2s2_two_fiber(family: str, constraint: str, cutoff: int
-                   ) -> tuple[bool, Series]:
-    """Counts relative to two fibers, reported with their torus-class support.
+def t2s2_two_fiber(family: str, constraint: str, cutoff: int) -> Series:
+    """Counts relative to two fibers.
 
-    Returns ``(supported_only_at_trivial_refinement, series)``.  For fiber
-    classes everything vanishes; for section-plus-fiber classes the counts
-    sit entirely at the trivial refinement class and reproduce the
-    one-fiber values, except that fixing both contact points kills them.
+    Every count sits at the trivial refinement of the torus class.  For
+    fiber classes everything vanishes; section-plus-fiber classes reproduce
+    the one-fiber values, except that fixing both contact points kills them.
     """
     ctx = torus_context()
     if family not in ("df", "s+df"):
         raise CatalogError("family must be 'df' or 's+df'")
     if family == "df":
-        return True, Series.zero(ctx, cutoff)
+        return Series.zero(ctx, cutoff)
     if constraint == "p^2":
-        return True, t2s2_series("s+df-absolute", cutoff)
+        return t2s2_series("s+df-absolute", cutoff)
     if constraint == "p;C1(p)":
-        return True, t2s2_series("s+df-relF", cutoff)
+        return t2s2_series("s+df-relF", cutoff)
     if constraint == "C1(p);C1(p)":
-        return True, Series.zero(ctx, cutoff)
+        return Series.zero(ctx, cutoff)
     raise CatalogError(f"unknown constraint {constraint!r}")
 
 
 # -- rational ruled surfaces -----------------------------------------------------
-
-@dataclass(frozen=True)
-class RuledInvariant:
-    """Value of a ruled-surface relative invariant.
-
-    ``divisor_tensor`` marks values carried by the section-class tensor
-    (zero section on one side plus infinity section on the other) rather
-    than by a plain number.
-    """
-
-    value: Fraction
-    divisor_tensor: bool = False
-
 
 def vanishing_filter(a: int, g: int, deg_alpha: int) -> bool:
     """Dimension filter for ruled-surface invariants: ``2a + g <= 1 + deg(alpha)``.
@@ -176,39 +168,27 @@ def vanishing_filter(a: int, g: int, deg_alpha: int) -> bool:
 
 def ruled_rel(n: int, a: int, b: int, g: int, s: ContactSeq, s_prime: ContactSeq,
               constraint: str = "none", contacts_fixed: bool = False
-              ) -> RuledInvariant:
+              ) -> Fraction:
     """Relative invariants of the ruled surface with twisting index ``n``.
 
     The class is ``a*(zero section) + b*(fiber)``; ``s`` and ``s_prime`` are the
     contacts with the zero and infinity sections, of total multiplicity ``b``
     and ``b + n*a``.  Without constraints, only multiple fiber classes
     survive, with a single full-multiplicity contact at each end, value
-    ``1/b`` on the section-class tensor.  With one point constraint the
-    fiber case contributes 1, and the section case (``a = 1``, genus 0)
-    contributes 1 once every contact point is held fixed.
+    ``1/b`` on the section-class tensor (zero section on one side, infinity
+    section on the other).  With one point constraint the fiber case
+    contributes 1, and the section case (``a = 1``, genus 0) contributes 1
+    once every contact point is held fixed.  Every nonzero value passes
+    :func:`vanishing_filter`.
     """
     if n < 0:
         raise CatalogError("twisting index must be >= 0")
-    ls, degs, _ = seq_stats(s)
-    lsp, degsp, _ = seq_stats(s_prime)
-    if degs != b or degsp != b + n * a:
-        raise CatalogError(
-            f"contact degrees ({degs}, {degsp}) must be ({b}, {b + n * a})"
-        )
+    ls, lsp = _point_counts(s, s_prime, b, b + n * a)
+    fiber = a == 0 and g == 0 and ls == 1 and lsp == 1
     if constraint == "none":
-        if not vanishing_filter(a, g, 0):
-            return RuledInvariant(Fraction(0))
-        if a == 0 and g == 0 and b > 0 and ls == 1 and lsp == 1:
-            return RuledInvariant(Fraction(1, b), divisor_tensor=True)
-        return RuledInvariant(Fraction(0))
+        return Fraction(1, b) if fiber else Fraction(0)
     if constraint == "point":
-        if not vanishing_filter(a, g, 1):
-            return RuledInvariant(Fraction(0))
-        if a == 0 and g == 0 and b > 0 and ls == 1 and lsp == 1:
-            return RuledInvariant(Fraction(1))
-        if a == 1 and g == 0 and b >= 0:
-            return RuledInvariant(Fraction(1 if contacts_fixed else 0))
-        return RuledInvariant(Fraction(0))
+        return Fraction(int(fiber or (a == 1 and g == 0 and contacts_fixed)))
     raise CatalogError(f"unknown constraint {constraint!r}")
 
 
@@ -216,8 +196,6 @@ def ruled_rel(n: int, a: int, b: int, g: int, s: ContactSeq, s_prime: ContactSeq
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
-    description: str
     producer: Callable[[int], object]
 
 
@@ -229,16 +207,16 @@ def _ruled_table(n: int) -> Callable[[int], list[dict]]:
             point = ruled_rel(n, 0, b, 0, [(b, 0)], [(b, 0)], "point")
             rows.append({
                 "class": f"{b}F",
-                "unconstrained": str(plain.value),
-                "tensor": plain.divisor_tensor,
-                "point": str(point.value),
+                "unconstrained": str(plain),
+                "tensor": bool(plain),
+                "point": str(point),
             })
         sect = ruled_rel(n, 1, 0, 0, [], [(1, 0)] * n, "point", contacts_fixed=True)
         rows.append({
             "class": "S",
             "unconstrained": "0",
             "tensor": False,
-            "point": str(sect.value),
+            "point": str(sect),
         })
         return rows
 
@@ -247,19 +225,11 @@ def _ruled_table(n: int) -> Callable[[int], list[dict]]:
 
 def catalog_entries() -> dict[str, CatalogEntry]:
     entries = {
-        "p1": CatalogEntry(
-            "p1", "two-point relative cover series of the sphere",
-            p1_tw_series),
-        "torus": CatalogEntry(
-            "torus", "genus-one relative cover series of the torus",
-            torus_rel_series),
-        "t2xs2": CatalogEntry(
-            "t2xs2", "genus-one series of the trivial elliptic fibration",
-            lambda cutoff: {fam: t2s2_series(fam, cutoff)
-                            for fam in T2S2_FAMILIES}),
+        "p1": CatalogEntry(p1_tw_series),
+        "torus": CatalogEntry(torus_rel_series),
+        "t2xs2": CatalogEntry(lambda cutoff: {
+            fam: t2s2_series(fam, cutoff) for fam in T2S2_FAMILIES}),
     }
     for n in range(0, 4):
-        entries[f"ruled:{n}"] = CatalogEntry(
-            f"ruled:{n}", f"ruled surface invariants, twisting index {n}",
-            _ruled_table(n))
+        entries[f"ruled:{n}"] = CatalogEntry(_ruled_table(n))
     return entries

@@ -232,10 +232,11 @@ def check_catalog() -> str:
     for b in range(1, 8):
         for a in (0, 1):
             for g in (0, 1, 2):
-                inv = catalog.ruled_rel(1, a, b, g, [(b, 0)],
-                                        [(b + a, 0)], "point",
-                                        contacts_fixed=True)
-                if inv.value:
+                s, s_prime = [(b, 0)], [(b + a, 0)]
+                if catalog.ruled_rel(1, a, b, g, s, s_prime, "none"):
+                    assert catalog.vanishing_filter(a, g, 0), (a, b, g)
+                if catalog.ruled_rel(1, a, b, g, s, s_prime, "point",
+                                     contacts_fixed=True):
                     assert catalog.vanishing_filter(a, g, 1), (a, b, g)
     for d in range(1, 8):
         for g in (0, 1):

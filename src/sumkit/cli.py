@@ -283,20 +283,18 @@ def _cmd_severi(args, cache: ValueCache) -> list[dict]:
     if args.table:
         rows = severi.severi_table(args.degree, args.delta)
     else:
-        beta_eff = beta if beta is not None \
+        alpha = severi.trim(alpha)
+        beta = severi.trim(beta) if beta is not None \
             else severi.default_beta(args.degree, alpha)
-        key = json.dumps([args.degree, args.delta, list(severi.trim(alpha)),
-                          list(severi.trim(beta_eff))])
+        key = json.dumps([args.degree, args.delta, list(alpha), list(beta)])
         value = _cached(cache, "severi", key, _parse_int, str,
                         lambda: severi.severi_number(args.degree, args.delta,
                                                      alpha, beta))
         g = severi.genus(args.degree, args.delta)
         rows = [{
             "d": args.degree, "delta": args.delta,
-            "alpha": list(severi.trim(alpha)),
-            "beta": list(severi.trim(beta_eff)),
-            "r": severi.point_count(args.degree, g, severi.trim(alpha),
-                                    severi.trim(beta_eff)),
+            "alpha": list(alpha), "beta": list(beta),
+            "r": severi.point_count(args.degree, g, alpha, beta),
             "value": str(value),
         }]
     return rows

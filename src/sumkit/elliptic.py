@@ -87,8 +87,8 @@ def fg(g: int, cutoff: int) -> Series:
 def genus1_via_fiber_recursion(cutoff: int) -> Series:
     """Genus-one series built by the descendant recursion: ``(tF0'-F0)/12 + F0 G``."""
     f0 = f0_product(cutoff + 1)
-    t = Series.term(fiber_context(), cutoff, {"t": 1})
-    tfp = (t * f0.differentiate("t")).truncate(cutoff)
+    t = Series.term(fiber_context(), cutoff + 1, {"t": 1})
+    tfp = t * f0.differentiate("t")
     return (tfp - f0.truncate(cutoff)) * Fraction(1, 12) \
         + (f0 * sigma_series(cutoff + 1)).truncate(cutoff)
 

@@ -110,8 +110,7 @@ class Geometry:
         return tuple(a + b for a, b in zip(k1, k2))
 
 
-def neck_geometry(base_dim: int = 1, v_basis: int = 1,
-                  base_canonical: tuple[int, ...] | None = None) -> Geometry:
+def neck_geometry(base_dim: int = 1, v_basis: int = 1) -> Geometry:
     """Standard two-ended model: classes ``(fiber multiple, base part)``.
 
     The first coordinate counts fiber multiples (it pairs to 1 with the
@@ -119,12 +118,10 @@ def neck_geometry(base_dim: int = 1, v_basis: int = 1,
     coordinates are base classes whose grading drives truncation.
     """
     dim = 1 + base_dim
-    if base_canonical is None:
-        base_canonical = (0,) * base_dim
     return Geometry(
         class_dim=dim,
         v_degree=(1,) + (0,) * base_dim,
-        canonical_k=(-2,) + tuple(base_canonical),
+        canonical_k=(-2,) + (0,) * base_dim,
         grading=(1,) * dim,
         v_basis=v_basis,
         fiber=(1,) + (0,) * base_dim,

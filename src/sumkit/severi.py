@@ -21,8 +21,8 @@ ones.  Put each key ``(d, chi, alpha, beta)`` on the monomial
 the fixed contacts among the components, and moving contacts carry no
 choice.  :func:`connected_counts` takes :meth:`Series.log` of the
 :func:`tw_value` table, and :func:`irreducible` reads the request's own
-coefficient from it.  ``tw_value`` and ``irreducible`` are memoized for the
-process by bounded ``functools.lru_cache``s.
+coefficient from it.  ``tw_value`` is memoized for the process by a bounded
+``functools.lru_cache``.
 
 Profiles are multiplicity vectors indexed from contact order 1, stored as
 trimmed tuples.
@@ -173,7 +173,6 @@ def _shed_line(d, chi, alpha, beta) -> int:
     return total
 
 
-@functools.lru_cache(maxsize=65536)
 def irreducible(d: int, chi: int, alpha: Profile, beta: Profile) -> int:
     """Connected count: the request's own entry of :func:`connected_counts`.
 

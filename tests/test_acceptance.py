@@ -4,9 +4,11 @@ Each run prints its own pass/fail line (visible with ``pytest -s``) and
 enforces the criterion's time budget.  All equalities are exact.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from sumkit import checks
+from sumkit import catalog, checks
 
 BUDGETS = {
     "severi-kontsevich": 10.0,
@@ -62,3 +64,16 @@ def test_a_criterion_without_a_budget_fails(monkeypatch):
 def test_a_budget_without_a_criterion_fails():
     with pytest.raises(AssertionError, match="differ"):
         _assert_budgets_match(checks.ALL_CHECKS[1:])
+
+
+def test_catalog_consistency_fails_on_a_corrupted_ruled_value(monkeypatch):
+    ruled_rel = catalog.ruled_rel
+
+    def corrupted(n, a, b, g, *args, **kwargs):
+        if (a, g) == (1, 1):  # the genus-one section class
+            return Fraction(1)
+        return ruled_rel(n, a, b, g, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "ruled_rel", corrupted)
+    result = checks.check_catalog()
+    assert not result.passed and "(1, 1, 1)" in result.detail

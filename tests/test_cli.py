@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sumkit import checks
+from sumkit import catalog, checks
 from sumkit.cli import (CATALOG_MAX_ORDER, ELLIPTIC_MAX_GENUS,
                         ELLIPTIC_MAX_ORDER, ENGINE_VERSION,
                         HURWITZ_MAX_BRANCH, HURWITZ_MAX_DEGREE,
@@ -132,8 +132,12 @@ class TestInputLimits:
                         "--beta", " 2 : 1 , 1:0")
         assert plain == padded and plain[0] == 0
 
-    def test_order_zero_allowed(self, capsys):
-        assert invoke(capsys, "catalog", "torus", "--order", "0")[0] == 0
+    @pytest.mark.parametrize("argv", [
+        ("elliptic",), ("elliptic", "--check"),
+        *(("catalog", name) for name in catalog.catalog_entries())],
+        ids=" ".join)
+    def test_order_zero_allowed(self, capsys, argv):
+        assert invoke(capsys, *argv, "--order", "0")[0] == 0
 
     @pytest.mark.parametrize("verb", [("hurwitz",), ("oracle", "hurwitz")])
     @pytest.mark.parametrize("value", ["2,x", "0,3", "3,", "-1,4", "1.5"])

@@ -522,7 +522,9 @@ class TestDimensions:
         # dimension count of the glued space agrees with the fiber product
         rng = random.Random(43)
         dim_x = 4
-        geo = neck_geometry(base_dim=1, v_basis=1, base_canonical=(-3,))
+        # the neck classes (fiber multiple, base part), base canonical -3
+        geo = Geometry(class_dim=2, v_degree=(1, 0), canonical_k=(-2, -3),
+                       grading=(1, 1), v_basis=1, fiber=(1, 0))
         for _ in range(25):
             d = rng.randint(0, 3)
             contacts = [(a, 0) for a in _random_partition(rng, d)]

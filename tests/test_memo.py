@@ -20,7 +20,6 @@ MEMOS = (
     hurwitz._build_table,
     series._ratio,
     severi.tw_value,
-    severi.irreducible,
 )
 
 

@@ -160,7 +160,7 @@ class TestIrreducible:
         monkeypatch.setattr(severi, "connected_counts",
                             lambda *request: {key: Fraction(25, 2)})
         with pytest.raises(SeveriError, match="not an integer"):
-            irreducible.__wrapped__(*key)
+            irreducible(*key)
 
     def test_logarithm_cancels_the_disconnected_terms(self):
         # the table of this request holds the 3 line pairs at chi = 4;
