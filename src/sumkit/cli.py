@@ -329,7 +329,8 @@ def _cmd_elliptic(args, _cache: ValueCache) -> list[dict]:
                                                 args.order)
         return [{"identity": name, "zero": res.is_zero()}
                 for name, res in residuals.items()]
-    series = elliptic.fg(args.genus, args.order)
+    series = elliptic.fg(args.genus, args.order,
+                         elliptic.f0_product(args.order))
     return _series_rows(series)
 
 

@@ -9,8 +9,9 @@ tuple.  It computes its total multiplicity, its ``degree``, and ``merge``
 returns a union with the binomial split count that weights a disjoint
 product.  The statistics (number of points, total multiplicity, product of
 multiplicities, factorial of the counts) weight every gluing sum;
-:func:`glue_weights` gives a convolution each weighted dual term as a reduced
-integer pair.
+:func:`glue_weights` is one read-only table per glued degree and pairing,
+giving a convolution the number of points of each glued end and its weighted
+dual terms as reduced integer pairs.
 
 The pairing on the divisor homology enters through
 :class:`IntersectionMatrix`; :func:`dual_multiset` re-expresses a multiset in
@@ -23,7 +24,8 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 ContactPair = tuple[int, int]  # (multiplicity >= 1, basis-class index >= 0)
 ContactSeq = tuple[ContactPair, ...]
@@ -293,20 +295,28 @@ def _dual_multiset_cached(m: ContactMultiset, q: IntersectionMatrix
     return tuple(sorted(out.items()))
 
 
-@functools.lru_cache(maxsize=65536)
-def glue_weights(m: ContactMultiset, q: IntersectionMatrix
-                 ) -> tuple[int, tuple[tuple[ContactMultiset, int, int], ...]]:
-    """Per-multiset data of a gluing sum: the number of points of ``m`` and
-    its dual expansion as ``(dual, numerator, denominator)`` triples.
+@functools.lru_cache(maxsize=256)
+def glue_weights(degree: int, q: IntersectionMatrix
+                 ) -> Mapping[ContactMultiset,
+                              tuple[int, tuple[tuple[ContactMultiset, int, int],
+                                               ...]]]:
+    """The gluing data of every contact multiset ``m`` of total
+    multiplicity ``degree``, as a read-only mapping from ``m`` to the
+    number of its points and its dual expansion as ``(dual, numerator,
+    denominator)`` triples.
 
     Each dual weight comes already multiplied by ``|m|/m!``, the product of
     the multiplicities over the factorial of the counts, and reduced, so a
-    convolution multiplies integers.
+    convolution multiplies integers.  One table serves every glued end of
+    that degree, so a convolution looks its ends up without hashing ``q``.
     """
-    length, _, product, fact = multiset_stats(m)
-    weight = Fraction(product, fact)
-    duals = []
-    for dual, w in dual_multiset(m, q).items():
-        w *= weight
-        duals.append((dual, w.numerator, w.denominator))
-    return length, tuple(duals)
+    table = {}
+    for m in enumerate_multisets(degree, q.size):
+        length, _, product, fact = multiset_stats(m)
+        weight = Fraction(product, fact)
+        duals = []
+        for dual, w in dual_multiset(m, q).items():
+            w *= weight
+            duals.append((dual, w.numerator, w.denominator))
+        table[m] = (length, tuple(duals))
+    return MappingProxyType(table)

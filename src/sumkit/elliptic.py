@@ -73,33 +73,44 @@ def f0_product(cutoff: int) -> Series:
     return euler_product(12, cutoff)
 
 
-def fg(g: int, cutoff: int) -> Series:
-    """Genus-``g`` series: the genus-zero one times ``(G')^g``."""
+def fg(g: int, cutoff: int, f0: Series) -> Series:
+    """Genus-``g`` series: the genus-zero one times ``(G')^g``.
+
+    ``f0`` is the genus-zero series (:func:`f0_product`) through ``cutoff``
+    or further; it is truncated to ``cutoff``.
+    """
     if g < 0:
         raise ValueError("genus must be >= 0")
-    f = f0_product(cutoff)
+    f = f0.truncate(cutoff)
     if g == 0:
         return f
     gprime = sigma_series(cutoff + 1).differentiate("t")
     return f * gprime ** g
 
 
-def genus1_via_fiber_recursion(cutoff: int) -> Series:
-    """Genus-one series built by the descendant recursion: ``(tF0'-F0)/12 + F0 G``."""
-    f0 = f0_product(cutoff + 1)
+def genus1_via_fiber_recursion(cutoff: int, f0: Series) -> Series:
+    """Genus-one series built by the descendant recursion: ``(tF0'-F0)/12 + F0 G``.
+
+    It needs the genus-zero series one order further, through ``cutoff +
+    1``; ``f0`` is it, or a longer one, as in :func:`fg`.
+    """
+    f0 = f0.truncate(cutoff + 1)
     t = Series.term(fiber_context(), cutoff + 1, {"t": 1})
     tfp = t * f0.differentiate("t")
     return (tfp - f0.truncate(cutoff)) * Fraction(1, 12) \
         + (f0 * sigma_series(cutoff + 1)).truncate(cutoff)
 
 
-def genus1_via_fiber_sum(cutoff: int) -> Series:
-    """The same series from splitting off the trivial fibration: ``2 F0 (G - 1/24)``."""
-    f0 = f0_product(cutoff)
+def genus1_via_fiber_sum(cutoff: int, f0: Series) -> Series:
+    """The same series from splitting off the trivial fibration: ``2 F0 (G - 1/24)``.
+
+    ``f0`` is the genus-zero series, as in :func:`fg`.
+    """
+    f0 = f0.truncate(cutoff)
     return f0 * (sigma_series(cutoff) - Fraction(1, 24)) * 2
 
 
-def lsplit_suite(g_max: int, cutoff: int) -> dict[str, Series]:
+def lsplit_suite(g_max: int, cutoff: int, f0: Series) -> dict[str, Series]:
     """Residuals of the fiber-sum identity suite; all must vanish.
 
     The point-conditioned relative series ``FVg(p) = Fg - F(g-1) G'`` is what
@@ -109,12 +120,14 @@ def lsplit_suite(g_max: int, cutoff: int) -> dict[str, Series]:
     (dividing by the invertible genus-zero series) to ``FV1(p) = 0``, which
     propagates up the genus ladder and collapses it to multiplication by
     ``G'``.  The returned residual series are indexed by identity name.
+    ``f0`` is the genus-zero series, as in :func:`fg`, shared by every
+    genus.
     """
     if g_max < 1:
         raise ValueError("need g_max >= 1")
-    f0 = f0_product(cutoff)
+    f0 = f0.truncate(cutoff)
     gprime = sigma_series(cutoff + 1).differentiate("t")
-    f = {g: fg(g, cutoff) for g in range(0, g_max + 1)}
+    f = {g: fg(g, cutoff, f0) for g in range(0, g_max + 1)}
     fv_point = {g: (f[g] - f[g - 1] * gprime).truncate(cutoff)
                 for g in range(1, g_max + 1)}
 
@@ -139,11 +152,14 @@ def identity_residuals(g_max: int, cutoff: int) -> dict[str, Series]:
 
     In order: the recursion against the product expansion, the two
     genus-one routes, then the fiber-sum suite of :func:`lsplit_suite`.
+    The product series is built once, through ``cutoff + 1`` as the
+    recursion route needs, and every route takes it from there.
     """
+    f0 = f0_product(cutoff + 1)
     residuals = {
-        "recursion-vs-product": f0_via_ode(cutoff) - f0_product(cutoff),
-        "genus1-two-routes": genus1_via_fiber_recursion(cutoff)
-        - genus1_via_fiber_sum(cutoff),
+        "recursion-vs-product": f0_via_ode(cutoff) - f0.truncate(cutoff),
+        "genus1-two-routes": genus1_via_fiber_recursion(cutoff, f0)
+        - genus1_via_fiber_sum(cutoff, f0),
     }
-    residuals.update(lsplit_suite(g_max, cutoff))
+    residuals.update(lsplit_suite(g_max, cutoff, f0))
     return residuals

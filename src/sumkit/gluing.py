@@ -34,7 +34,6 @@ from typing import Callable, Iterable, Mapping
 from sumkit.contacts import (
     ContactMultiset,
     IntersectionMatrix,
-    enumerate_multisets,
     glue_weights,
     multiset_stats,
     seq_stats,
@@ -222,7 +221,7 @@ class RelSeries(GradedTable):
     pair_v(class)``, and every contact label below ``v_basis``; it converts
     coefficients to Fractions and drops zeros.
     :func:`convolve` accepts any ``glue`` map, so it still checks each glued
-    class, once per pair of input classes.
+    class, once per pair of input classes that has a pair of terms meeting.
     """
 
     __slots__ = ("geometry", "end_count")
@@ -403,24 +402,31 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
     ``glue`` maps the two class keys (and the matched multiplicity) to the
     output class key; by default keys add, with fiber multiples absorbed on
     a shared neck geometry.
+
+    Only pairs of terms that glue are visited: ``x`` is indexed by class and
+    ``y`` by its first end, and each ``x`` term looks up the duals of its
+    last end in the :func:`~sumkit.contacts.glue_weights` table of its
+    degree, then the ``y`` terms that start on one of them; an ``x`` class
+    whose degree no class of ``y`` has is skipped.  The glued class of an
+    ``(x class, y class)`` pair is worked out and checked once, when the
+    first of its term pairs is reached, so a pair none of whose terms meet
+    is never glued.
     """
     glue, out_geometry, out_ends, cutoff = _convolution_frame(
         x, y, q, glue, out_geometry)
 
-    # Index both factors by class key, then by glued-end multiset, each term
-    # as (key, numerator, denominator); group the classes of y by their
-    # divisor degree.
-    x_index: dict[ClassKey, dict[ContactMultiset, list[tuple[RelKey, int, int]]]] = {}
+    # each term as (key, numerator, denominator)
+    x_index: dict[ClassKey, list[tuple[RelKey, int, int]]] = {}
     for k, c in x.terms.items():
-        x_index.setdefault(k.class_key, {}).setdefault(
-            k.contacts[-1], []).append((k, c.numerator, c.denominator))
-    y_index: dict[ClassKey, dict[ContactMultiset, list[tuple[RelKey, int, int]]]] = {}
+        x_index.setdefault(k.class_key, []).append(
+            (k, c.numerator, c.denominator))
+    y_index: dict[ContactMultiset, list[tuple[RelKey, int, int]]] = {}
     for k, c in y.terms.items():
-        y_index.setdefault(k.class_key, {}).setdefault(
-            k.contacts[0], []).append((k, c.numerator, c.denominator))
-    y_by_degree: dict[int, list[tuple[ClassKey, dict]]] = {}
-    for ay, y_ends in y_index.items():
-        y_by_degree.setdefault(y.geometry.pair_v(ay), []).append((ay, y_ends))
+        y_index.setdefault(k.contacts[0], []).append(
+            (k, c.numerator, c.denominator))
+    # an x class of a degree no y class has meets no first end of y
+    y_degrees = {y.geometry.pair_v(ay)
+                 for ay in {k.class_key for k in y.terms}}
 
     tags: dict[tuple[str, str], str] = {}
     # an integer numerator and denominator per key, reduced once at the end
@@ -428,42 +434,45 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
     # Every surviving end has degree deg_m, because x and y are valid; the
     # glued class is checked against it once per class pair.
     trusted = True
-    for ax, x_ends in x_index.items():
+    for ax, left in x_index.items():
         deg_m = x.geometry.pair_v(ax)
-        y_classes = y_by_degree.get(deg_m)
-        if not y_classes:
+        if deg_m not in y_degrees:
             continue
-        # everything that depends only on the glued multiset m
-        glued = []
-        for m in enumerate_multisets(deg_m, q.size):
-            left = x_ends.get(m)
-            if left:
-                glued.append((*glue_weights(m, q), left))
-        for ay, y_ends in y_classes:
-            out_class = glue(ax, ay, deg_m)
-            grade = out_geometry.grade(out_class)  # checks the dimension
-            if grade > cutoff:
-                continue
-            if grade < 0 or (out_ends
-                             and out_geometry.pair_v(out_class) != deg_m):
-                trusted = False
-            for length, duals, left in glued:
-                for m_dual, wn, wd in duals:
-                    right = y_ends.get(m_dual)
-                    if not right:
+        weights = glue_weights(deg_m, q)
+        # the glued class per y class met so far, None past the cutoff
+        out_classes: dict[ClassKey, ClassKey | None] = {}
+        for kx, xn, xd in left:
+            length, duals = weights[kx.contacts[-1]]
+            head = kx.contacts[:-1]
+            chi = kx.chi - 2 * length
+            for m_dual, wn, wd in duals:
+                right = y_index.get(m_dual)
+                if right is None:
+                    continue
+                cwn, cwd = wn * xn, wd * xd
+                for ky, yn, yd in right:
+                    ay = ky.class_key
+                    if ay in out_classes:
+                        out_class = out_classes[ay]
+                    else:
+                        # grade() also checks the dimension
+                        out_class = glue(ax, ay, deg_m)
+                        grade = out_geometry.grade(out_class)
+                        if grade > cutoff:
+                            out_class = None
+                        elif grade < 0 or (
+                                out_ends
+                                and out_geometry.pair_v(out_class) != deg_m):
+                            trusted = False
+                        out_classes[ay] = out_class
+                    if out_class is None:
                         continue
-                    for kx, xn, xd in left:
-                        head = kx.contacts[:-1]
-                        chi = kx.chi - 2 * length
-                        cwn, cwd = wn * xn, wd * xd
-                        for ky, yn, yd in right:
-                            tag = tags.get((kx.tag, ky.tag))
-                            if tag is None:
-                                tag = tags[kx.tag, ky.tag] = \
-                                    tag_mul(kx.tag, ky.tag)
-                            key = _rel_key(out_class, chi + ky.chi,
-                                           head + ky.contacts[1:], tag)
-                            add_ratio(acc, key, cwn * yn, cwd * yd)
+                    tag = tags.get((kx.tag, ky.tag))
+                    if tag is None:
+                        tag = tags[kx.tag, ky.tag] = tag_mul(kx.tag, ky.tag)
+                    key = _rel_key(out_class, chi + ky.chi,
+                                   head + ky.contacts[1:], tag)
+                    add_ratio(acc, key, cwn * yn, cwd * yd)
     out = reduced_sums(acc)
     if not trusted:
         # a bad glued class is an error only if one of its terms survives;
@@ -613,7 +622,10 @@ def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
     ``R`` must have strictly positive base grading on every term (true of
     every non-fiber contribution), which makes its convolution powers vanish
     at the cutoff; the inverse is the alternating sum of those powers,
-    reduced once by :func:`~sumkit.series.linear_combination`.
+    reduced once by :func:`~sumkit.series.linear_combination`.  The first
+    power is ``R`` itself (the unit law), so the sum convolves once per
+    further power: once when ``R * R`` vanishes, ``k`` times when
+    ``R^(k+1)`` is the first zero power.
     """
     if twf.end_count != 2:
         raise GluingError("scattering input must be two-ended")
@@ -627,26 +639,25 @@ def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
                 f"{key} lacks positive base grading"
             )
     pairs = [(1, ident)]
-    power = ident
-    sign = 1
-    for _ in range(twf.cutoff + 1):
-        power = convolve(power, r, q)
-        if power.is_zero():
-            break
-        sign = -sign
-        pairs.append((sign, power))
-    else:
-        if not power.is_zero():
+    power, sign = r, -1
+    while not power.is_zero():
+        # pairs holds R^0..R^(k-1) when power is R^k
+        if len(pairs) > twf.cutoff:
             raise GluingError("residual part is not nilpotent at this cutoff")
+        pairs.append((sign, power))
+        power, sign = convolve(power, r, q), -sign
     return linear_combination(pairs)
 
 
 @functools.lru_cache(maxsize=16)
 def _convolution_power(twf: RelSeries, k: int,
                        q: IntersectionMatrix) -> RelSeries:
-    """``twf^k`` under convolution, each power built on the one below."""
+    """``twf^k`` under convolution, each power built on the one below; the
+    zeroth is the unit and the first ``twf`` itself, neither convolved."""
     if k == 0:
         return identity_element(twf.geometry, q, twf.cutoff)
+    if k == 1:
+        return twf
     return convolve(_convolution_power(twf, k - 1, q), twf, q)
 
 
@@ -657,8 +668,10 @@ def neck_identity(twf: RelSeries, n: int, q: IntersectionMatrix) -> RelSeries:
     convolution.  When the residual square vanishes at the cutoff this equals
     the scattering matrix for every ``n >= 1``.  The powers come from the
     shared memo :func:`_convolution_power`, so the sums for several ``n`` on
-    one series convolve each power once.  They are powers of the full
-    ``twf``, never of its residual ``twf - unit``: the sum stays an
+    one series convolve each power once, and ``twf^0`` (the unit) and
+    ``twf^1`` (``twf`` itself) cost no convolution: the sums for ``n =
+    1..5`` convolve 8 times, for ``twf^2..twf^9``.  They are powers of the
+    full ``twf``, never of its residual ``twf - unit``: the sum stays an
     independent route to the inverse that :func:`s_matrix` computes.  The
     sum is reduced once, by :func:`~sumkit.series.linear_combination`.
     """

@@ -484,9 +484,12 @@ def linear_combination(pairs: Iterable[tuple[Coeff, GradedTable]]
     converted to a Fraction once per table, and the terms are summed by
     :func:`add_ratio`, reduced once at the end.  A term with coefficient 1
     on a key no other term reaches keeps its Fraction as is: a first table
-    with coefficient 1 and nothing to trim is copied whole, and a sum that
-    sent no term to :func:`add_ratio` is not reduced, so ``a + b`` with no
-    key shared costs a copy of ``a`` and one lookup per term of ``b``.
+    with coefficient 1 and nothing to trim is copied whole.  When a second
+    term reaches its key, the lone Fraction leaves ``acc`` as its integer
+    sum with that term, and only these sums go through :func:`reduced_sums`.
+    So ``a + b`` with no key shared costs a copy of ``a`` and one lookup per
+    term of ``b``, and ``a - b`` a copy of ``a`` and a sum per term of
+    ``b``, however large ``a`` is.
     """
     pairs = list(pairs)
     if not pairs:
@@ -496,15 +499,15 @@ def linear_combination(pairs: Iterable[tuple[Coeff, GradedTable]]
         first._check(t)
     cutoff = min(t.cutoff for _, t in pairs)
     grade = first._grade
-    acc: dict = {}
-    summed = False
+    acc: dict = {}  # keys only one term has reached, with its Fraction
+    sums: dict = {}  # the add_ratio sums of every other key
     for c, t in pairs:
         if not c:
             continue
         trim = t.cutoff > cutoff
         unit = c == 1
         if unit:
-            if not (trim or acc):
+            if not (trim or acc or sums):
                 acc = t.terms.copy()
                 continue
             cn = cd = 1
@@ -514,22 +517,25 @@ def linear_combination(pairs: Iterable[tuple[Coeff, GradedTable]]
         for key, v in t.terms.items():
             if trim and grade(key) > cutoff:
                 continue
-            if unit and key not in acc:
+            n, d = cn * v.numerator, cd * v.denominator
+            lone = acc.pop(key, None) if acc else None
+            if lone is not None:
+                sums[key] = [lone.numerator * d + n * lone.denominator,
+                             lone.denominator * d]
+            elif unit and key not in sums:
                 acc[key] = v
             else:
-                add_ratio(acc, key, cn * v.numerator, cd * v.denominator)
-                summed = True
-    return first._wrap(reduced_sums(acc) if summed else acc, cutoff)
+                add_ratio(sums, key, n, d)
+    acc.update(reduced_sums(sums))
+    return first._wrap(acc, cutoff)
 
 
 def add_ratio(acc: dict, key, n: int, d: int) -> None:
     """Add ``n/d`` to ``acc[key]``, an integer ``[numerator, denominator]``
-    multiplied up only when the denominators differ, or a lone Fraction."""
+    multiplied up only when the denominators differ."""
     s = acc.get(key)
     if s is None:
         acc[key] = [n, d]
-    elif type(s) is not list:
-        acc[key] = [s.numerator * d + n * s.denominator, s.denominator * d]
     elif s[1] == d:
         s[0] += n
     else:
@@ -545,8 +551,8 @@ def reduced_sums(acc: dict) -> dict:
     Fraction taken from the memo :func:`_ratio`, so equal values are mostly
     one shared object and a value met again costs no construction.  Equality
     never depends on that: a value built apart, unpickled, or rebuilt after
-    the memo dropped it compares by value.  A lone Fraction that
-    :func:`linear_combination` copied is kept as it is.
+    the memo dropped it compares by value.  A lone Fraction in ``acc`` is
+    kept as it is.
     """
     out = {}
     gcd = math.gcd

@@ -123,9 +123,12 @@ class TestDual:
 class TestGlueWeights:
     def test_length_and_weighted_dual(self):
         q = IntersectionMatrix([[0, 1], [1, Fraction(1, 2)]])
+        table = glue_weights(4, q)
+        # one entry per multiset of the degree
+        assert list(table) == enumerate_multisets(4, 2)
         for m in enumerate_multisets(4, 2):
             length, _, product, fact = multiset_stats(m)
-            got_length, duals = glue_weights(m, q)
+            got_length, duals = table[m]
             assert got_length == length
             assert {d: Fraction(n, den) for d, n, den in duals} == {
                 d: Fraction(product, fact) * w
@@ -134,6 +137,15 @@ class TestGlueWeights:
             for _, n, den in duals:
                 assert type(n) is int and type(den) is int and den > 0
                 assert math.gcd(n, den) == 1
+
+    def test_memoized_table_is_read_only(self):
+        q = IntersectionMatrix.sphere_pairing()
+        table = glue_weights(2, q)
+        m = ContactMultiset([((2, 0), 1)])
+        with pytest.raises(TypeError):
+            table[m] = (0, ())
+        assert glue_weights(2, q) is table
+        assert table[m] == (1, ((ContactMultiset([((2, 1), 1)]), 2, 1),))
 
     def test_memo_is_filled_through_dual_multiset(self, monkeypatch):
         import sumkit.contacts as contacts
@@ -146,9 +158,8 @@ class TestGlueWeights:
 
         monkeypatch.setattr(contacts, "dual_multiset", counting)
         q = IntersectionMatrix([[0, 1], [1, Fraction(1, 11)]])  # a fresh key
-        m = ContactMultiset([((2, 0), 1), ((1, 1), 2)])
-        assert glue_weights(m, q) == glue_weights(m, q)
-        assert calls == [m]
+        assert glue_weights(3, q) == glue_weights(3, q)
+        assert calls == enumerate_multisets(3, 2)
 
 
 class TestProperties:

@@ -14,7 +14,7 @@ from sumkit.elliptic import (
     sigma_series,
 )
 from sumkit.oracles import divisor_sum
-from sumkit.series import Series, geometric_inverse
+from sumkit.series import Series, SeriesError, geometric_inverse
 
 
 def series_ring_product(cutoff):
@@ -86,46 +86,50 @@ class TestGenusZero:
 
 class TestGenusLadder:
     def test_genus_zero_case(self):
-        assert fg(0, 20) == f0_product(20)
+        assert fg(0, 20, f0_product(25)) == f0_product(20)
 
     def test_genus_one_constant_term(self):
-        assert fg(1, 10).coefficient({"t": 0}) == 1
+        assert fg(1, 10, f0_product(10)).coefficient({"t": 0}) == 1
 
     def test_genus_two_consistency(self):
         gprime = sigma_series(13).differentiate("t")
-        assert fg(2, 12) == fg(1, 12) * gprime.truncate(12)
+        f0 = f0_product(12)
+        assert fg(2, 12, f0) == fg(1, 12, f0) * gprime.truncate(12)
 
     def test_rejects_negative_genus(self):
         with pytest.raises(ValueError):
-            fg(-1, 5)
+            fg(-1, 5, f0_product(5))
 
 
 class TestGenusOneRoutes:
     def test_identities_agree_to_order_100(self):
-        assert genus1_via_fiber_recursion(100) == genus1_via_fiber_sum(100)
+        f0 = f0_product(101)
+        assert genus1_via_fiber_recursion(100, f0) \
+            == genus1_via_fiber_sum(100, f0)
 
     def test_constant_term(self):
-        h = genus1_via_fiber_recursion(6)
+        h = genus1_via_fiber_recursion(6, f0_product(7))
         assert h.coefficient({"t": 0}) == Fraction(-1, 12)
 
     def test_linear_term(self):
-        assert genus1_via_fiber_sum(6).coefficient({"t": 1}) == 1
+        h = genus1_via_fiber_sum(6, f0_product(6))
+        assert h.coefficient({"t": 1}) == 1
 
     def test_denominators_divide_24(self):
-        h = genus1_via_fiber_recursion(50)
+        h = genus1_via_fiber_recursion(50, f0_product(51))
         for n in range(51):
             assert 24 % h.coefficient({"t": n}).denominator == 0
 
 
 class TestSplitSuite:
     def test_residuals_vanish(self):
-        residuals = lsplit_suite(3, 40)
+        residuals = lsplit_suite(3, 40, f0_product(40))
         assert residuals, "empty report"
         for name, series in residuals.items():
             assert series.is_zero(), name
 
     def test_identity_names_present(self):
-        residuals = lsplit_suite(2, 10)
+        residuals = lsplit_suite(2, 10, f0_product(10))
         assert "fv1-point-vanishes" in residuals
         assert "ladder-g2" in residuals
         assert "closed-form-g1" in residuals
@@ -133,4 +137,38 @@ class TestSplitSuite:
 
     def test_rejects_zero_genus_bound(self):
         with pytest.raises(ValueError):
-            lsplit_suite(0, 10)
+            lsplit_suite(0, 10, f0_product(10))
+
+
+class TestSharedGenusZeroSeries:
+    def test_identity_residuals_build_the_product_once(self, monkeypatch):
+        import sumkit.elliptic as elliptic
+        calls = []
+        original = elliptic.euler_product
+
+        def counted(k, cutoff):
+            calls.append((k, cutoff))
+            return original(k, cutoff)
+
+        monkeypatch.setattr(elliptic, "euler_product", counted)
+        residuals = elliptic.identity_residuals(3, 30)
+        assert calls == [(12, 31)]
+        monkeypatch.undo()
+        # the names and order of the suite, each route building its own F0
+        routes = {"recursion-vs-product": f0_via_ode(30) - f0_product(30),
+                  "genus1-two-routes":
+                  genus1_via_fiber_recursion(30, f0_product(31))
+                  - genus1_via_fiber_sum(30, f0_product(30)),
+                  **lsplit_suite(3, 30, f0_product(30))}
+        assert list(residuals) == list(routes)
+        assert residuals == routes
+
+    def test_a_longer_series_given_is_truncated(self):
+        f0 = f0_product(25)
+        assert fg(2, 20, f0) == fg(2, 20, f0_product(20))
+        assert genus1_via_fiber_recursion(20, f0) \
+            == genus1_via_fiber_recursion(20, f0_product(21))
+        assert genus1_via_fiber_sum(20, f0) \
+            == genus1_via_fiber_sum(20, f0_product(20))
+        with pytest.raises(SeriesError):
+            genus1_via_fiber_recursion(25, f0)

@@ -12,7 +12,12 @@ from fractions import Fraction
 import pytest
 
 from sumkit import gluing
-from sumkit.contacts import ContactMultiset, IntersectionMatrix, enumerate_multisets
+from sumkit.contacts import (
+    ContactMultiset,
+    IntersectionMatrix,
+    enumerate_multisets,
+    glue_weights,
+)
 from sumkit.gluing import (
     Geometry,
     GluingError,
@@ -300,6 +305,53 @@ class TestConvolve:
             y = random_two_ended(rng, geo, 3, 2)
             assert convolve(x, y, q) == convolve_via_operator(x, y, q)
 
+    def test_operator_route_agrees_with_tags_and_unmatched_ends(self):
+        # y has no fiber degree 2, so every x end of degree 2 meets nothing
+        rng = random.Random(47)
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        q = IntersectionMatrix([[0, 1], [1, Fraction(1, 2)]])
+
+        def tagged(max_fiber):
+            terms = {}
+            while len(terms) < 5:
+                d = rng.randint(0, max_fiber)
+                options = enumerate_multisets(d, 2)
+                key = RelKey((d, rng.randint(0, 3 - d)),
+                             2 * rng.randint(-1, 1),
+                             (rng.choice(options), rng.choice(options)),
+                             rng.choice(("1", "p", "q;p")))
+                terms[key] = Fraction(rng.choice((-3, -1, 1, 2)),
+                                      rng.randint(1, 3))
+            return RelSeries(geo, 2, 3, terms)
+
+        unmatched = 0
+        for _ in range(15):
+            x, y = tagged(2), tagged(1)
+            unmatched += sum(k.class_key[0] == 2 for k in x.terms)
+            glued = convolve(x, y, q)
+            assert glued == convolve_via_operator(x, y, q)
+        assert unmatched
+
+    def test_x_class_of_a_degree_y_lacks_builds_no_table(self, monkeypatch):
+        # y starts only on degree-1 ends, so x's degree-2 class is skipped
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        x = RelSeries(geo, 2, 4, {
+            RelKey((1, 1), 0, (single(1, 0), single(1, 0))): 2,
+            RelKey((2, 1), 0, (single(2, 0), single(2, 1))): 3})
+        y = RelSeries(geo, 2, 4, {
+            RelKey((1, 0), 2, (single(1, 1), single(1, 0))): 5})
+        degrees = []
+
+        def recorded(degree, q):
+            degrees.append(degree)
+            return glue_weights(degree, q)
+
+        monkeypatch.setattr(gluing, "glue_weights", recorded)
+        glued = convolve(x, y, SPHERE)
+        assert degrees == [1]
+        assert glued == convolve_via_operator(x, y, SPHERE)
+        assert not glued.is_zero()
+
     def test_products_over_different_denominators_add_or_cancel(self):
         # x(a) y(b) and x(b) y(a) both land on the class (0, 3): over the
         # denominators 2 and 3 they add to 5/6, over 2 and 6 they cancel
@@ -384,8 +436,35 @@ class TestScattering:
                 expected = expected + powers[k - 1].scale(
                     (-1) ** (k - 1) * math.comb(2 * n, k))
             assert neck_identity(twf, n, SPHERE) == expected
-        # T^1..T^9 once each, where separate sums would convolve 25 times
-        assert len(calls) == 9
+        # T^2..T^9 once each (T^1 is twf itself), where separate sums
+        # would convolve 25 times
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("cutoff, base", [
+        (4, 3), (5, 3), (6, 4), (4, 2), (6, 2), (4, 1)])
+    def test_s_matrix_convolves_once_per_power_past_the_first(
+            self, monkeypatch, cutoff, base):
+        # every term of r has base grade `base`, so r^(k+1) is the first
+        # zero power for k = cutoff // base: R^2..R^(k+1) cost k
+        # convolutions, one for a square-zero residual (base > cutoff / 2)
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        ident = identity_element(geo, SPHERE, cutoff)
+        none = (ContactMultiset(), ContactMultiset())
+        r = RelSeries(geo, 2, cutoff, {
+            RelKey((0, base), 0, none): 5,
+            RelKey((1, base), 2, (single(1, 0), single(1, 1))): -2})
+        twf = ident + r
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return convolve(*args, **kwargs)
+
+        monkeypatch.setattr(gluing, "convolve", counted)
+        s = s_matrix(twf, SPHERE)
+        assert len(calls) == cutoff // base
+        monkeypatch.undo()
+        assert convolve(s, twf, SPHERE) == ident == convolve(twf, s, SPHERE)
 
     def test_neck_identity_of_unit(self):
         geo = neck_geometry(base_dim=1, v_basis=1)
@@ -612,6 +691,11 @@ def _exp_log(rng, geo, ident):
     return [tw, gw_from_tw(tw), tw_from_gw(gw.scale(-1)), gw_from_tw(ident)]
 
 
+def _overdraw_base(k1, k2, deg_m):
+    """Neck gluing that takes 3 more from the base than the factors hold."""
+    return (k1[0] + k2[0] - deg_m, k1[1] + k2[1] - 3)
+
+
 class TestTrustedResults:
     """Algebra results skip revalidation; they must still pass it."""
 
@@ -690,6 +774,42 @@ class TestTrustedResults:
 
         with pytest.raises(GluingError, match="negative grading"):
             convolve(x, y, POINT, glue=overdraw_base)
+
+    @staticmethod
+    def _pair_meeting(meets):
+        # x's last end (1, 0) pairs under SPHERE only with a first end (1, 1)
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        first = single(1, 1) if meets else single(1, 0)
+        x = RelSeries(geo, 2, 4, {
+            RelKey((1, 1), 0, (single(1, 0), single(1, 0))): 2})
+        y = RelSeries(geo, 2, 4, {RelKey((1, 0), 2, (first, single(1, 0))): 3})
+        return x, y
+
+    @pytest.mark.parametrize("glue, message", [
+        (_overdraw_base, "negative grading"),
+        (lambda k1, k2, deg_m: (k1[1] + k2[1],), "wrong dimension"),
+    ])
+    def test_invalid_glued_class_raises_only_where_terms_meet(self, glue,
+                                                              message):
+        x, y = self._pair_meeting(meets=False)
+        assert convolve(x, y, SPHERE, glue=glue).is_zero()
+        x, y = self._pair_meeting(meets=True)
+        with pytest.raises(GluingError, match=message):
+            convolve(x, y, SPHERE, glue=glue)
+
+    def test_invalid_glued_class_whose_terms_cancel_does_not_raise(self):
+        # x(a) y(b) and x(b) y(a) land on one key with opposite signs
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        a, b = single(1, 0), single(1, 1)
+        x = RelSeries(geo, 2, 4, {RelKey((1, 1), 0, (a, a)): 1,
+                                  RelKey((1, 1), 0, (a, b)): 1})
+        y = RelSeries(geo, 2, 4, {RelKey((1, 0), 0, (b, a)): 1,
+                                  RelKey((1, 0), 0, (a, a)): -1})
+        assert convolve(x, y, SPHERE, glue=_overdraw_base).is_zero()
+        # without the cancelling term, the surviving term raises
+        y_one = RelSeries(geo, 2, 4, {RelKey((1, 0), 0, (b, a)): 1})
+        with pytest.raises(GluingError, match="negative grading"):
+            convolve(x, y_one, SPHERE, glue=_overdraw_base)
 
 
 # -- pickling and copying --------------------------------------------------------
