@@ -28,6 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -59,7 +60,7 @@ class GluingError(ValueError):
 def _dot(vec: tuple[int, ...], key: ClassKey) -> int:
     if len(vec) != len(key):
         raise GluingError("class key has wrong dimension")
-    return sum(a * b for a, b in zip(vec, key))
+    return sum(map(mul, vec, key))
 
 
 @dataclass(frozen=True)
@@ -650,41 +651,57 @@ def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
 
 
 @functools.lru_cache(maxsize=16)
-def _convolution_power(twf: RelSeries, k: int,
-                       q: IntersectionMatrix) -> RelSeries:
-    """``twf^k`` under convolution, each power built on the one below; the
-    zeroth is the unit and the first ``twf`` itself, neither convolved."""
-    if k == 0:
-        return identity_element(twf.geometry, q, twf.cutoff)
-    if k == 1:
-        return twf
-    return convolve(_convolution_power(twf, k - 1, q), twf, q)
+def _convolution_power(twf: RelSeries, k: int, q: IntersectionMatrix
+                       ) -> tuple[RelSeries, RelSeries]:
+    """The pair ``(T^k, D_k)`` for ``k >= 2``, where ``T = twf`` under
+    convolution and ``D_k = T^k - T^(k-1)`` is the step up to it.
+
+    ``T^2`` is the one full convolution ``T * T``, and ``D_2 = T^2 - T``.
+    Past it, ``D_k = D_(k-1) * T`` and ``T^k = T^(k-1) + D_k``, which is
+    exact because convolution is linear in its left factor:
+    ``D_(k-1) * T = T^(k-1) * T - T^(k-2) * T``.  A step holds only what
+    the unit does not, so each power past the second costs one small
+    convolution.  No ``twf - unit`` is formed: the unit's own products
+    stay inside ``T * T``, and every step is a difference of powers of the
+    full ``twf``.
+    """
+    if k == 2:
+        power = convolve(twf, twf, q)
+        return power, linear_combination([(1, power), (-1, twf)])
+    below, step = _convolution_power(twf, k - 1, q)
+    step = convolve(step, twf, q)
+    return linear_combination([(1, below), (1, step)]), step
 
 
 def neck_identity(twf: RelSeries, n: int, q: IntersectionMatrix) -> RelSeries:
     """Alternating binomial sum of convolution powers from an n-fold neck cut.
 
-    Evaluates ``sum_{k=1..2n} (-1)^(k-1) C(2n, k) * twf^(k-1)`` under
-    convolution.  When the residual square vanishes at the cutoff this equals
-    the scattering matrix for every ``n >= 1``.  The powers come from the
-    shared memo :func:`_convolution_power`, so the sums for several ``n`` on
-    one series convolve each power once, and ``twf^0`` (the unit) and
-    ``twf^1`` (``twf`` itself) cost no convolution: the sums for ``n =
-    1..5`` convolve 8 times, for ``twf^2..twf^9``.  They are powers of the
-    full ``twf``, never of its residual ``twf - unit``: the sum stays an
-    independent route to the inverse that :func:`s_matrix` computes.  The
-    sum is reduced once, by :func:`~sumkit.series.linear_combination`.
+    Evaluates ``sum_{k=1..2n} c_k * T^(k-1)`` under convolution, where
+    ``T = twf`` and ``c_k = (-1)^(k-1) C(2n, k)``.  When the residual square
+    vanishes at the cutoff this equals the scattering matrix for every
+    ``n >= 1``.  The sum is regrouped through the steps ``D_i = T^i -
+    T^(i-1)`` of :func:`_convolution_power`: since ``T^j = T^2 + sum_{i=3..j}
+    D_i``, it equals ``c_1 * unit + c_2 * T + (sum_{k>=3} c_k) * T^2 +
+    sum_{i=3..2n-1} (sum_{k>i} c_k) * D_i``, so it reads three full tables
+    and the small steps, and is reduced once, by
+    :func:`~sumkit.series.linear_combination`.  The memo is shared, so the
+    sums for ``n = 1..5`` on one series convolve 8 times, for ``T^2`` and
+    the steps ``D_3..D_9``, and ``n = 1`` convolves nothing.  Every term is
+    a power of the full ``twf`` or a difference of two, never of its
+    residual ``twf - unit``: the sum stays an independent route to the
+    inverse that :func:`s_matrix` computes.
     """
     if n < 1:
         raise GluingError("neck count must be >= 1")
     if twf.end_count != 2:
         raise GluingError("scattering input must be two-ended")
-    pairs = [(2 * n, _convolution_power(twf, 0, q))]
-    for k in range(2, 2 * n + 1):
-        power = _convolution_power(twf, k - 1, q)
-        if power.is_zero():
-            break
-        pairs.append(((-1) ** (k - 1) * math.comb(2 * n, k), power))
+    pairs = [(2 * n, identity_element(twf.geometry, q, twf.cutoff)),
+             (-math.comb(2 * n, 2), twf)]
+    for i in range(2, 2 * n):
+        # sum_{k>i} c_k = (-1)^i C(2n-1, i), on T^2 for i = 2, else on D_i
+        power, step = _convolution_power(twf, i, q)
+        pairs.append(((-1) ** i * math.comb(2 * n - 1, i),
+                      power if i == 2 else step))
     return linear_combination(pairs)
 
 

@@ -376,6 +376,24 @@ class TestConvolve:
             convolve(ident, ident, SPHERE)
 
 
+def _double_one_degree_one_glue_weight(monkeypatch):
+    """Make ``convolve`` glue with the first dual weight of the least
+    degree-1 multiset doubled."""
+    real = glue_weights
+
+    def doubled(degree, q):
+        table = real(degree, q)
+        if degree != 1:
+            return table
+        table = dict(table)
+        m = min(table)
+        length, ((dual, wn, wd), *rest) = table[m]
+        table[m] = (length, ((dual, 2 * wn, wd), *rest))
+        return table
+
+    monkeypatch.setattr(gluing, "glue_weights", doubled)
+
+
 class TestScattering:
     def test_scattering_of_unit_is_unit(self):
         geo = neck_geometry(base_dim=1, v_basis=1)
@@ -436,9 +454,65 @@ class TestScattering:
                 expected = expected + powers[k - 1].scale(
                     (-1) ** (k - 1) * math.comb(2 * n, k))
             assert neck_identity(twf, n, SPHERE) == expected
-        # T^2..T^9 once each (T^1 is twf itself), where separate sums
-        # would convolve 25 times
+        # T^2 and the steps D_3..D_9 once each (T^1 is twf itself), where
+        # separate sums would convolve 25 times
         assert len(calls) == 8
+        # only T^2 is a full product; with r * r = 0 every step D_k is
+        # T^(k-1) * r = r, the left factor of each later call
+        assert calls[0][0] == twf
+        assert all(args[0] == r for args in calls[1:])
+
+    @pytest.mark.parametrize("base, doubled", [
+        (3, False), (1, False), (1, True), (3, True)])
+    def test_powers_equal_repeated_convolution(self, monkeypatch, base,
+                                               doubled):
+        # base 3 > cutoff / 2 makes the residual square-zero; a doubled
+        # degree-1 glue weight keeps convolution linear but breaks the unit
+        # law, so powers built from twf - unit would no longer match
+        rng = random.Random(47 + base)
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        cutoff = 5
+        ident = identity_element(geo, SPHERE, cutoff)
+        r = random_two_ended(rng, geo, cutoff, 2, min_base=base)
+        twf = ident + r
+        if doubled:
+            _double_one_degree_one_glue_weight(monkeypatch)
+        gluing._convolution_power.cache_clear()
+        try:
+            powers = [ident, twf]
+            for _ in range(8):
+                powers.append(convolve(powers[-1], twf, SPHERE))
+            for k in range(2, 10):
+                power, step = gluing._convolution_power(twf, k, SPHERE)
+                assert power == powers[k], k
+                assert step == powers[k] - powers[k - 1], k
+                if base == 3 and not doubled:
+                    assert step == r, k
+            if doubled:
+                assert twf + convolve(twf - ident, twf, SPHERE) != powers[2]
+        finally:
+            gluing._convolution_power.cache_clear()
+
+    def test_neck_sums_fail_where_the_unit_law_does(self, monkeypatch):
+        # a doubled degree-1 glue weight: s_matrix of a square-zero series
+        # is unit - r either way, but every neck sum that convolves (n >= 2)
+        # meets unit * unit and moves off it
+        rng = random.Random(48)
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        cutoff = 5
+        ident = identity_element(geo, SPHERE, cutoff)
+        r = random_two_ended(rng, geo, cutoff, 2, min_base=cutoff // 2 + 1)
+        twf = ident + r
+        s = s_matrix(twf, SPHERE)
+        _double_one_degree_one_glue_weight(monkeypatch)
+        gluing._convolution_power.cache_clear()
+        try:
+            assert s_matrix(twf, SPHERE) == s == ident - r
+            assert neck_identity(twf, 1, SPHERE) == s
+            for n in range(2, 6):
+                assert neck_identity(twf, n, SPHERE) != s, n
+        finally:
+            gluing._convolution_power.cache_clear()
 
     @pytest.mark.parametrize("cutoff, base", [
         (4, 3), (5, 3), (6, 4), (4, 2), (6, 2), (4, 1)])
