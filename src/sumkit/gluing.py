@@ -651,26 +651,21 @@ def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
 
 
 @functools.lru_cache(maxsize=16)
-def _convolution_power(twf: RelSeries, k: int, q: IntersectionMatrix
-                       ) -> tuple[RelSeries, RelSeries]:
-    """The pair ``(T^k, D_k)`` for ``k >= 2``, where ``T = twf`` under
-    convolution and ``D_k = T^k - T^(k-1)`` is the step up to it.
+def _neck_step(twf: RelSeries, k: int, q: IntersectionMatrix) -> RelSeries:
+    """The step ``D_k = T^k - T^(k-1)`` for ``k >= 2``, where ``T = twf``
+    under convolution.
 
-    ``T^2`` is the one full convolution ``T * T``, and ``D_2 = T^2 - T``.
-    Past it, ``D_k = D_(k-1) * T`` and ``T^k = T^(k-1) + D_k``, which is
-    exact because convolution is linear in its left factor:
-    ``D_(k-1) * T = T^(k-1) * T - T^(k-2) * T``.  A step holds only what
-    the unit does not, so each power past the second costs one small
-    convolution.  No ``twf - unit`` is formed: the unit's own products
-    stay inside ``T * T``, and every step is a difference of powers of the
-    full ``twf``.
+    ``D_2 = T * T - T`` is the one full convolution.  Past it, ``D_k =
+    D_(k-1) * T``, which is exact because convolution is linear in its left
+    factor: ``D_(k-1) * T = T^k - T^(k-1)``.  A step holds only what the
+    unit does not, so each step past the second costs one small
+    convolution, and no power ``T^k`` is kept.  No ``twf - unit`` is
+    formed: the unit's own products stay inside ``T * T``, and every step
+    is a difference of powers of the full ``twf``.
     """
     if k == 2:
-        power = convolve(twf, twf, q)
-        return power, linear_combination([(1, power), (-1, twf)])
-    below, step = _convolution_power(twf, k - 1, q)
-    step = convolve(step, twf, q)
-    return linear_combination([(1, below), (1, step)]), step
+        return linear_combination([(1, convolve(twf, twf, q)), (-1, twf)])
+    return convolve(_neck_step(twf, k - 1, q), twf, q)
 
 
 def neck_identity(twf: RelSeries, n: int, q: IntersectionMatrix) -> RelSeries:
@@ -680,29 +675,26 @@ def neck_identity(twf: RelSeries, n: int, q: IntersectionMatrix) -> RelSeries:
     ``T = twf`` and ``c_k = (-1)^(k-1) C(2n, k)``.  When the residual square
     vanishes at the cutoff this equals the scattering matrix for every
     ``n >= 1``.  The sum is regrouped through the steps ``D_i = T^i -
-    T^(i-1)`` of :func:`_convolution_power`: since ``T^j = T^2 + sum_{i=3..j}
-    D_i``, it equals ``c_1 * unit + c_2 * T + (sum_{k>=3} c_k) * T^2 +
-    sum_{i=3..2n-1} (sum_{k>i} c_k) * D_i``, so it reads three full tables
-    and the small steps, and is reduced once, by
+    T^(i-1)`` of :func:`_neck_step`: since ``T^j = T + sum_{i=2..j} D_i``
+    and ``sum_{k>i} c_k = (-1)^i C(2n-1, i)``, it equals ``2n * unit +
+    (1 - 2n) * T + sum_{i=2..2n-1} (-1)^i C(2n-1, i) * D_i``, so it reads
+    two full tables and the steps, and is reduced once, by
     :func:`~sumkit.series.linear_combination`.  The memo is shared, so the
-    sums for ``n = 1..5`` on one series convolve 8 times, for ``T^2`` and
-    the steps ``D_3..D_9``, and ``n = 1`` convolves nothing.  Every term is
-    a power of the full ``twf`` or a difference of two, never of its
-    residual ``twf - unit``: the sum stays an independent route to the
-    inverse that :func:`s_matrix` computes.
+    sums for ``n = 1..5`` on one series convolve 8 times, for the steps
+    ``D_2..D_9``, and ``n = 1`` convolves nothing.  Every term is a power
+    of the full ``twf`` or a difference of two, never of its residual
+    ``twf - unit``: the sum stays an independent route to the inverse that
+    :func:`s_matrix` computes.
     """
     if n < 1:
         raise GluingError("neck count must be >= 1")
     if twf.end_count != 2:
         raise GluingError("scattering input must be two-ended")
-    pairs = [(2 * n, identity_element(twf.geometry, q, twf.cutoff)),
-             (-math.comb(2 * n, 2), twf)]
-    for i in range(2, 2 * n):
-        # sum_{k>i} c_k = (-1)^i C(2n-1, i), on T^2 for i = 2, else on D_i
-        power, step = _convolution_power(twf, i, q)
-        pairs.append(((-1) ** i * math.comb(2 * n - 1, i),
-                      power if i == 2 else step))
-    return linear_combination(pairs)
+    return linear_combination(
+        [(2 * n, identity_element(twf.geometry, q, twf.cutoff)),
+         (1 - 2 * n, twf)]
+        + [((-1) ** i * math.comb(2 * n - 1, i), _neck_step(twf, i, q))
+           for i in range(2, 2 * n)])
 
 
 # -- dimension bookkeeping ----------------------------------------------------

@@ -77,3 +77,11 @@ def test_catalog_consistency_fails_on_a_corrupted_ruled_value(monkeypatch):
     monkeypatch.setattr(catalog, "ruled_rel", corrupted)
     result = checks.check_catalog()
     assert not result.passed and "(1, 1, 1)" in result.detail
+
+
+@pytest.mark.parametrize("name", [
+    "scattering-algebra", "convolution-routes", "catalog-consistency"])
+def test_gluing_checks_fail_on_a_doubled_glue_weight(name,
+                                                     doubled_glue_weight):
+    check, = [check for check in checks.ALL_CHECKS if check.name == name]
+    assert not check().passed

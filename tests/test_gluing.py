@@ -376,22 +376,12 @@ class TestConvolve:
             convolve(ident, ident, SPHERE)
 
 
-def _double_one_degree_one_glue_weight(monkeypatch):
-    """Make ``convolve`` glue with the first dual weight of the least
-    degree-1 multiset doubled."""
-    real = glue_weights
-
-    def doubled(degree, q):
-        table = real(degree, q)
-        if degree != 1:
-            return table
-        table = dict(table)
-        m = min(table)
-        length, ((dual, wn, wd), *rest) = table[m]
-        table[m] = (length, ((dual, 2 * wn, wd), *rest))
-        return table
-
-    monkeypatch.setattr(gluing, "glue_weights", doubled)
+@pytest.fixture
+def fresh_neck_steps():
+    """Clear the neck step memo before and after a test."""
+    gluing._neck_step.cache_clear()
+    yield
+    gluing._neck_step.cache_clear()
 
 
 class TestScattering:
@@ -429,7 +419,8 @@ class TestScattering:
             for n in range(1, 6):
                 assert neck_identity(twf, n, SPHERE) == s
 
-    def test_neck_sums_convolve_each_power_once(self, monkeypatch):
+    def test_neck_sums_convolve_each_power_once(self, monkeypatch,
+                                                fresh_neck_steps):
         rng = random.Random(44)
         geo = neck_geometry(base_dim=1, v_basis=2)
         cutoff = 5
@@ -441,34 +432,45 @@ class TestScattering:
         for _ in range(9):
             powers.append(convolve(powers[-1], twf, SPHERE))
         calls = []
+        combinations = []
+        linear_combination = gluing.linear_combination
 
         def counted(*args, **kwargs):
             calls.append(args)
             return convolve(*args, **kwargs)
 
+        def counted_combination(pairs):
+            combinations.append(pairs)
+            return linear_combination(pairs)
+
         monkeypatch.setattr(gluing, "convolve", counted)
-        gluing._convolution_power.cache_clear()
+        monkeypatch.setattr(gluing, "linear_combination",
+                            counted_combination)
         for n in range(1, 6):
             expected = RelSeries(geo, 2, cutoff)
             for k in range(1, 2 * n + 1):
                 expected = expected + powers[k - 1].scale(
                     (-1) ** (k - 1) * math.comb(2 * n, k))
             assert neck_identity(twf, n, SPHERE) == expected
-        # T^2 and the steps D_3..D_9 once each (T^1 is twf itself), where
-        # separate sums would convolve 25 times
+        # D_2..D_9 once each (T^1 is twf itself), where separate sums
+        # would convolve 25 times
         assert len(calls) == 8
-        # only T^2 is a full product; with r * r = 0 every step D_k is
+        # one combination forms D_2 and one reduces each sum; no power
+        # T^k is summed up from the steps
+        assert len(combinations) == 6
+        # only T * T is a full product; with r * r = 0 every step D_k is
         # T^(k-1) * r = r, the left factor of each later call
         assert calls[0][0] == twf
         assert all(args[0] == r for args in calls[1:])
 
     @pytest.mark.parametrize("base, doubled", [
         (3, False), (1, False), (1, True), (3, True)])
-    def test_powers_equal_repeated_convolution(self, monkeypatch, base,
+    def test_powers_equal_repeated_convolution(self, request,
+                                               fresh_neck_steps, base,
                                                doubled):
         # base 3 > cutoff / 2 makes the residual square-zero; a doubled
         # degree-1 glue weight keeps convolution linear but breaks the unit
-        # law, so powers built from twf - unit would no longer match
+        # law, so steps built from twf - unit would no longer match
         rng = random.Random(47 + base)
         geo = neck_geometry(base_dim=1, v_basis=2)
         cutoff = 5
@@ -476,24 +478,22 @@ class TestScattering:
         r = random_two_ended(rng, geo, cutoff, 2, min_base=base)
         twf = ident + r
         if doubled:
-            _double_one_degree_one_glue_weight(monkeypatch)
-        gluing._convolution_power.cache_clear()
-        try:
-            powers = [ident, twf]
-            for _ in range(8):
-                powers.append(convolve(powers[-1], twf, SPHERE))
-            for k in range(2, 10):
-                power, step = gluing._convolution_power(twf, k, SPHERE)
-                assert power == powers[k], k
-                assert step == powers[k] - powers[k - 1], k
-                if base == 3 and not doubled:
-                    assert step == r, k
-            if doubled:
-                assert twf + convolve(twf - ident, twf, SPHERE) != powers[2]
-        finally:
-            gluing._convolution_power.cache_clear()
+            request.getfixturevalue("doubled_glue_weight")
+        powers = [ident, twf]
+        for _ in range(8):
+            powers.append(convolve(powers[-1], twf, SPHERE))
+        total = twf
+        for k in range(2, 10):
+            step = gluing._neck_step(twf, k, SPHERE)
+            assert step == powers[k] - powers[k - 1], k
+            total = total + step
+            assert total == powers[k], k
+            if base == 3 and not doubled:
+                assert step == r, k
+        if doubled:
+            assert twf + convolve(twf - ident, twf, SPHERE) != powers[2]
 
-    def test_neck_sums_fail_where_the_unit_law_does(self, monkeypatch):
+    def test_neck_sums_fail_where_the_unit_law_does(self, request):
         # a doubled degree-1 glue weight: s_matrix of a square-zero series
         # is unit - r either way, but every neck sum that convolves (n >= 2)
         # meets unit * unit and moves off it
@@ -504,15 +504,11 @@ class TestScattering:
         r = random_two_ended(rng, geo, cutoff, 2, min_base=cutoff // 2 + 1)
         twf = ident + r
         s = s_matrix(twf, SPHERE)
-        _double_one_degree_one_glue_weight(monkeypatch)
-        gluing._convolution_power.cache_clear()
-        try:
-            assert s_matrix(twf, SPHERE) == s == ident - r
-            assert neck_identity(twf, 1, SPHERE) == s
-            for n in range(2, 6):
-                assert neck_identity(twf, n, SPHERE) != s, n
-        finally:
-            gluing._convolution_power.cache_clear()
+        request.getfixturevalue("doubled_glue_weight")
+        assert s_matrix(twf, SPHERE) == s == ident - r
+        assert neck_identity(twf, 1, SPHERE) == s
+        for n in range(2, 6):
+            assert neck_identity(twf, n, SPHERE) != s, n
 
     @pytest.mark.parametrize("cutoff, base", [
         (4, 3), (5, 3), (6, 4), (4, 2), (6, 2), (4, 1)])
@@ -613,8 +609,7 @@ class TestInternedKeys:
                 neck_identity(twf, n, SPHERE) for n in (1, 3)]
 
         before = compute()
-        for memo in (gluing._rel_key, gluing._convolution_power,
-                     identity_element):
+        for memo in (gluing._rel_key, gluing._neck_step, identity_element):
             memo.cache_clear()
         after = compute()
         assert after == before

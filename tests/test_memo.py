@@ -16,7 +16,7 @@ MEMOS = (
     contacts.glue_weights,
     gluing._rel_key,
     gluing.identity_element,
-    gluing._convolution_power,
+    gluing._neck_step,
     hurwitz._build_table,
     series._ratio,
     severi.tw_value,
