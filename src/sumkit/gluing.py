@@ -181,6 +181,9 @@ class RelKey:
     tag: str = "1"
 
     def __post_init__(self):
+        if type(self.chi) is not int:
+            raise GluingError(
+                f"Euler characteristic must be an int, got {self.chi!r}")
         if self.chi % 2:
             raise GluingError("Euler characteristic must be even")
         # keys are looked up far more often than built; hash the fields once
@@ -216,11 +219,11 @@ class RelSeries(GradedTable):
     """Truncated table of relative curve counts.
 
     Keys are :class:`RelKey` values graded by their class.  The constructor
-    checks that ``end_count`` is 0, 1 or 2 and that each key has
-    ``end_count`` contact multisets, a class of the geometry's dimension
-    with ``0 <= grade(class) <= cutoff``, on each end ``deg(contacts) ==
-    pair_v(class)``, and every contact label below ``v_basis``; it converts
-    coefficients to Fractions and drops zeros.
+    checks that ``end_count`` is 0, 1 or 2 and that each key is a
+    :class:`RelKey` with ``end_count`` contact multisets, a class of the
+    geometry's dimension with ``0 <= grade(class) <= cutoff``, on each end
+    ``deg(contacts) == pair_v(class)``, and every contact label below
+    ``v_basis``; it converts coefficients to Fractions and drops zeros.
     :func:`convolve` accepts any ``glue`` map, so it still checks each glued
     class, once per pair of input classes that has a pair of terms meeting.
     """
@@ -239,6 +242,8 @@ class RelSeries(GradedTable):
             # worked out once per call
             class_degree: dict[ClassKey, int] = {}
             for key, c in terms.items():
+                if not isinstance(key, RelKey):
+                    raise GluingError(f"key {key!r} is not a RelKey")
                 if type(c) is not Fraction:
                     c = Fraction(c)
                 if not c:
@@ -510,28 +515,18 @@ def convolve_via_operator(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
     gx = group(x, x.end_count - 1)
     gy = group(y, 0)
 
-    max_deg = 0
-    for (ax, _, _, _) in gx:
-        max_deg = max(max_deg, x.geometry.pair_v(ax))
+    max_deg = max((x.geometry.pair_v(ax) for ax, _, _, _ in gx), default=0)
     # weight-0 variables: these polynomials are exact, never truncated
-    names = []
-    for a in range(1, max_deg + 1):
-        for i in range(basis):
-            names.append((f"z{a}_{i}", 0))
-    for a in range(1, max_deg + 1):
-        for i in range(basis):
-            names.append((f"w{a}_{i}", 0))
-    ctx = VariableContext(*names) if names else VariableContext(("z1_0", 0))
-    poly_cutoff = 0
+    ctx = VariableContext(*[(f"{side}{a}_{i}", 0) for side in "zw"
+                            for a in range(1, max_deg + 1)
+                            for i in range(basis)] or [("z1_0", 0)])
 
     def packed(table: Mapping[ContactMultiset, Fraction], prefix: str) -> Series:
-        total = Series.zero(ctx, poly_cutoff)
-        for m, c in table.items():
-            _, _, _, fact = multiset_stats(m)
-            powers = {f"{prefix}{a}_{i}": n for (a, i), n in m}
-            total = total + Series.term(ctx, poly_cutoff, powers,
-                                        Fraction(c, fact))
-        return total
+        # distinct multisets are distinct monomials: nothing to sum
+        return Series(ctx, 0, {
+            ctx.exponents({f"{prefix}{a}_{i}": n for (a, i), n in m}):
+                Fraction(c, multiset_stats(m)[3])
+            for m, c in table.items()})
 
     out: dict[RelKey, Fraction] = {}
     zero_exps = (0,) * len(ctx)
@@ -544,8 +539,7 @@ def convolve_via_operator(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
             out_class = glue(ax, ay, deg_m)
             if out_geometry.grade(out_class) > cutoff:
                 continue
-            fy = packed(table_y, "w")
-            p = fx * fy
+            p = fx * packed(table_y, "w")
             k = 0
             while not p.is_zero():
                 c0 = p.terms.get(zero_exps)
@@ -553,22 +547,14 @@ def convolve_via_operator(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
                     key = RelKey(out_class, chi_x + chi_y - 2 * k,
                                  outer_x + outer_y, tag_mul(tag_x, tag_y))
                     out[key] = out.get(key, Fraction(0)) + c0
-                # apply the bilinear operator once and divide by the new count
+                # apply the bilinear operator once and divide by the new
+                # count; p at coefficient 0 keeps the header if no step is left
                 k += 1
-                nxt = Series.zero(ctx, poly_cutoff)
-                for a in range(1, deg_m + 1):
-                    for i in range(basis):
-                        dzi = p.differentiate(f"z{a}_{i}")
-                        if dzi.is_zero():
-                            continue
-                        for j in range(basis):
-                            if not q[i, j]:
-                                continue
-                            dd = dzi.differentiate(f"w{a}_{j}")
-                            if dd.is_zero():
-                                continue
-                            nxt = nxt + dd * (a * q[i, j])
-                p = nxt * Fraction(1, k)
+                p = linear_combination([(0, p)] + [
+                    (a * q[i, j] / k, dzi.differentiate(f"w{a}_{j}"))
+                    for a in range(1, deg_m + 1) for i in range(basis)
+                    if (dzi := p.differentiate(f"z{a}_{i}"))
+                    for j in range(basis) if q[i, j]])
     return RelSeries(out_geometry, out_ends, cutoff, out)
 
 

@@ -58,7 +58,13 @@ from typing import Sequence
 
 from sumkit.contacts import partitions
 from sumkit.oracles import branch_count_rh
-from sumkit.series import Series, VariableContext, add_ratio, reduced_sums
+from sumkit.series import (
+    Series,
+    VariableContext,
+    add_ratio,
+    linear_combination,
+    reduced_sums,
+)
 
 
 class HurwitzError(ValueError):
@@ -102,22 +108,19 @@ def cut_join_apply(g_series: Series, d_max: int) -> Series:
     """The right-hand side of the transport equation applied to a series."""
     ctx = g_series.context
     cutoff = g_series.cutoff
-    total = Series.zero(ctx, cutoff)
-    derivs = {}
-    for a in range(1, d_max + 1):
-        derivs[a] = g_series.differentiate(f"z{a}")
-    lam2 = Series.term(ctx, cutoff, {"lam": 2})
+    derivs = {a: g_series.differentiate(f"z{a}") for a in range(1, d_max + 1)}
+    # g_series at coefficient 0 sets the header and cutoff when d_max < 2
+    terms = [(0, g_series)]
     for i in range(1, d_max + 1):
-        for j in range(1, d_max + 1):
-            if i + j > d_max:
-                continue
-            z_ipj = Series.term(ctx, cutoff, {f"z{i + j}": 1})
+        for j in range(1, d_max + 1 - i):
+            join_monomial = Series.term(ctx, cutoff,
+                                        {f"z{i + j}": 1, "lam": 2})
             join = derivs[i].differentiate(f"z{j}") + derivs[i] * derivs[j]
-            total = total + z_ipj * lam2 * join * Fraction(i * j, 2)
+            terms.append((Fraction(i * j, 2), join_monomial * join))
             pair_powers = {f"z{i}": 2} if i == j else {f"z{i}": 1, f"z{j}": 1}
-            z_i_z_j = Series.term(ctx, cutoff, pair_powers)
-            total = total + z_i_z_j * derivs[i + j] * Fraction(i + j, 2)
-    return total
+            cut_monomial = Series.term(ctx, cutoff, pair_powers)
+            terms.append((Fraction(i + j, 2), cut_monomial * derivs[i + j]))
+    return linear_combination(terms)
 
 
 class CutJoinTable:

@@ -50,7 +50,8 @@ class VariableContext:
     Each entry is a name, a nonnegative integer weight, and a laurent flag.
     Entries may be given as ``"t"`` (weight 1), ``("t", weight)`` or
     ``("lam", 0, True)``.  Names must be unique, at most one variable may be
-    laurent, and a laurent variable must have weight 0.
+    laurent, and a laurent variable must have weight 0.  Immutable, since
+    every :class:`Series` header, and so every series memo key, holds it.
     """
 
     __slots__ = ("names", "weights", "laurent_index", "_index")
@@ -76,10 +77,19 @@ class VariableContext:
             weights.append(weight)
         if len(set(names)) != len(names):
             raise SeriesError("variable names must be unique")
-        self.names = tuple(names)
-        self.weights = tuple(weights)
-        self.laurent_index = laurent_index
-        self._index = {n: i for i, n in enumerate(names)}
+        object.__setattr__(self, "names", tuple(names))
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "laurent_index", laurent_index)
+        object.__setattr__(self, "_index",
+                           {n: i for i, n in enumerate(names)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VariableContext is immutable")
+
+    def __reduce__(self):
+        return VariableContext, tuple(
+            (name, weight, i == self.laurent_index)
+            for i, (name, weight) in enumerate(zip(self.names, self.weights)))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -551,19 +561,14 @@ def reduced_sums(acc: dict) -> dict:
     Fraction taken from the memo :func:`_ratio`, so equal values are mostly
     one shared object and a value met again costs no construction.  Equality
     never depends on that: a value built apart, unpickled, or rebuilt after
-    the memo dropped it compares by value.  A lone Fraction in ``acc`` is
-    kept as it is.
+    the memo dropped it compares by value.
     """
     out = {}
     gcd = math.gcd
-    for key, s in acc.items():
-        if type(s) is not list:
-            out[key] = s
-        else:
-            n, d = s
-            if n:
-                g = gcd(n, d)
-                out[key] = _ratio(n // g, d // g)
+    for key, (n, d) in acc.items():
+        if n:
+            g = gcd(n, d)
+            out[key] = _ratio(n // g, d // g)
     return out
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from sumkit import catalog, checks
+from sumkit import catalog, checks, hurwitz
 
 BUDGETS = {
     "severi-kontsevich": 10.0,
@@ -77,6 +77,18 @@ def test_catalog_consistency_fails_on_a_corrupted_ruled_value(monkeypatch):
     monkeypatch.setattr(catalog, "ruled_rel", corrupted)
     result = checks.check_catalog()
     assert not result.passed and "(1, 1, 1)" in result.detail
+
+
+def test_cut_join_residual_fails_on_a_doubled_hurwitz_number(monkeypatch):
+    hurwitz_number = hurwitz.hurwitz_number
+
+    def doubled(d, g, alpha):
+        value = hurwitz_number(d, g, alpha)
+        return 2 * value if (d, g, tuple(alpha)) == (3, 0, (2, 1)) else value
+
+    monkeypatch.setattr(hurwitz, "hurwitz_number", doubled)
+    result = checks.check_cut_join_residual()
+    assert not result.passed and "-4/3 z3^1 u^3" in result.detail
 
 
 @pytest.mark.parametrize("name", [

@@ -639,6 +639,16 @@ class TestInternedKeys:
             gluing._rel_key((1, 0), 3, (single(1), single(1)), "1")
         assert gluing._rel_key.cache_info().currsize == before
 
+    @pytest.mark.parametrize("chi", [2.0, "2"])
+    def test_chi_that_is_not_an_int_is_rejected(self, chi):
+        with pytest.raises(GluingError, match="must be an int, got"):
+            RelKey((1, 0), chi, (single(1), single(1)))
+
+    def test_key_that_is_not_a_relkey_is_rejected(self):
+        key = ((1, 0), 2, (single(1), single(1)), "1")
+        with pytest.raises(GluingError, match="is not a RelKey"):
+            RelSeries(neck_geometry(base_dim=1), 2, 3, {key: 1})
+
 
 class TestDimensions:
     def test_sphere_relative_two_points(self):

@@ -319,10 +319,6 @@ def test_reduced_sums_past_the_memo_bound_and_back():
                                   ).values()
     assert newest is first[size - 1]
     assert oldest == first[0] and oldest is not first[0]
-    lone = Fraction(7, 3)
-    assert reduced_sums({"x": lone, "y": [3, 9]}) == {"x": lone,
-                                                      "y": Fraction(1, 3)}
-    assert reduced_sums({"x": lone})["x"] is lone
 
 
 def test_equal_values_built_apart_share_one_object(table):

@@ -49,6 +49,14 @@ class TestContext:
             Series(c, 5, {c.exponents({"t": -1}): 1})
         Series(c, 5, {c.exponents({"lam": -4}): 1})  # fine
 
+    @pytest.mark.parametrize("field", [
+        "names", "weights", "laurent_index", "_index"])
+    def test_fields_cannot_be_assigned(self, field):
+        c = ctx()
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(c, field, getattr(c, field))
+        assert c == ctx()
+
 
 class TestAdd:
     def test_cancellation(self):
@@ -254,6 +262,10 @@ class TestImmutability:
         twin = duplicate(f)
         assert type(twin) is Series
         assert twin == f and hash(twin) == hash(f)
+        # the context is immutable, so it is rebuilt through its constructor
+        assert twin.context == f.context
+        assert twin.context.laurent_index == 1
+        assert twin.context.index("lam") == 1
 
     def test_unpickled_series_is_revalidated(self):
         bad = Series._trusted(ctx(), 1, {(3, 0): Fraction(1)})
