@@ -140,7 +140,8 @@ def tag_mul(t1: str, t2: str) -> str:
     """Commutative product of constraint tags.
 
     Tags are canonical strings: semicolon-joined sorted atoms, repeated atoms
-    contracted to ``atom^count``.  The unit tag is ``"1"``.
+    contracted to ``atom^count``; an atom whose count is 0 is dropped.  The
+    unit tag is ``"1"``.
     """
     counts: dict[str, int] = {}
     for t in (t1, t2):
@@ -154,13 +155,9 @@ def tag_mul(t1: str, t2: str) -> str:
                     counts[base] = counts.get(base, 0) + int(mult)
                     continue
             counts[atom] = counts.get(atom, 0) + 1
-    if not counts:
-        return "1"
-    parts = []
-    for atom in sorted(counts):
-        n = counts[atom]
-        parts.append(atom if n == 1 else f"{atom}^{n}")
-    return ";".join(parts)
+    parts = [atom if n == 1 else f"{atom}^{n}"
+             for atom, n in sorted(counts.items()) if n]
+    return ";".join(parts) or "1"
 
 
 @dataclass(frozen=True, order=True)
@@ -617,7 +614,7 @@ def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
     if twf.end_count != 2:
         raise GluingError("scattering input must be two-ended")
     ident = identity_element(twf.geometry, q, twf.cutoff)
-    # the unit's keys cancel in integers, with no Fraction per key
+    # the unit's keys cancel, by identity where twf shares its coefficients
     r = linear_combination([(1, twf), (-1, ident)])
     for key in r.terms:
         if _base_grading(twf.geometry, key.class_key) < 1:
@@ -638,17 +635,21 @@ def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
 
 @functools.lru_cache(maxsize=16)
 def _neck_step(twf: RelSeries, k: int, q: IntersectionMatrix) -> RelSeries:
-    """The step ``D_k = T^k - T^(k-1)`` for ``k >= 2``, where ``T = twf``
-    under convolution.
+    """The step ``D_k = T^k - T^(k-1)`` for ``k >= 1``, where ``T = twf``
+    under convolution and ``T^0`` is the unit.
 
-    ``D_2 = T * T - T`` is the one full convolution.  Past it, ``D_k =
-    D_(k-1) * T``, which is exact because convolution is linear in its left
-    factor: ``D_(k-1) * T = T^k - T^(k-1)``.  A step holds only what the
-    unit does not, so each step past the second costs one small
-    convolution, and no power ``T^k`` is kept.  No ``twf - unit`` is
-    formed: the unit's own products stay inside ``T * T``, and every step
-    is a difference of powers of the full ``twf``.
+    ``D_1 = T - unit`` is one sum.  ``D_2 = T * T - T`` is the one full
+    convolution.  Past it, ``D_k = D_(k-1) * T``, which is exact because
+    convolution is linear in its left factor: ``D_(k-1) * T = T^k -
+    T^(k-1)``.  A step holds only what the unit does not, so each step past
+    the second costs one small convolution, and no power ``T^k`` is kept.
+    ``D_1`` enters only the sum of :func:`neck_identity`, never a
+    convolution: the unit's own products stay inside ``T * T``, and every
+    convolved step is a difference of powers of the full ``twf``.
     """
+    if k == 1:
+        return linear_combination(
+            [(1, twf), (-1, identity_element(twf.geometry, q, twf.cutoff))])
     if k == 2:
         return linear_combination([(1, convolve(twf, twf, q)), (-1, twf)])
     return convolve(_neck_step(twf, k - 1, q), twf, q)
@@ -661,26 +662,27 @@ def neck_identity(twf: RelSeries, n: int, q: IntersectionMatrix) -> RelSeries:
     ``T = twf`` and ``c_k = (-1)^(k-1) C(2n, k)``.  When the residual square
     vanishes at the cutoff this equals the scattering matrix for every
     ``n >= 1``.  The sum is regrouped through the steps ``D_i = T^i -
-    T^(i-1)`` of :func:`_neck_step`: since ``T^j = T + sum_{i=2..j} D_i``
-    and ``sum_{k>i} c_k = (-1)^i C(2n-1, i)``, it equals ``2n * unit +
-    (1 - 2n) * T + sum_{i=2..2n-1} (-1)^i C(2n-1, i) * D_i``, so it reads
-    two full tables and the steps, and is reduced once, by
-    :func:`~sumkit.series.linear_combination`.  The memo is shared, so the
-    sums for ``n = 1..5`` on one series convolve 8 times, for the steps
-    ``D_2..D_9``, and ``n = 1`` convolves nothing.  Every term is a power
-    of the full ``twf`` or a difference of two, never of its residual
-    ``twf - unit``: the sum stays an independent route to the inverse that
-    :func:`s_matrix` computes.
+    T^(i-1)`` of :func:`_neck_step`: since ``T^j = unit + sum_{i=1..j}
+    D_i``, ``sum_k c_k = 1`` and ``sum_{k>i} c_k = (-1)^i C(2n-1, i)``, it
+    equals ``unit + sum_{i=1..2n-1} (-1)^i C(2n-1, i) * D_i``, reduced once
+    by :func:`~sumkit.series.linear_combination`.  The unit comes first
+    with coefficient 1, so it is copied whole, and every other table is a
+    step, which holds only what the unit does not.  The memo is shared, so
+    the sums for ``n = 1..5`` on one series hold the steps ``D_1..D_9`` and
+    convolve 8 times, for ``D_2..D_9``; ``n = 1`` convolves nothing.
+    ``D_1 = twf - unit`` enters only the sum; every convolved term is a
+    power of the full ``twf`` or a difference of two, never of its residual:
+    the sum stays an independent route to the inverse that :func:`s_matrix`
+    computes.
     """
     if n < 1:
         raise GluingError("neck count must be >= 1")
     if twf.end_count != 2:
         raise GluingError("scattering input must be two-ended")
     return linear_combination(
-        [(2 * n, identity_element(twf.geometry, q, twf.cutoff)),
-         (1 - 2 * n, twf)]
+        [(1, identity_element(twf.geometry, q, twf.cutoff))]
         + [((-1) ** i * math.comb(2 * n - 1, i), _neck_step(twf, i, q))
-           for i in range(2, 2 * n)])
+           for i in range(1, 2 * n)])
 
 
 # -- dimension bookkeeping ----------------------------------------------------

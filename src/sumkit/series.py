@@ -172,9 +172,10 @@ class GradedTable:
     the tables the operations build are mostly one shared object.  So
     ``==`` and the accumulators mostly meet the very same key and
     coefficient objects, which ``dict`` matches by identity before it calls
-    ``__eq__``.  That is only a fast path: equality never depends on
-    identity, and keys or coefficients built apart compare and hash by
-    value.
+    ``__eq__``, and :func:`linear_combination` cancels a coefficient minus
+    the very same object with no arithmetic.  These are only fast paths:
+    equality never depends on identity, and keys or coefficients built
+    apart compare, hash and cancel by value.
     """
 
     __slots__ = ("cutoff", "terms", "_hash")
@@ -497,9 +498,12 @@ def linear_combination(pairs: Iterable[tuple[Coeff, GradedTable]]
     with coefficient 1 and nothing to trim is copied whole.  When a second
     term reaches its key, the lone Fraction leaves ``acc`` as its integer
     sum with that term, and only these sums go through :func:`reduced_sums`.
-    So ``a + b`` with no key shared costs a copy of ``a`` and one lookup per
-    term of ``b``, and ``a - b`` a copy of ``a`` and a sum per term of
-    ``b``, however large ``a`` is.
+    A term with coefficient -1 that meets its key's lone Fraction as the
+    very same object cancels it with no arithmetic; an equal Fraction built
+    apart is summed, and its zero dropped, as any other.  So ``a + b`` with
+    no key shared costs a copy of ``a`` and one lookup per term of ``b``,
+    and ``a - b`` a copy of ``a`` and a sum per term of ``b``, however large
+    ``a`` is; a key both hold as one shared object costs one lookup.
     """
     pairs = list(pairs)
     if not pairs:
@@ -524,11 +528,14 @@ def linear_combination(pairs: Iterable[tuple[Coeff, GradedTable]]
         else:
             c = Fraction(c)
             cn, cd = c.numerator, c.denominator
+        negated = cn == -1 and cd == 1
         for key, v in t.terms.items():
             if trim and grade(key) > cutoff:
                 continue
-            n, d = cn * v.numerator, cd * v.denominator
             lone = acc.pop(key, None) if acc else None
+            if negated and lone is v:
+                continue
+            n, d = cn * v.numerator, cd * v.denominator
             if lone is not None:
                 sums[key] = [lone.numerator * d + n * lone.denominator,
                              lone.denominator * d]

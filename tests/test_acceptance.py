@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from sumkit import catalog, checks, hurwitz
+from sumkit import catalog, checks, hurwitz, severi
 
 BUDGETS = {
     "severi-kontsevich": 10.0,
@@ -97,3 +97,29 @@ def test_gluing_checks_fail_on_a_doubled_glue_weight(name,
                                                      doubled_glue_weight):
     check, = [check for check in checks.ALL_CHECKS if check.name == name]
     assert not check().passed
+
+
+@pytest.fixture
+def fresh_severi_memo():
+    """Clear the Severi memo before and after a test."""
+    severi.tw_value.cache_clear()
+    yield
+    severi.tw_value.cache_clear()
+
+
+def test_severi_kontsevich_fails_on_a_doubled_tangency_weight(
+        monkeypatch, fresh_severi_memo):
+    order_product = severi._order_product
+
+    def doubled(v):
+        value = order_product(v)
+        # the weight of one smoothed tangency of order 2
+        return 2 * value if v == (0, 1) else value
+
+    monkeypatch.setattr(severi, "_order_product", doubled)
+    result = checks.check_severi_kontsevich()
+    assert not result.passed
+    assert "[1, 1, 16, 1108, 182312] != [1, 1, 12, 620, 87304]" \
+        in result.detail
+    # the smooth counts never smooth a tangency
+    assert checks.check_smooth_curves().passed

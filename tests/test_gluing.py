@@ -187,6 +187,11 @@ class TestTags:
         assert tag_mul("p", "p") == "p^2"
         assert tag_mul("p^2", "p") == "p^3"
 
+    def test_zero_powers_are_dropped(self):
+        # equal tags name one key: p^0 is the unit, and p^0 * p is p
+        assert tag_mul("p^0", "1") == "1"
+        assert tag_mul("p^0", "p") == "p"
+
 
 class TestExpLog:
     def test_exp_of_zero_is_unit(self):
@@ -446,18 +451,29 @@ class TestScattering:
         monkeypatch.setattr(gluing, "convolve", counted)
         monkeypatch.setattr(gluing, "linear_combination",
                             counted_combination)
+        sums = []
         for n in range(1, 6):
             expected = RelSeries(geo, 2, cutoff)
             for k in range(1, 2 * n + 1):
                 expected = expected + powers[k - 1].scale(
                     (-1) ** (k - 1) * math.comb(2 * n, k))
             assert neck_identity(twf, n, SPHERE) == expected
-        # D_2..D_9 once each (T^1 is twf itself), where separate sums
-        # would convolve 25 times
+            sums.append(combinations[-1])
+        # D_2..D_9 once each (D_1 = twf - unit is a sum), where separate
+        # sums would convolve 25 times
         assert len(calls) == 8
-        # one combination forms D_2 and one reduces each sum; no power
-        # T^k is summed up from the steps
-        assert len(combinations) == 6
+        # one combination forms D_1, one D_2 and one reduces each sum; no
+        # power T^k is summed up from the steps
+        assert len(combinations) == 7
+        # each sum is the unit, read once, plus the memoized steps
+        for n, pairs in enumerate(sums, 1):
+            assert pairs[0] == (1, ident)
+            assert len(pairs) == 2 * n
+            for i, (_, table) in enumerate(pairs[1:], 1):
+                assert table is gluing._neck_step(twf, i, SPHERE), (n, i)
+        # D_1 enters only the sums, never a convolution
+        d1 = gluing._neck_step(twf, 1, SPHERE)
+        assert all(a is not d1 for args in calls for a in args)
         # only T * T is a full product; with r * r = 0 every step D_k is
         # T^(k-1) * r = r, the left factor of each later call
         assert calls[0][0] == twf
@@ -482,8 +498,9 @@ class TestScattering:
         powers = [ident, twf]
         for _ in range(8):
             powers.append(convolve(powers[-1], twf, SPHERE))
-        total = twf
-        for k in range(2, 10):
+        assert gluing._neck_step(twf, 1, SPHERE) == twf - ident
+        total = ident
+        for k in range(1, 10):
             step = gluing._neck_step(twf, k, SPHERE)
             assert step == powers[k] - powers[k - 1], k
             total = total + step

@@ -267,6 +267,21 @@ class TestGradedTable:
         assert linear_combination([(1, low), (-1, x)]).is_zero()
         assert dict(low.terms) == before
 
+    def test_shared_and_rebuilt_coefficients_cancel_alike(self, table):
+        x = table[0]
+        # the same values as fresh Fraction objects: no identity to match
+        rebuilt = type(x)(*x._header(), x.cutoff, {
+            k: Fraction(v.numerator, v.denominator)
+            for k, v in x.terms.items()})
+        assert all(rebuilt.terms[k] is not v for k, v in x.terms.items())
+        for a, b in ((x, x), (x, rebuilt), (rebuilt, x)):
+            assert (a - b).is_zero() and (a - b).cutoff == x.cutoff
+            # only a coefficient of -1 cancels: a shared object adds
+            assert a + b == x.scale(2)
+            assert linear_combination([(1, a), (1, b), (-1, a)]) == x
+            # a key cancelled once is summed again from zero
+            assert linear_combination([(1, a), (-1, b), (2, a)]) == x.scale(2)
+
 
 @pytest.mark.parametrize("kind", ["Series", "RelSeries"])
 def test_a_product_that_cancels_stores_no_key(kind):
