@@ -2,8 +2,10 @@
 
 Each check is declared once, by :func:`criterion`, and returns a
 :class:`CheckResult`; :func:`run_all` executes the whole battery.  Every
-comparison is exact integer/rational equality.  These checks back both the
-``check`` command-line verb and the acceptance tests.
+comparison is exact integer/rational equality, and a failed one raises
+:class:`AssertionError` with its detail by an explicit ``raise``, never an
+``assert``, so the checks can fail under ``python -O`` too.  These checks
+back both the ``check`` command-line verb and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ def criterion(name: str):
 def check_severi_kontsevich() -> str:
     expected = [oracles.kontsevich_oracle(d) for d in range(1, 6)]
     got = [severi.rational_degree(d) for d in range(1, 6)]
-    assert got == expected, f"{got} != {expected}"
+    if got != expected:
+        raise AssertionError(f"{got} != {expected}")
     # every log the irreducible counts are read from, for d <= 6: a
     # connected curve has genus >= 0, and its count is an integer
     entries = 0
@@ -79,10 +82,13 @@ def check_severi_kontsevich() -> str:
                 for chi in range(2 - 2 * severi.genus(d, 0), 3, 2):
                     logs = severi.connected_counts(d, chi, alpha, beta)
                     for key, value in logs.items():
-                        assert key[1] <= 2, \
-                            f"connected term {value} with chi > 2 at {key}"
-                        assert value.denominator == 1, \
-                            f"non-integer connected count {value} at {key}"
+                        if key[1] > 2:
+                            raise AssertionError(f"connected term {value} "
+                                                 f"with chi > 2 at {key}")
+                        if value.denominator != 1:
+                            raise AssertionError(
+                                f"non-integer connected count {value} "
+                                f"at {key}")
                     entries += len(logs)
     return (f"rational degrees {got}; {entries} log entries for d<=6, "
             "all integers with chi<=2")
@@ -91,7 +97,8 @@ def check_severi_kontsevich() -> str:
 @criterion("smooth-curves")
 def check_smooth_curves() -> str:
     got = [severi.severi_number(d, 0) for d in range(1, 5)]
-    assert got == [1, 1, 1, 1], got
+    if got != [1, 1, 1, 1]:
+        raise AssertionError(got)
     return "unique smooth curve through the full point count, d=1..4"
 
 
@@ -106,7 +113,8 @@ def check_hurwitz_oracle() -> str:
                     continue
                 fast = hurwitz.hurwitz_number(d, g, alpha)
                 slow = oracles.hurwitz_oracle(d, g, alpha)
-                assert fast == slow, (d, g, alpha, fast, slow)
+                if fast != slow:
+                    raise AssertionError((d, g, alpha, fast, slow))
                 checked += 1
     return f"{checked} keys against tuple enumeration"
 
@@ -114,7 +122,8 @@ def check_hurwitz_oracle() -> str:
 @criterion("cut-join-residual")
 def check_cut_join_residual() -> str:
     residual = hurwitz.cut_join_residual(4, 4)
-    assert residual.is_zero(), residual.to_text()
+    if not residual.is_zero():
+        raise AssertionError(residual.to_text())
     return "transport-equation residual vanishes through d<=4, r<=4"
 
 
@@ -122,10 +131,12 @@ def check_cut_join_residual() -> str:
 def check_elliptic() -> str:
     f0 = elliptic.f0_via_ode(100)
     lead = [f0.coefficient({"t": n}) for n in range(5)]
-    assert lead == [1, 12, 90, 520, 2535], lead
+    if lead != [1, 12, 90, 520, 2535]:
+        raise AssertionError(lead)
     residuals = elliptic.identity_residuals(3, 100)
     bad = [k for k, v in residuals.items() if not v.is_zero()]
-    assert not bad, f"nonzero residuals: {bad}"
+    if bad:
+        raise AssertionError(f"nonzero residuals: {bad}")
     return f"series identities at order 100; {len(residuals)} residuals zero"
 
 
@@ -168,23 +179,30 @@ def check_scattering() -> str:
         if trial % 2 == 0:
             # nilpotency up to 6 at this cutoff
             r = _random_residual(rng, geo, cutoff, 1, 2)
-            assert r, trial  # an empty residual would test only the unit
+            if not r:  # an empty residual would test only the unit
+                raise AssertionError(trial)
             twf = ident + r
             s = gluing.s_matrix(twf, q)
-            assert gluing.convolve(s, twf, q) == ident, trial
-            assert gluing.convolve(twf, s, q) == ident, trial
+            if gluing.convolve(s, twf, q) != ident:
+                raise AssertionError(trial)
+            if gluing.convolve(twf, s, q) != ident:
+                raise AssertionError(trial)
             inverses += 1
         else:
             # residual square vanishes at cutoff: neck sums collapse
             r = _random_residual(rng, geo, cutoff, cutoff // 2 + 1, 2)
-            assert r, trial
+            if not r:
+                raise AssertionError(trial)
             twf = ident + r
             s = gluing.s_matrix(twf, q)
-            assert gluing.convolve(s, twf, q) == ident, trial
+            if gluing.convolve(s, twf, q) != ident:
+                raise AssertionError(trial)
             for n in range(1, 6):
-                assert gluing.neck_identity(twf, n, q) == s, (trial, n)
+                if gluing.neck_identity(twf, n, q) != s:
+                    raise AssertionError((trial, n))
             necks += 1
-    assert inverses and necks
+    if not (inverses and necks):
+        raise AssertionError()
     return f"{inverses} inverse checks, {necks} neck-sum checks (n=1..5)"
 
 
@@ -222,7 +240,8 @@ def check_convolution_routes() -> str:
         y = _random_one_ended(rng, geo, cutoff, 2)
         direct = gluing.convolve(x, y, q)
         operator = gluing.convolve_via_operator(x, y, q)
-        assert direct == operator, f"trial {trial}"
+        if direct != operator:
+            raise AssertionError(f"trial {trial}")
     return "100 random pairs, enumeration vs differential operator"
 
 
@@ -234,10 +253,12 @@ def check_catalog() -> str:
             for g in (0, 1, 2):
                 s, s_prime = [(b, 0)], [(b + a, 0)]
                 if catalog.ruled_rel(1, a, b, g, s, s_prime, "none"):
-                    assert catalog.vanishing_filter(a, g, 0), (a, b, g)
+                    if not catalog.vanishing_filter(a, g, 0):
+                        raise AssertionError((a, b, g))
                 if catalog.ruled_rel(1, a, b, g, s, s_prime, "point",
                                      contacts_fixed=True):
-                    assert catalog.vanishing_filter(a, g, 1), (a, b, g)
+                    if not catalog.vanishing_filter(a, g, 1):
+                        raise AssertionError((a, b, g))
     for d in range(1, 8):
         for g in (0, 1):
             value = catalog.p1_rel(d, g, [(d, 0)], [(d, 0)])
@@ -245,23 +266,36 @@ def check_catalog() -> str:
                 dim = gluing.moduli_dimension(
                     gluing.riemann_surface_geometry(), (d,), 2 - 2 * g,
                     0, [(d, 0), (d, 0)], 2)
-                assert dim == 0, (d, g, dim)
+                if dim != 0:
+                    raise AssertionError((d, g, dim))
     # self-gluing of the sphere reproduces 1/d for d <= 10
     q = IntersectionMatrix.point_pairing()
     cutoff = 10
     tw = catalog.p1_tw_series(cutoff)
     glued = gluing.convolve(tw, tw, q)
-    assert glued == tw, "self-gluing changed the cover series"
+    if glued != tw:
+        raise AssertionError("self-gluing changed the cover series")
     ident = gluing.identity_element(gluing.riemann_surface_geometry(),
                                     q, cutoff)
-    assert tw == ident, "cover series is not the convolution unit"
+    if tw != ident:
+        raise AssertionError("cover series is not the convolution unit")
     for d in range(1, 11):
         key = gluing.RelKey((d,), 2,
                             (ContactMultiset([((d, 0), 1)]),
                              ContactMultiset([((d, 0), 1)])))
         got = gluing.gw_from_tw(glued).coefficient(key)
-        assert got == Fraction(1, d), (d, got)
-    return "dimension filters + sphere self-gluing 1/d, d<=10"
+        if got != Fraction(1, d):
+            raise AssertionError((d, got))
+    # the torus sieve against trial division, every coefficient
+    torus = catalog.torus_rel_series(100)
+    for n in range(101):
+        got = torus.coefficient({"t": n})
+        want = oracles.divisor_sum(n) if n else 0
+        if got != want:
+            raise AssertionError(f"torus t^{n}: sieve {got} != "
+                                 f"divisor sum {want}")
+    return ("dimension filters + sphere self-gluing 1/d, d<=10 + torus "
+            "sieve against trial-division divisor sums, n<=100")
 
 
 @criterion("series-core")
@@ -283,20 +317,28 @@ def check_series_core() -> str:
 
     for trial in range(500):
         a, b, c = random_series(), random_series(), random_series()
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        if a + b != b + a:
+            raise AssertionError()
+        if a * b != b * a:
+            raise AssertionError()
+        if (a + b) + c != a + (b + c):
+            raise AssertionError()
+        if (a * b) * c != a * (b * c):
+            raise AssertionError()
+        if a * (b + c) != a * b + a * c:
+            raise AssertionError()
         # Leibniz rule
-        assert (a * b).differentiate("t") == \
-            a.differentiate("t") * b.truncate(cutoff - 1) \
-            + a.truncate(cutoff - 1) * b.differentiate("t")
+        if (a * b).differentiate("t") != \
+                a.differentiate("t") * b.truncate(cutoff - 1) \
+                + a.truncate(cutoff - 1) * b.differentiate("t"):
+            raise AssertionError()
         if trial % 10 == 0:
             f = random_series(max_terms=5, laurent=1, unit=True)
-            assert f.exp().log() == f
+            if f.exp().log() != f:
+                raise AssertionError()
             g = Series.one(ctx, cutoff) + f
-            assert g.log().exp() == g
+            if g.log().exp() != g:
+                raise AssertionError()
     return "ring axioms, Leibniz, exp/log roundtrip on 500 random series"
 
 

@@ -147,28 +147,30 @@ def enumerate_multisets(deg_target: int, basis_size: int) -> list[ContactMultise
     Basis indices run over ``0..basis_size-1``; the result is duplicate-free
     and canonically ordered.  Over a one-element basis this enumerates the
     integer partitions of ``deg_target``.
+
+    Each label ``(a, i)``, in ascending order, takes a count of at least 1
+    while multiplicity remains, so every multiset is built once, its items
+    already in canonical order.
     """
     if deg_target < 0:
         raise ContactError("degree target must be >= 0")
     if basis_size < 1:
         raise ContactError("basis size must be >= 1")
-    results = []
-    for parts in partitions(deg_target):
-        groups = {}
-        for a in parts:
-            groups[a] = groups.get(a, 0) + 1
-        choices: list[list[tuple[tuple[ContactPair, int], ...]]] = []
-        for a, count in sorted(groups.items()):
-            ways = []
-            for comp in _compositions(count, basis_size):
-                ways.append(tuple(((a, i), c) for i, c in enumerate(comp) if c))
-            choices.append(ways)
-        stack = [()]
-        for ways in choices:
-            stack = [acc + w for acc in stack for w in ways]
-        for acc in stack:
-            results.append(ContactMultiset(acc))
-    return sorted(set(results))
+    labels = [(a, i) for a in range(1, deg_target + 1)
+              for i in range(basis_size)]
+
+    def items_from(start: int, remaining: int):
+        if not remaining:
+            yield ()
+        for k in range(start, len(labels)):
+            a = labels[k][0]
+            if a > remaining:
+                return
+            for count in range(1, remaining // a + 1):
+                for rest in items_from(k + 1, remaining - a * count):
+                    yield ((labels[k], count),) + rest
+
+    return sorted(map(ContactMultiset, items_from(0, deg_target)))
 
 
 class SingularMatrix(ContactError):
@@ -274,25 +276,16 @@ def _dual_multiset_cached(m: ContactMultiset, q: IntersectionMatrix
                 entry.append(((a, j), c))
             if weight:
                 factor_terms.append((tuple(entry), weight))
-        new: dict[tuple, Fraction] = {}
-        for acc, w0 in result.items():
-            for entry, w in factor_terms:
-                key = acc + entry
-                val = new.get(key, Fraction(0)) + w0 * w
-                if val:
-                    new[key] = val
-                else:
-                    new.pop(key, None)
-        result = new
+        # each concatenation splits one way, and nonzero weights multiply to
+        # nonzero weights: every key is new and every value nonzero
+        result = {acc + entry: w0 * w for acc, w0 in result.items()
+                  for entry, w in factor_terms}
     out: dict[ContactMultiset, Fraction] = {}
     for acc, w in result.items():
         ms = ContactMultiset(acc)
-        val = out.get(ms, Fraction(0)) + w
-        if val:
-            out[ms] = val
-        else:
-            out.pop(ms, None)
-    return tuple(sorted(out.items()))
+        out[ms] = out.get(ms, 0) + w
+    # items with different labels meet in the merge, so sums can cancel
+    return tuple(sorted((ms, w) for ms, w in out.items() if w))
 
 
 @functools.lru_cache(maxsize=256)

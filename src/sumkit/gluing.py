@@ -235,9 +235,6 @@ class RelSeries(GradedTable):
             raise GluingError("end_count must be 0, 1 or 2")
         clean: dict[RelKey, Fraction] = {}
         if terms:
-            # the class checks depend only on the class key, so they are
-            # worked out once per call
-            class_degree: dict[ClassKey, int] = {}
             for key, c in terms.items():
                 if not isinstance(key, RelKey):
                     raise GluingError(f"key {key!r} is not a RelKey")
@@ -245,19 +242,16 @@ class RelSeries(GradedTable):
                     c = Fraction(c)
                 if not c:
                     continue
-                deg_v = class_degree.get(key.class_key)
-                if deg_v is None and len(key.class_key) != geometry.class_dim:
+                if len(key.class_key) != geometry.class_dim:
                     raise GluingError("class key has wrong dimension")
                 if len(key.contacts) != end_count:
                     raise GluingError("key has wrong number of ends")
-                if deg_v is None:
-                    grade = geometry.grade(key.class_key)
-                    if grade > cutoff:
-                        raise GluingError("term beyond cutoff")
-                    if grade < 0:
-                        raise GluingError("negative grading")
-                    deg_v = geometry.pair_v(key.class_key)
-                    class_degree[key.class_key] = deg_v
+                grade = geometry.grade(key.class_key)
+                if grade > cutoff:
+                    raise GluingError("term beyond cutoff")
+                if grade < 0:
+                    raise GluingError("negative grading")
+                deg_v = geometry.pair_v(key.class_key)
                 for m in key.contacts:
                     if not isinstance(m, ContactMultiset):
                         raise GluingError(
@@ -593,13 +587,6 @@ def identity_element(geometry: Geometry, q: IntersectionMatrix,
     return tw_from_gw(gw)
 
 
-def _base_grading(geometry: Geometry, key: ClassKey) -> int:
-    """Grading with the fiber direction projected out."""
-    if geometry.fiber is None:
-        return geometry.grade(key)
-    return geometry.grade(key) - geometry.pair_v(key) * geometry.grade(geometry.fiber)
-
-
 def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
     """Convolution inverse of a two-ended series of the form unit + R.
 
@@ -616,8 +603,13 @@ def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
     ident = identity_element(twf.geometry, q, twf.cutoff)
     # the unit's keys cancel, by identity where twf shares its coefficients
     r = linear_combination([(1, twf), (-1, ident)])
+    # identity_element has checked that the geometry has a fiber; the base
+    # grading is the grading with the fiber direction projected out
+    geo = twf.geometry
+    fiber_grade = geo.grade(geo.fiber)
     for key in r.terms:
-        if _base_grading(twf.geometry, key.class_key) < 1:
+        ak = key.class_key
+        if geo.grade(ak) - geo.pair_v(ak) * fiber_grade < 1:
             raise GluingError(
                 "series does not have unit fiber part: residual term "
                 f"{key} lacks positive base grading"

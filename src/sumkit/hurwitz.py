@@ -194,7 +194,9 @@ class CutJoinTable:
             for exps, c in series.terms.items():
                 add_ratio(acc, tuple(map(add, exps, shift)),
                           m * c.numerator, 2 * r * c.denominator)
-        self._add_level(Series(ctx, d_max, reduced_sums(acc)))
+        # the sums are reduced nonzero Fractions on valid exponents shifted
+        # up, and the truncations keep every grade at or below d_max
+        self._add_level(Series._trusted(ctx, d_max, reduced_sums(acc)))
 
 
 @functools.lru_cache(maxsize=32)

@@ -4,11 +4,17 @@ Each run prints its own pass/fail line (visible with ``pytest -s``) and
 enforces the criterion's time budget.  All equalities are exact.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sumkit import catalog, checks, hurwitz, severi
+from sumkit.series import Series
 
 BUDGETS = {
     "severi-kontsevich": 10.0,
@@ -89,6 +95,41 @@ def test_cut_join_residual_fails_on_a_doubled_hurwitz_number(monkeypatch):
     monkeypatch.setattr(hurwitz, "hurwitz_number", doubled)
     result = checks.check_cut_join_residual()
     assert not result.passed and "-4/3 z3^1 u^3" in result.detail
+    result = checks.check_hurwitz_oracle()
+    assert not result.passed
+    assert "(3, 0, (2, 1), Fraction(8, 1), Fraction(4, 1))" in result.detail
+
+
+def test_catalog_consistency_fails_on_a_doubled_torus_coefficient(
+        monkeypatch):
+    torus_rel_series = catalog.torus_rel_series
+
+    def doubled(cutoff):
+        series = torus_rel_series(cutoff)
+        terms = dict(series.terms)
+        key = series.context.exponents({"t": 6})
+        terms[key] *= 2
+        return Series(series.context, series.cutoff, terms)
+
+    monkeypatch.setattr(catalog, "torus_rel_series", doubled)
+    result = checks.check_catalog()
+    assert not result.passed
+    assert "torus t^6: sieve 24 != divisor sum 12" in result.detail
+
+
+def test_series_core_fails_on_a_doubled_derivative_coefficient(monkeypatch):
+    differentiate = Series.differentiate
+
+    def doubled(self, name):
+        derivative = differentiate(self, name)
+        if not derivative.terms:
+            return derivative
+        terms = dict(derivative.terms)
+        terms[min(terms)] *= 2
+        return Series(derivative.context, derivative.cutoff, terms)
+
+    monkeypatch.setattr(Series, "differentiate", doubled)
+    assert not checks.check_series_core().passed
 
 
 @pytest.mark.parametrize("name", [
@@ -123,3 +164,37 @@ def test_severi_kontsevich_fails_on_a_doubled_tangency_weight(
         in result.detail
     # the smooth counts never smooth a tangency
     assert checks.check_smooth_curves().passed
+
+
+def test_smooth_curves_fails_on_a_doubled_order_weight(monkeypatch,
+                                                       fresh_severi_memo):
+    order_product = severi._order_product
+
+    def doubled(v):
+        value = order_product(v)
+        # the weight of one smoothed contact of order 1
+        return 2 * value if v == (1,) else value
+
+    monkeypatch.setattr(severi, "_order_product", doubled)
+    result = checks.check_smooth_curves()
+    assert not result.passed
+    assert result.detail == "AssertionError: [1, 2, 2, 2]"
+
+
+def test_a_corrupted_check_fails_under_python_o():
+    """``python -O`` strips ``assert`` statements; the identities of the
+    checks are raised explicitly, so they still fail there."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = textwrap.dedent("""
+        from sumkit import checks, severi
+        order_product = severi._order_product
+        severi._order_product = lambda v: (
+            2 * order_product(v) if v == (1,) else order_product(v))
+        result = checks.check_smooth_curves()
+        print(result.passed, result.detail)
+    """)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False AssertionError: [1, 2, 2, 2]\n"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 from fractions import Fraction
@@ -118,6 +119,58 @@ class TestDual:
         with pytest.raises(SingularMatrix):
             dual_multiset(ContactMultiset([((1, 0), 1)]),
                           IntersectionMatrix([[1, 1], [1, 1]]))
+
+    def test_different_labels_cancel_in_the_merge(self):
+        # (1,0) -> (1,0) + (1,1) and (1,1) -> (1,0) - (1,1): the two mixed
+        # products meet on one multiset with weights +1 and -1
+        q = IntersectionMatrix([[1, 1], [1, -1]])
+        m = ContactMultiset([((1, 0), 1), ((1, 1), 1)])
+        assert dual_multiset(m, q) == {ContactMultiset([((1, 0), 2)]): 1,
+                                       ContactMultiset([((1, 1), 2)]): -1}
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """sha256 digests of the enumeration and the dual expansion over fixed
+    windows.  Callers draw from the enumeration with ``rng.choice``, so its
+    order is pinned with its content."""
+
+    @pytest.mark.parametrize("basis, max_degree, digest", [
+        (1, 12,
+         "d47361c2aa492bc56296690ffa789dd4574d699e7d868cf7b7fa09b39ef2777e"),
+        (2, 12,
+         "952fa79c59804650e5307537b52b95974b28f62f00f29f51f5001ee9c80e3fde"),
+        (3, 9,
+         "f7b229258ea451c25059a15a0cebcc81321a26252d95c414ec279c9160464597"),
+    ], ids=["basis1", "basis2", "basis3"])
+    def test_enumeration(self, basis, max_degree, digest):
+        rows = [[tuple(m) for m in enumerate_multisets(d, basis)]
+                for d in range(max_degree + 1)]
+        assert _digest(rows) == digest
+
+    @pytest.mark.parametrize("rows, count, digest", [
+        ([[1]], 67,
+         "f8c5181bdfaaf83a00f922e5f190ebd2b6a0b7a24a0618ff3549acdd1fd24277"),
+        ([[0, 1], [1, 0]], 434,
+         "62ded9ba0f22cef8ba4fbcb4081cdba30582bbf0f89ac0529630aff3bff469a5"),
+        ([[0, 1], [1, Fraction(1, 2)]], 434,
+         "b9ec61aafe44206c7ddf53c28f01d33b487d549b73e073bd954c6a85d5e01d94"),
+        ([[0, 1], [1, 1]], 434,
+         "f6c7e6c0cd0cfb35fa55ff1462e1ec8eeaffa2e87293f730590df0a0dcde2fd4"),
+        ([[1, 1, 1], [1, -1, 0], [1, 0, 2]], 1654,
+         "951730a0b03d45ca47e44dfbb74c9c6d46140d7b93d0d2cef30882fe9a2d7f09"),
+    ], ids=["point", "sphere", "half", "unimodular", "3x3"])
+    def test_dual_expansion_through_degree_eight(self, rows, count, digest):
+        q = IntersectionMatrix(rows)
+        expanded = [[(tuple(m), [(tuple(k), w)
+                                 for k, w in dual_multiset(m, q).items()])
+                     for m in enumerate_multisets(d, q.size)]
+                    for d in range(9)]
+        assert sum(map(len, expanded)) == count
+        assert _digest(expanded) == digest
 
 
 class TestGlueWeights:

@@ -83,8 +83,8 @@ class TestRelSeries:
             RelSeries(geo, 2, 3, {
                 RelKey((4,), 2, (single(4), single(4))): 1})
 
-    # Validation is memoized per class key inside one constructor call;
-    # the per-term checks must still see every term.
+    # A term whose class an earlier term already passed is still checked
+    # in full.
     @pytest.mark.parametrize("second, message", [
         (RelKey((2,), 0, (single(3), single(2))), "contact degree 3"),
         (RelKey((2,), 0, (single(2), single(1))), "contact degree 1"),

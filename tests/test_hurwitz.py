@@ -176,6 +176,14 @@ class TestLevelSolve:
         assert digest.hexdigest() == \
             "f5ad28f7e42c47096b03f52ea9d2db2e9fc0b7c57215f702a1d9e9eefc509bca"
 
+    def test_levels_pass_the_validating_constructor(self):
+        # levels are built without checks; each must hold the invariants
+        table = CutJoinTable(6)
+        for r in range(9):
+            level = table.level(r)
+            assert Series(level.context, level.cutoff,
+                          dict(level.terms)) == level
+
     def test_level_coefficients_are_the_shared_ratio_objects(self):
         level = CutJoinTable(8).level(10)
         assert all(_ratio(c.numerator, c.denominator) is c
