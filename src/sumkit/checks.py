@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Callable
 
 from sumkit import catalog, elliptic, gluing, hurwitz, oracles, severi
+from sumkit.cli import SEVERI_MAX_DEGREE
 from sumkit.contacts import (
     ContactMultiset,
     IntersectionMatrix,
@@ -90,8 +91,21 @@ def check_severi_kontsevich() -> str:
                                 f"non-integer connected count {value} "
                                 f"at {key}")
                     entries += len(logs)
+    # up to the CLI's own degree limit, and Getzler's genus-one counts
+    # (JAMS 1997) of plane curves through 3d points
+    high = range(6, SEVERI_MAX_DEGREE + 1)
+    expected = [oracles.kontsevich_oracle(d) for d in high]
+    got_high = [severi.rational_degree(d) for d in high]
+    if got_high != expected:
+        raise AssertionError(f"rational degrees d=6..{high[-1]}: "
+                             f"{got_high} != {expected}")
+    elliptic_counts = [severi.severi_number(d, severi.genus(d, 0) - 1)
+                       for d in range(3, 7)]
+    if elliptic_counts != [1, 225, 87192, 57435240]:
+        raise AssertionError(f"genus-one degrees d=3..6: {elliptic_counts}")
     return (f"rational degrees {got}; {entries} log entries for d<=6, "
-            "all integers with chi<=2")
+            f"all integers with chi<=2; rational degrees d=6..{high[-1]} "
+            "match Kontsevich, genus-one d=3..6 match Getzler")
 
 
 @criterion("smooth-curves")

@@ -18,7 +18,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from fractions import Fraction
 
 from sumkit import __version__, catalog, elliptic, hurwitz, oracles, severi
@@ -88,36 +87,23 @@ class ValueCache:
     ``store`` appends its lines under an exclusive ``flock`` on the table
     file and ``load`` reads under a shared one, taking the last line of
     each key, so concurrent writers keep every key and a reader never sees
-    a half-written append.  ``load`` never writes: a cache hit leaves the
-    directory untouched.  Unreadable directories disable caching with a
-    warning; corrupt lines and entries from other engine versions are
-    skipped, and a ``store`` after a ``load`` that warned of corrupt lines
-    rewrites the table without them, so they warn once.
+    a half-written append.  Only ``store`` creates the directory, so a
+    cache hit leaves it untouched.  A table that cannot be read or written
+    is skipped with a warning; corrupt lines and entries from other engine
+    versions are skipped, and a ``store`` after a ``load`` that warned of
+    corrupt lines rewrites the table without them, so they warn once.
     """
 
-    def __init__(self, directory: str | None):
+    def __init__(self, directory: str):
         self.directory = directory
-        self.enabled = False
         self._corrupt: set[str] = set()  # tables load found corrupt lines in
-        if directory:
-            try:
-                os.makedirs(directory, exist_ok=True)
-                # a probe of its own, so concurrent processes do not race
-                fd, probe = tempfile.mkstemp(dir=directory, suffix=".probe")
-                with os.fdopen(fd, "w") as fh:
-                    fh.write("ok")
-                os.remove(probe)
-                self.enabled = True
-            except OSError as exc:
-                print(f"warning: cache disabled ({exc})", file=sys.stderr)
 
     def _path(self, table: str) -> str:
         return os.path.join(self.directory, f"{table}.jsonl")
 
-    def load(self, table: str) -> dict[str, str]:
+    def load(self, table: str) -> dict[str, str] | None:
+        """The entries of ``table``, or None when it cannot be read."""
         entries: dict[str, str] = {}
-        if not self.enabled:
-            return entries
         try:
             with open(self._path(table)) as fh:
                 fcntl.flock(fh, fcntl.LOCK_SH)
@@ -133,34 +119,41 @@ class ValueCache:
                         entries[record["key"]] = record["value"]
         except FileNotFoundError:
             pass
+        except OSError as exc:
+            print(f"warning: cache disabled ({exc})", file=sys.stderr)
+            return None
         return entries
 
     def store(self, table: str, entries: dict[str, str]) -> None:
-        if not self.enabled or not entries:
+        if not entries:
             return
         lines = "".join(json.dumps({
             "key": key, "value": entries[key], "engine": ENGINE_VERSION,
         }, sort_keys=True) + "\n" for key in sorted(entries))
-        # the lock is released when the file closes, after the flush
-        with open(self._path(table), "ab+") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            if table in self._corrupt:
-                # rewrite in place, not by rename: a writer waiting for
-                # this lock appends to this inode
-                fh.seek(0)
-                kept = b"".join(line for line in fh
-                                if _record(line) is not None)
-                fh.truncate(0)
-                fh.write(kept)
-                self._corrupt.discard(table)
-            end = fh.seek(0, os.SEEK_END)
-            if end:
-                fh.seek(end - 1)
-                if fh.read(1) != b"\n":
-                    # a writer killed mid-line: end its torn line, so
-                    # that it alone is lost
-                    lines = "\n" + lines
-            fh.write(lines.encode())
+        try:
+            os.makedirs(self.directory, exist_ok=True)
+            # the lock is released when the file closes, after the flush
+            with open(self._path(table), "ab+") as fh:
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                if table in self._corrupt:
+                    # rewrite in place, not by rename: a writer waiting for
+                    # this lock appends to this inode
+                    fh.seek(0)
+                    kept = b"".join(line for line in fh
+                                    if _record(line) is not None)
+                    fh.truncate(0)
+                    fh.write(kept)
+                    self._corrupt.discard(table)
+                end = fh.seek(0, os.SEEK_END)
+                if end:
+                    fh.seek(end - 1)
+                    if fh.read(1) != b"\n":
+                        # a writer killed mid-line: end its torn line, so
+                        # that it alone is lost
+                        lines = "\n" + lines
+                fh.write(lines.encode())
+        except OSError as exc:
+            print(f"warning: cache disabled ({exc})", file=sys.stderr)
 
 
 # -- emission ------------------------------------------------------------------
@@ -240,10 +233,11 @@ def _hurwitz_partition(args) -> tuple[int, ...]:
     _check_min("--degree", args.degree, 1)
     _check_min("--genus", args.genus, 0)
     parts = [part.strip() for part in args.partition.split(",")]
-    if not all(part.isdecimal() and int(part) >= 1 for part in parts):
+    if not (all(part.isdecimal() and int(part) >= 1 for part in parts)
+            and sum(map(int, parts)) == args.degree):
         raise ValueError(
-            f"--partition expects comma-separated integers >= 1, e.g. 2,1,1; "
-            f"got {args.partition!r}")
+            f"--partition expects comma-separated integers >= 1 that sum to "
+            f"--degree {args.degree}; got {args.partition!r}")
     return tuple(int(part) for part in parts)
 
 
@@ -253,12 +247,15 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
-def _cached(cache: ValueCache, table: str, key: str, parse, text, compute):
-    """The value of ``key``: parsed from ``table`` when stored there, else
-    computed and stored as ``text(value)``.  A stored value that is not a
-    string or that ``parse`` rejects is skipped as a corrupt line."""
-    stored = cache.load(table)
-    if key in stored:
+def _cached(directory, table: str, key: str, parse, text, compute):
+    """The value of ``key``: parsed from ``table`` in the cache under
+    ``directory``, if any, when stored there, else computed and stored as
+    ``text(value)`` unless the table could not be read.  A stored value
+    that is not a string or that ``parse`` rejects is skipped as a corrupt
+    line."""
+    cache = ValueCache(directory) if directory else None
+    stored = cache.load(table) if cache else None
+    if stored and key in stored:
         try:
             if isinstance(stored[key], str):
                 return parse(stored[key])
@@ -267,13 +264,14 @@ def _cached(cache: ValueCache, table: str, key: str, parse, text, compute):
         print(f"warning: skipping corrupt cache line in {table}.jsonl",
               file=sys.stderr)
     value = compute()
-    cache.store(table, {key: text(value)})
+    if stored is not None:
+        cache.store(table, {key: text(value)})
     return value
 
 
 # -- verbs ---------------------------------------------------------------------
 
-def _cmd_severi(args, cache: ValueCache) -> list[dict]:
+def _cmd_severi(args) -> list[dict]:
     _check_min("--degree", args.degree, 1)
     _check_max("--degree", args.degree, SEVERI_MAX_DEGREE, "severi")
     _check_min("--delta", args.delta, 0)
@@ -287,7 +285,7 @@ def _cmd_severi(args, cache: ValueCache) -> list[dict]:
         beta = severi.trim(beta) if beta is not None \
             else severi.default_beta(args.degree, alpha)
         key = json.dumps([args.degree, args.delta, list(alpha), list(beta)])
-        value = _cached(cache, "severi", key, _parse_int, str,
+        value = _cached(args.cache_dir, "severi", key, _parse_int, str,
                         lambda: severi.severi_number(args.degree, args.delta,
                                                      alpha, beta))
         g = severi.genus(args.degree, args.delta)
@@ -300,7 +298,7 @@ def _cmd_severi(args, cache: ValueCache) -> list[dict]:
     return rows
 
 
-def _cmd_hurwitz(args, cache: ValueCache) -> list[dict]:
+def _cmd_hurwitz(args) -> list[dict]:
     alpha = _hurwitz_partition(args)
     d, g = args.degree, args.genus
     _check_max("--degree", d, HURWITZ_MAX_DEGREE, "hurwitz")
@@ -311,7 +309,7 @@ def _cmd_hurwitz(args, cache: ValueCache) -> list[dict]:
             f"needs r = {r} branch points, beyond the limit "
             f"{HURWITZ_MAX_BRANCH}; lower --genus or --degree")
     key = json.dumps([d, g, sorted(alpha, reverse=True)])
-    value = _cached(cache, "hurwitz", key, parse_fraction,
+    value = _cached(args.cache_dir, "hurwitz", key, parse_fraction,
                     lambda v: f"{v.numerator}/{v.denominator}",
                     lambda: hurwitz.hurwitz_number(d, g, alpha))
     row = {"d": d, "g": g, "partition": sorted(alpha, reverse=True), "r": r}
@@ -319,7 +317,7 @@ def _cmd_hurwitz(args, cache: ValueCache) -> list[dict]:
     return [row]
 
 
-def _cmd_elliptic(args, _cache: ValueCache) -> list[dict]:
+def _cmd_elliptic(args) -> list[dict]:
     _check_min("--genus", args.genus, 0)
     _check_max("--genus", args.genus, ELLIPTIC_MAX_GENUS, "elliptic")
     _check_min("--order", args.order, 0)
@@ -334,7 +332,7 @@ def _cmd_elliptic(args, _cache: ValueCache) -> list[dict]:
     return _series_rows(series)
 
 
-def _cmd_catalog(args, _cache: ValueCache) -> list[dict]:
+def _cmd_catalog(args) -> list[dict]:
     entries = catalog.catalog_entries()
     if args.name not in entries:
         raise SystemExit(
@@ -356,14 +354,13 @@ def _cmd_catalog(args, _cache: ValueCache) -> list[dict]:
     return list(produced)
 
 
-def _cmd_oracle(args, _cache: ValueCache) -> list[dict]:
+def _cmd_oracle(args) -> list[dict]:
     if args.kind == "hurwitz":
         alpha = _hurwitz_partition(args)
         d, g = args.degree, args.genus
         r = oracles.branch_count_rh(d, g, alpha)
-        # logarithms, as r may be huge (no power equals the bound); a
-        # partition of the wrong size goes on to the oracle's own error
-        if sum(alpha) == d and r > 0 and r * math.log(math.comb(d, 2) + 1) \
+        # logarithms, as r may be huge (no power equals the bound)
+        if r > 0 and r * math.log(math.comb(d, 2) + 1) \
                 > math.log(ORACLE_HURWITZ_NODES):
             raise ValueError(
                 f"oracle hurwitz: --degree {d} --genus {g} --partition "
@@ -376,15 +373,17 @@ def _cmd_oracle(args, _cache: ValueCache) -> list[dict]:
         row.update(_fraction_row(value))
         return [row]
     if args.kind == "kontsevich":
+        _check_min("--degree", args.degree, 1)
         _check_max("--degree", args.degree, ORACLE_KONTSEVICH_MAX_DEGREE,
                    "oracle kontsevich")
         return [{"d": args.degree,
                  "value": str(oracles.kontsevich_oracle(args.degree))}]
+    _check_min("--n", args.n, 1)
     _check_max("--n", args.n, ORACLE_SIGMA_MAX_N, "oracle sigma")
     return [{"n": args.n, "value": str(oracles.divisor_sum(args.n))}]
 
 
-def _cmd_check(args, _cache: ValueCache) -> list[dict]:
+def _cmd_check(args) -> list[dict]:
     # imported here: the other verbs need none of it, and every CLI
     # process would otherwise pay for compiling it
     from sumkit import checks
@@ -475,9 +474,8 @@ def run(argv: list[str] | None = None) -> int:
         args.format = "json"
     if not hasattr(args, "cache_dir"):
         args.cache_dir = os.environ.get("SUMKIT_CACHE_DIR")
-    cache = ValueCache(args.cache_dir)
     try:
-        rows = args.func(args, cache)
+        rows = args.func(args)
     except _CheckFailure:
         return 1
     except SystemExit as exc:

@@ -178,17 +178,36 @@ class SingularMatrix(ContactError):
 
 
 class IntersectionMatrix:
-    """Square rational pairing on the chosen divisor homology basis."""
+    """Square, nonempty, invertible rational pairing on the chosen divisor
+    homology basis; its inverse is found once, when it is built."""
 
-    __slots__ = ("rows", "_hash")
+    __slots__ = ("rows", "_inverse", "_hash")
 
     def __init__(self, rows: Sequence[Sequence[Fraction | int]]):
         n = len(rows)
+        if n < 1:
+            raise ContactError("empty pairing")
         data = tuple(tuple(Fraction(x) for x in row) for row in rows)
         for row in data:
             if len(row) != n:
                 raise ContactError("intersection matrix must be square")
+        # Gauss-Jordan elimination, which rejects a singular pairing
+        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+               for i, row in enumerate(data)]
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if aug[r][col]), None)
+            if pivot is None:
+                raise SingularMatrix("intersection matrix is singular")
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            inv = 1 / aug[col][col]
+            aug[col] = [x * inv for x in aug[col]]
+            for r in range(n):
+                if r != col and aug[r][col]:
+                    factor = aug[r][col]
+                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
         object.__setattr__(self, "rows", data)
+        object.__setattr__(self, "_inverse",
+                           tuple(tuple(row[n:]) for row in aug))
         object.__setattr__(self, "_hash", hash(data))
 
     def __setattr__(self, name, value):
@@ -224,22 +243,8 @@ class IntersectionMatrix:
         return cls([[0, 1], [1, 0]])
 
     def inverse(self) -> "IntersectionMatrix":
-        """Exact inverse by Gauss-Jordan elimination."""
-        n = self.size
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col]), None)
-            if pivot is None:
-                raise SingularMatrix("intersection matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return IntersectionMatrix([row[n:] for row in aug])
+        """The exact inverse."""
+        return IntersectionMatrix(self._inverse)
 
 
 def dual_multiset(m: ContactMultiset, q: IntersectionMatrix
@@ -257,9 +262,6 @@ def dual_multiset(m: ContactMultiset, q: IntersectionMatrix
 @functools.lru_cache(maxsize=65536)
 def _dual_multiset_cached(m: ContactMultiset, q: IntersectionMatrix
                           ) -> tuple[tuple[ContactMultiset, Fraction], ...]:
-    if q.size < 1:
-        raise ContactError("empty pairing")
-    q.inverse()  # raises SingularMatrix if degenerate
     result: dict[tuple, Fraction] = {(): Fraction(1)}
     for (a, i), count in m:
         if i >= q.size:

@@ -166,6 +166,21 @@ def test_severi_kontsevich_fails_on_a_doubled_tangency_weight(
     assert checks.check_smooth_curves().passed
 
 
+def test_severi_kontsevich_fails_on_doubled_order_six_weights(
+        monkeypatch, fresh_severi_memo):
+    order_product = severi._order_product
+
+    def doubled(v):
+        value = order_product(v)
+        # every profile with a contact of order 6 or more: only d >= 6
+        return 2 * value if len(v) >= 6 else value
+
+    monkeypatch.setattr(severi, "_order_product", doubled)
+    result = checks.check_severi_kontsevich()
+    assert not result.passed
+    assert "rational degrees d=6..10: " in result.detail
+
+
 def test_smooth_curves_fails_on_a_doubled_order_weight(monkeypatch,
                                                        fresh_severi_memo):
     order_product = severi._order_product

@@ -181,6 +181,23 @@ class TestInputLimits:
         assert code == 0 and json.loads(out)["value"] == "1"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("oracle", "kontsevich", "--degree", "0"),
+     "--degree expects an integer >= 1; got 0"),
+    (("oracle", "sigma", "--n", "0"), "--n expects an integer >= 1; got 0"),
+    (("oracle", "sigma", "--n", "-4"), "--n expects an integer >= 1; got -4"),
+    *((verb + ("--degree", "4", "--genus", "0", "--partition", "3"),
+       "--partition expects comma-separated integers >= 1 that sum to "
+       "--degree 4; got '3'")
+      for verb in [("hurwitz",), ("oracle", "hurwitz")]),
+    (("hurwitz", "--degree", "3", "--genus", "0", "--partition", "2,2"),
+     "that sum to --degree 3; got '2,2'")])
+def test_oracle_and_partition_errors_name_their_flag(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
 class TestOracleWorkLimit:
     GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / \
         "golden" / "cli.json"
@@ -473,22 +490,20 @@ class TestCache:
 
     def test_unwritable_directory_disables(self, capsys):
         cache = ValueCache("/proc/definitely/not/writable")
-        assert not cache.enabled
-        assert "cache disabled" in capsys.readouterr().err
         # computation still proceeds
         assert cache.load("severi") == {}
         cache.store("severi", {"k": "1"})
+        assert "cache disabled" in capsys.readouterr().err
 
     def test_probe_name_is_per_process(self, tmp_path, capsys):
         # another process's probe (here a directory in its place) must not
         # disable this one's cache
         (tmp_path / ".probe").mkdir()
         cache = ValueCache(str(tmp_path))
-        assert cache.enabled
-        assert "cache disabled" not in capsys.readouterr().err
         assert os.listdir(tmp_path) == [".probe"]
         cache.store("severi", {"k": "5"})
         assert cache.load("severi") == {"k": "5"}
+        assert "cache disabled" not in capsys.readouterr().err
 
     def test_atomic_rewrite_keeps_other_entries(self, tmp_path):
         cache = ValueCache(str(tmp_path))
@@ -579,3 +594,32 @@ class TestCache:
         assert stored == json.loads(out)["value"]
         assert invoke(capsys, "--cache-dir", str(tmp_path), *verb) \
             == (0, out, "")
+
+    @pytest.mark.parametrize("verb", [
+        ("oracle", "sigma", "--n", "12"), ("catalog", "torus", "--order", "4"),
+        ("elliptic", "--order", "3"),
+        ("severi", "--degree", "3", "--delta", "1", "--table")], ids=" ".join)
+    def test_only_cached_requests_touch_the_directory(self, capsys, tmp_path,
+                                                      verb):
+        missing = tmp_path / "cache"
+        code, _, err = invoke(capsys, "--cache-dir", str(missing), *verb)
+        assert code == 0 and err == ""
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("verb, table", [
+        (("severi", "--degree", "4", "--delta", "3"), "severi"),
+        (("hurwitz", "--degree", "3", "--genus", "0", "--partition", "3"),
+         "hurwitz")])
+    @pytest.mark.parametrize("broken", ["directory", "dangling-symlink"])
+    def test_broken_table_warns_once_and_prints_the_value(
+            self, capsys, tmp_path, verb, table, broken):
+        plain = invoke(capsys, *verb)
+        path = tmp_path / f"{table}.jsonl"
+        if broken == "directory":
+            path.mkdir()
+        else:
+            path.symlink_to(tmp_path / "missing" / "table.jsonl")
+        code, out, err = invoke(capsys, "--cache-dir", str(tmp_path), *verb)
+        assert (code, out) == plain[:2] and code == 0
+        assert err.count("warning: cache disabled") == 1
+        assert err.count("\n") == 1

@@ -115,6 +115,13 @@ class TestDual:
         m = ContactMultiset([((1, 0), 1), ((1, 1), 2), ((3, 0), 1)])
         assert _dual_combination(dual_multiset(m, q), q) == {m: 1}
 
+    @pytest.mark.parametrize("rows, error", [
+        ([[1, 1], [1, 1]], SingularMatrix), ([[0, 1], [0, 2]], SingularMatrix),
+        ([], ContactError)], ids=["singular", "zero-column", "empty"])
+    def test_pairing_checked_when_built(self, rows, error):
+        with pytest.raises(error):
+            IntersectionMatrix(rows)
+
     def test_singular_pairing_rejected(self):
         with pytest.raises(SingularMatrix):
             dual_multiset(ContactMultiset([((1, 0), 1)]),
@@ -213,6 +220,19 @@ class TestGlueWeights:
         q = IntersectionMatrix([[0, 1], [1, Fraction(1, 11)]])  # a fresh key
         assert glue_weights(3, q) == glue_weights(3, q)
         assert calls == enumerate_multisets(3, 2)
+
+    def test_fresh_table_inverts_no_pairing(self, monkeypatch):
+        calls = []
+        inverse = IntersectionMatrix.inverse
+
+        def counting(q):
+            calls.append(q)
+            return inverse(q)
+
+        q = IntersectionMatrix([[0, 1], [1, Fraction(1, 13)]])  # a fresh key
+        monkeypatch.setattr(IntersectionMatrix, "inverse", counting)
+        assert len(glue_weights(6, q)) == len(enumerate_multisets(6, 2))
+        assert calls == []
 
 
 class TestProperties:
