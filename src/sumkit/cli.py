@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import importlib.util
 import json
 import math
 import os
@@ -20,11 +21,37 @@ import re
 import sys
 from fractions import Fraction
 
-from sumkit import __version__, catalog, elliptic, hurwitz, oracles, severi
-from sumkit.gluing import RelSeries, relseries_to_json
+import sumkit
 from sumkit.series import Series, parse_fraction
 
-ENGINE_VERSION = __version__
+
+def _lazy(name: str):
+    """The module ``sumkit.<name>``, registered as an import would register
+    it, but whose body runs only on its first attribute access: a verb
+    pays for compiling and running only the layers it uses.  A module
+    already in ``sys.modules`` is returned as it is.  Before Python 3.12
+    the first access is not thread-safe: a second thread can see a body
+    still running, which a single-threaded CLI process never does."""
+    fullname = f"sumkit.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sumkit, name, module)
+    return module
+
+
+catalog = _lazy("catalog")
+elliptic = _lazy("elliptic")
+gluing = _lazy("gluing")
+hurwitz = _lazy("hurwitz")
+oracles = _lazy("oracles")
+severi = _lazy("severi")
+
+ENGINE_VERSION = sumkit.__version__
 
 # `oracle hurwitz` enumerates tuples of r transpositions of d letters, a
 # search tree of at most (C(d,2) + 1)^r nodes; the slowest request under
@@ -343,8 +370,8 @@ def _cmd_catalog(args) -> list[dict]:
     produced = entries[args.name].producer(args.order)
     if isinstance(produced, Series):
         return _series_rows(produced)
-    if isinstance(produced, RelSeries):
-        return relseries_to_json(produced)
+    if isinstance(produced, gluing.RelSeries):
+        return gluing.relseries_to_json(produced)
     if isinstance(produced, dict):
         rows = []
         for family, series in produced.items():

@@ -412,20 +412,68 @@ class TestEllipticLimits:
         assert message in rejected_at_once(capsys, "elliptic", *check, *argv)
 
 
-def test_only_the_check_verb_imports_checks():
+def run_fresh(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter without a cache."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = textwrap.dedent("""
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SUMKIT_CACHE_DIR", None)
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_only_the_check_verb_imports_checks():
+    out = run_fresh("""
         import sys
         import sumkit.cli
         assert "sumkit.checks" not in sys.modules
         assert sumkit.cli.run(["oracle", "sigma", "--n", "12"]) == 0
         assert "sumkit.checks" not in sys.modules
     """)
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["value"] == "28"
+    assert json.loads(out)["value"] == "28"
+
+
+@pytest.mark.parametrize("argv, runs, idle", [
+    (["hurwitz", "--degree", "3", "--genus", "0", "--partition", "3"],
+     {"hurwitz"}, {"catalog", "elliptic", "gluing", "dataclasses"}),
+    (["severi", "--degree", "3", "--delta", "1"],
+     {"severi"}, {"catalog", "elliptic", "gluing", "dataclasses"}),
+    (["catalog", "torus", "--order", "3"],
+     {"catalog", "gluing", "dataclasses"}, {"elliptic", "hurwitz", "severi"}),
+])
+def test_each_verb_runs_only_the_layers_it_uses(argv, runs, idle):
+    # a layer that sumkit.cli registered and nothing has used is still of
+    # the lazy module type: any attribute access would run its body
+    out = run_fresh(f"""
+        import json, sys, types
+        import sumkit.cli
+        assert sumkit.cli.run({argv!r}) == 0
+        ran = [name.removeprefix("sumkit.")
+               for name, module in sys.modules.items()
+               if type(module) is types.ModuleType]
+        print(json.dumps(ran))
+    """)
+    ran = set(json.loads(out.splitlines()[-1]))
+    assert runs <= ran
+    assert not idle & ran
+
+
+def test_lazy_layers_behave_like_imported_ones():
+    run_fresh("""
+        import sys, types
+        import sumkit.severi
+        severi = sys.modules["sumkit.severi"]
+        import sumkit.cli
+        # a layer imported before sumkit.cli is reused as it is
+        assert sumkit.cli.severi is severi
+        assert type(severi) is types.ModuleType
+        import sumkit.gluing
+        assert sumkit.gluing.RelSeries.__name__ == "RelSeries"
+        from sumkit import catalog
+        assert catalog is sumkit.cli.catalog
+        assert "torus" in catalog.catalog_entries()
+    """)
 
 
 class TestCheckVerb:
