@@ -77,9 +77,9 @@ def check_severi_kontsevich() -> str:
     entries = 0
     for d in range(1, 7):
         for w in range(d + 1):
-            for a, b in itertools.product(partitions(w), partitions(d - w)):
-                alpha = severi.trim_partition(a)
-                beta = severi.trim_partition(b)
+            for a, b in itertools.product(enumerate_multisets(w, 1),
+                                          enumerate_multisets(d - w, 1)):
+                alpha, beta = severi.profile(a), severi.profile(b)
                 for chi in range(2 - 2 * severi.genus(d, 0), 3, 2):
                     logs = severi.connected_counts(d, chi, alpha, beta)
                     for key, value in logs.items():

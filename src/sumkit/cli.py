@@ -195,9 +195,13 @@ def _emit(rows: list[dict], fmt: str) -> None:
     # every key of every row, in first-seen order
     headers = list(dict.fromkeys(key for row in rows for key in row))
     if fmt == "csv":
-        print(",".join(headers))
-        for row in rows:
-            print(",".join(str(row.get(h, "")) for h in headers))
+        # imported here: JSON requests, the common case, load nothing more
+        import csv
+
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(headers)
+        writer.writerows([str(row.get(h, "")) for h in headers]
+                         for row in rows)
     else:  # table
         widths = {h: max(len(h), *(len(str(r.get(h, ""))) for r in rows))
                   for h in headers}
@@ -302,6 +306,10 @@ def _cmd_severi(args) -> list[dict]:
     _check_min("--degree", args.degree, 1)
     _check_max("--degree", args.degree, SEVERI_MAX_DEGREE, "severi")
     _check_min("--delta", args.delta, 0)
+    if args.table and (args.alpha is not None or args.beta is not None):
+        flag = "--alpha" if args.alpha is not None else "--beta"
+        raise ValueError(f"{flag} cannot be combined with --table, which "
+                         "covers the pure point-condition profiles only")
     alpha = _parse_profile(args.alpha, "--alpha", args.degree)
     beta = _parse_profile(args.beta, "--beta", args.degree) \
         if args.beta else None

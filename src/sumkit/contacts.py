@@ -21,11 +21,13 @@ Only even-degree basis classes are supported, so no sign bookkeeping occurs.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 ContactPair = tuple[int, int]  # (multiplicity >= 1, basis-class index >= 0)
 ContactSeq = tuple[ContactPair, ...]
@@ -117,27 +119,15 @@ def multiset_stats(m: ContactMultiset) -> tuple[int, int, int, int]:
     return length, degree, product, fact
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Integer partitions of ``n`` in decreasing-part order."""
+def partitions(n: int) -> list[tuple[int, ...]]:
+    """Integer partitions of ``n``, each in decreasing-part order, in
+    reverse lexicographic order: the one-class view of
+    :func:`enumerate_multisets`.  A negative ``n`` has none."""
     if n < 0:
-        return
-    if n == 0:
-        yield ()
-        return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, slots - 1):
-            yield (head,) + rest
+        return []
+    return sorted((tuple(a for (a, _), count in reversed(m)
+                         for _ in range(count))
+                   for m in enumerate_multisets(n, 1)), reverse=True)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -268,12 +258,11 @@ def _dual_multiset_cached(m: ContactMultiset, q: IntersectionMatrix
             raise ContactError(f"basis index {i} outside pairing of size {q.size}")
         row = q.rows[i]
         factor_terms: list[tuple[tuple[tuple[ContactPair, int], ...], Fraction]] = []
-        for comp in _compositions(count, q.size):
+        for classes in itertools.combinations_with_replacement(range(q.size),
+                                                               count):
             weight = Fraction(math.factorial(count))
             entry = []
-            for j, c in enumerate(comp):
-                if not c:
-                    continue
+            for j, c in collections.Counter(classes).items():
                 weight *= row[j] ** c / math.factorial(c)
                 entry.append(((a, j), c))
             if weight:

@@ -36,7 +36,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from sumkit.contacts import partitions
+from sumkit.contacts import ContactMultiset, enumerate_multisets
 from sumkit.series import Series, VariableContext
 
 Profile = tuple[int, ...]
@@ -90,14 +90,13 @@ def _profiles_leq(v: Profile) -> Iterator[Profile]:
     return itertools.product(*(range(n + 1) for n in v))
 
 
-def trim_partition(parts: Sequence[int]) -> Profile:
-    """Multiplicity vector of a partition given as a list of parts."""
-    if not parts:
-        return ()
-    out = [0] * max(parts)
-    for p in parts:
-        out[p - 1] += 1
-    return trim(out)
+def profile(m: ContactMultiset) -> Profile:
+    """The trimmed multiplicity vector of a one-class contact multiset:
+    an item ``((k, 0), n)`` puts ``n`` at order ``k``."""
+    v = [0] * (m[-1][0][0] if m else 0)  # the largest order comes last
+    for (k, _), n in m:
+        v[k - 1] = n
+    return tuple(v)
 
 
 def genus(d: int, delta: int) -> int:
@@ -162,8 +161,8 @@ def _shed_line(d, chi, alpha, beta) -> int:
         budget = d - 1 - order_weight(alpha_p) - order_weight(beta)
         if budget < 0:
             continue
-        for parts in partitions(budget):
-            gamma = trim_partition(parts)
+        for m in enumerate_multisets(budget, 1):
+            gamma = profile(m)
             beta_p = _add(beta, gamma)
             chi_pp = chi - 2 + 2 * sum(gamma)
             total += (_order_product(gamma)

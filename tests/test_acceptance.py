@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sumkit import catalog, checks, hurwitz, severi
+from sumkit import catalog, checks, elliptic, hurwitz, severi
 from sumkit.series import Series
 
 BUDGETS = {
@@ -130,6 +130,19 @@ def test_series_core_fails_on_a_doubled_derivative_coefficient(monkeypatch):
 
     monkeypatch.setattr(Series, "differentiate", doubled)
     assert not checks.check_series_core().passed
+
+
+def test_elliptic_surface_fails_on_a_doubled_sigma_series(monkeypatch):
+    sigma_series = elliptic.sigma_series
+
+    def doubled(cutoff):
+        return 2 * sigma_series(cutoff)
+
+    monkeypatch.setattr(elliptic, "sigma_series", doubled)
+    result = checks.check_elliptic()
+    assert not result.passed
+    assert result.detail == \
+        "AssertionError: nonzero residuals: ['genus1-two-routes']"
 
 
 @pytest.mark.parametrize("name", [

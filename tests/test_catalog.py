@@ -4,9 +4,8 @@ import pytest
 
 from sumkit import catalog
 from sumkit.catalog import CatalogError
-from sumkit.contacts import ContactMultiset, IntersectionMatrix
+from sumkit.contacts import IntersectionMatrix
 from sumkit.gluing import (
-    RelKey,
     convolve,
     identity_element,
     moduli_dimension,

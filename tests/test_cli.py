@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -101,6 +103,28 @@ class TestVerbs:
         code, out, _ = invoke(capsys, "oracle", "sigma", "--n", "6",
                               "--format", "csv")
         assert code == 0 and out.startswith("n,")
+
+    @pytest.mark.parametrize("argv", [
+        ("hurwitz", "--degree", "3", "--genus", "0", "--partition", "2,1"),
+        ("catalog", "p1", "--order", "2"),
+        ("severi", "--degree", "3", "--delta", "1", "--table")])
+    def test_csv_rows_are_as_wide_as_their_header(self, capsys, argv):
+        # list fields such as [2, 1] hold commas, which csv quotes
+        code, out, _ = invoke(capsys, *argv, "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0 and len(rows) > 1
+        assert all(len(row) == len(rows[0]) for row in rows)
+        if argv[0] == "hurwitz":
+            assert dict(zip(*rows))["partition"] == "[2, 1]"
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "1:1"),
+                                             ("--beta", "3:1")])
+    def test_severi_table_rejects_profile_flags(self, capsys, flag, value):
+        code, out, err = invoke(capsys, "severi", "--degree", "3",
+                                "--delta", "1", "--table", flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+        assert f"{flag} cannot be combined with --table" in err
 
 
 class TestInputLimits:

@@ -86,6 +86,24 @@ class TestEnumerate:
     def test_cardinality_is_partition_count(self, n):
         assert len(enumerate_multisets(n, 1)) == len(list(partitions(n)))
 
+    def test_partitions_keep_the_order_of_the_recursion(self):
+        def recursive(n, max_part=None):
+            # the recursive enumerator that the one-class view replaced
+            if n < 0:
+                return
+            if n == 0:
+                yield ()
+                return
+            if max_part is None or max_part > n:
+                max_part = n
+            for first in range(max_part, 0, -1):
+                for rest in recursive(n - first, first):
+                    yield (first,) + rest
+
+        for n in range(-2, 16):
+            assert partitions(n) == list(recursive(n)), n
+        assert partitions(3) == [(3,), (2, 1), (1, 1, 1)]
+
     def test_two_color_count(self):
         # every multiset has a well-formed degree and no duplicates appear
         ms = enumerate_multisets(4, 2)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,17 @@ class TestTable:
     def test_bad_bounds(self):
         with pytest.raises(SeveriError):
             severi_table(0, 0)
+
+    # sha256 of json.dumps(rows, sort_keys=True) for severi_table(8, 21),
+    # as the partition-based degree-drop sum computed it
+    DIGEST_8_21 = ("71aa81910fd3bd9333c7aa9c8253f734"
+                   "bf8a67df46e95fc4b02ff498af417810")
+
+    def test_digest_of_the_degree_eight_table(self):
+        rows = severi_table(8, 21)
+        assert len(rows) == 64
+        text = json.dumps(rows, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST_8_21
 
 
 def _to_profile(parts):
