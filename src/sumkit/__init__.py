@@ -21,7 +21,6 @@ from sumkit.contacts import (
     dual_multiset,
     enumerate_multisets,
     multiset_stats,
-    seq_stats,
 )
 
 __version__ = "0.1.0"

@@ -5,16 +5,18 @@ of the sphere relative to one or two points, genus-one counts on the torus
 and on the trivial elliptic fibration over the sphere, and rational ruled
 surfaces relative to their zero and infinity sections.  Each entry is a
 closed form fixed by a dimension count, so the values here double as a test
-bed for the dimension bookkeeping in :mod:`sumkit.gluing`.
+bed for the dimension bookkeeping in :mod:`sumkit.gluing`.  A relative value
+takes its two ends as :class:`~sumkit.contacts.ContactMultiset` ends, the
+form in which a :class:`~sumkit.gluing.RelKey` stores them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
-from sumkit.contacts import ContactMultiset, seq_stats
+from sumkit.contacts import ContactMultiset, multiset_stats
 from sumkit.gluing import (
     RelKey,
     RelSeries,
@@ -23,19 +25,20 @@ from sumkit.gluing import (
 )
 from sumkit.series import Series, VariableContext
 
-ContactSeq = Sequence[tuple[int, int]]
-
 
 class CatalogError(ValueError):
     pass
 
 
-def _point_counts(s: ContactSeq, s_prime: ContactSeq, deg: int,
+def _point_counts(s: ContactMultiset, s_prime: ContactMultiset, deg: int,
                   deg_prime: int) -> tuple[int, int]:
-    """Point counts of the two contact sequences, whose degrees must be
-    ``deg`` and ``deg_prime``."""
-    ls, degs, _ = seq_stats(s)
-    lsp, degsp, _ = seq_stats(s_prime)
+    """Point counts of the two contact ends, whose degrees must be ``deg``
+    and ``deg_prime``."""
+    for end in (s, s_prime):
+        if not isinstance(end, ContactMultiset):
+            raise CatalogError(f"contact end {end!r} is not a ContactMultiset")
+    ls, degs, _, _ = multiset_stats(s)
+    lsp, degsp, _, _ = multiset_stats(s_prime)
     if (degs, degsp) != (deg, deg_prime):
         raise CatalogError(f"contact degrees ({degs}, {degsp}) must be "
                            f"({deg}, {deg_prime})")
@@ -44,7 +47,8 @@ def _point_counts(s: ContactSeq, s_prime: ContactSeq, deg: int,
 
 # -- covers of the sphere relative to two points ------------------------------
 
-def p1_rel(d: int, g: int, s: ContactSeq, s_prime: ContactSeq) -> Fraction:
+def p1_rel(d: int, g: int, s: ContactMultiset, s_prime: ContactMultiset
+           ) -> Fraction:
     """Count of degree-``d`` covers of the sphere relative to two points.
 
     Nonzero only for genus 0 with a single point of full multiplicity over
@@ -58,7 +62,8 @@ def p1_rel(d: int, g: int, s: ContactSeq, s_prime: ContactSeq) -> Fraction:
     return Fraction(0)
 
 
-def p1_rel_branch(d: int, g: int, s: ContactSeq, s_prime: ContactSeq) -> Fraction:
+def p1_rel_branch(d: int, g: int, s: ContactMultiset,
+                  s_prime: ContactMultiset) -> Fraction:
     """Same count with one fixed simple branch point.
 
     The dimension count leaves genus 0 with three contact points in total;
@@ -82,9 +87,8 @@ def p1_tw_series(cutoff: int) -> RelSeries:
     geo = riemann_surface_geometry()
     terms = {}
     for d in range(1, cutoff + 1):
-        key = RelKey((d,), 2, (ContactMultiset([((d, 0), 1)]),
-                               ContactMultiset([((d, 0), 1)])))
-        terms[key] = p1_rel(d, 0, [(d, 0)], [(d, 0)])
+        end = ContactMultiset([((d, 0), 1)])
+        terms[RelKey((d,), 2, (end, end))] = p1_rel(d, 0, end, end)
     return tw_from_gw(RelSeries(geo, 2, cutoff, terms))
 
 
@@ -166,9 +170,9 @@ def vanishing_filter(a: int, g: int, deg_alpha: int) -> bool:
     return 2 * a + g <= 1 + deg_alpha
 
 
-def ruled_rel(n: int, a: int, b: int, g: int, s: ContactSeq, s_prime: ContactSeq,
-              constraint: str = "none", contacts_fixed: bool = False
-              ) -> Fraction:
+def ruled_rel(n: int, a: int, b: int, g: int, s: ContactMultiset,
+              s_prime: ContactMultiset, constraint: str = "none",
+              contacts_fixed: bool = False) -> Fraction:
     """Relative invariants of the ruled surface with twisting index ``n``.
 
     The class is ``a*(zero section) + b*(fiber)``; ``s`` and ``s_prime`` are the
@@ -203,15 +207,18 @@ def _ruled_table(n: int) -> Callable[[int], list[dict]]:
     def produce(cutoff: int) -> list[dict]:
         rows = []
         for b in range(1, cutoff + 1):
-            plain = ruled_rel(n, 0, b, 0, [(b, 0)], [(b, 0)], "none")
-            point = ruled_rel(n, 0, b, 0, [(b, 0)], [(b, 0)], "point")
+            end = ContactMultiset([((b, 0), 1)])
+            plain = ruled_rel(n, 0, b, 0, end, end, "none")
+            point = ruled_rel(n, 0, b, 0, end, end, "point")
             rows.append({
                 "class": f"{b}F",
                 "unconstrained": str(plain),
                 "tensor": bool(plain),
                 "point": str(point),
             })
-        sect = ruled_rel(n, 1, 0, 0, [], [(1, 0)] * n, "point", contacts_fixed=True)
+        sect = ruled_rel(n, 1, 0, 0, ContactMultiset(),
+                         ContactMultiset([((1, 0), n)]), "point",
+                         contacts_fixed=True)
         rows.append({
             "class": "S",
             "unconstrained": "0",

@@ -265,7 +265,8 @@ def check_catalog() -> str:
     for b in range(1, 8):
         for a in (0, 1):
             for g in (0, 1, 2):
-                s, s_prime = [(b, 0)], [(b + a, 0)]
+                s = ContactMultiset([((b, 0), 1)])
+                s_prime = ContactMultiset([((b + a, 0), 1)])
                 if catalog.ruled_rel(1, a, b, g, s, s_prime, "none"):
                     if not catalog.vanishing_filter(a, g, 0):
                         raise AssertionError((a, b, g))
@@ -275,11 +276,12 @@ def check_catalog() -> str:
                         raise AssertionError((a, b, g))
     for d in range(1, 8):
         for g in (0, 1):
-            value = catalog.p1_rel(d, g, [(d, 0)], [(d, 0)])
+            end = ContactMultiset([((d, 0), 1)])
+            value = catalog.p1_rel(d, g, end, end)
             if value:
                 dim = gluing.moduli_dimension(
                     gluing.riemann_surface_geometry(), (d,), 2 - 2 * g,
-                    0, [(d, 0), (d, 0)], 2)
+                    0, (end, end), 2)
                 if dim != 0:
                     raise AssertionError((d, g, dim))
     # self-gluing of the sphere reproduces 1/d for d <= 10
@@ -294,9 +296,8 @@ def check_catalog() -> str:
     if tw != ident:
         raise AssertionError("cover series is not the convolution unit")
     for d in range(1, 11):
-        key = gluing.RelKey((d,), 2,
-                            (ContactMultiset([((d, 0), 1)]),
-                             ContactMultiset([((d, 0), 1)])))
+        end = ContactMultiset([((d, 0), 1)])
+        key = gluing.RelKey((d,), 2, (end, end))
         got = gluing.gw_from_tw(glued).coefficient(key)
         if got != Fraction(1, d):
             raise AssertionError((d, got))

@@ -2,13 +2,12 @@
 
 A curve hits a distinguished divisor in finitely many points, each with a
 multiplicity and each decorated by an index into a chosen homology basis of
-the divisor.  An ordered list of such pairs is a *contact sequence*; the
-unordered version with counts is a :class:`ContactMultiset`, the sorted tuple
-of its ``((a, i), count)`` items, which hashes, compares and pickles as that
-tuple.  It computes its total multiplicity, its ``degree``, and ``merge``
-returns a union with the binomial split count that weights a disjoint
-product.  The statistics (number of points, total multiplicity, product of
-multiplicities, factorial of the counts) weight every gluing sum;
+the divisor.  The contacts of one end are a :class:`ContactMultiset`, the
+sorted tuple of its ``((a, i), count)`` items, which hashes, compares and
+pickles as that tuple.  It computes its total multiplicity, its ``degree``,
+and ``merge`` returns a union with the binomial split count that weights a
+disjoint product.  Its statistics (number of points, total multiplicity,
+product of multiplicities, factorial of the counts) weight every gluing sum;
 :func:`glue_weights` is one read-only table per glued degree and pairing,
 giving a convolution the number of points of each glued end and its weighted
 dual terms as reduced integer pairs.
@@ -30,7 +29,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 ContactPair = tuple[int, int]  # (multiplicity >= 1, basis-class index >= 0)
-ContactSeq = tuple[ContactPair, ...]
 
 
 class ContactError(ValueError):
@@ -42,17 +40,6 @@ def _validate_pair(a: int, i: int) -> None:
         raise ContactError(f"contact multiplicity must be >= 1, got {a}")
     if i < 0:
         raise ContactError(f"basis index must be >= 0, got {i}")
-
-
-def seq_stats(s: Sequence[ContactPair]) -> tuple[int, int, int]:
-    """(number of points, sum of multiplicities, product of multiplicities)."""
-    length, degree, product = 0, 0, 1
-    for a, i in s:
-        _validate_pair(a, i)
-        length += 1
-        degree += a
-        product *= a
-    return length, degree, product
 
 
 class ContactMultiset(tuple):

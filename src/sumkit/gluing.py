@@ -30,14 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from sumkit.contacts import (
     ContactMultiset,
     IntersectionMatrix,
     glue_weights,
     multiset_stats,
-    seq_stats,
 )
 from sumkit.series import (
     GradedTable,
@@ -343,10 +342,6 @@ def gw_from_tw(tw: RelSeries) -> RelSeries:
 GlueMap = Callable[[ClassKey, ClassKey, int], ClassKey]
 
 
-def glue_add(k1: ClassKey, k2: ClassKey, deg_m: int) -> ClassKey:
-    return tuple(a + b for a, b in zip(k1, k2))
-
-
 def make_neck_glue(fiber: ClassKey) -> GlueMap:
     """Componentwise sum with the matched fiber multiples absorbed."""
 
@@ -359,8 +354,6 @@ def make_neck_glue(fiber: ClassKey) -> GlueMap:
 def _default_glue(x: RelSeries, y: RelSeries) -> GlueMap:
     if x.geometry == y.geometry and x.geometry.fiber is not None:
         return make_neck_glue(x.geometry.fiber)
-    if x.geometry.class_dim == y.geometry.class_dim:
-        return glue_add
     raise GluingError("no default glue map for these geometries; pass glue=")
 
 
@@ -397,8 +390,9 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
     characteristics combine as ``chi1 + chi2 - 2*len(m)``.
 
     ``glue`` maps the two class keys (and the matched multiplicity) to the
-    output class key; by default keys add, with fiber multiples absorbed on
-    a shared neck geometry.
+    output class key; by default, on one shared geometry with a fiber, keys
+    add with the matched fiber multiples absorbed (the neck glue), and any
+    other pair of geometries must pass ``glue``.
 
     Only pairs of terms that glue are visited: ``x`` is indexed by class and
     ``y`` by its first end, and each ``x`` term looks up the duals of its
@@ -478,9 +472,8 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
     return RelSeries._trusted(out_geometry, out_ends, cutoff, out)
 
 
-def convolve_via_operator(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
-                          glue: GlueMap | None = None,
-                          out_geometry: Geometry | None = None) -> RelSeries:
+def convolve_via_operator(x: RelSeries, y: RelSeries,
+                          q: IntersectionMatrix) -> RelSeries:
     """Convolution computed through the bilinear differential operator.
 
     Packs the glued-end contacts of each side into divided-power polynomial
@@ -488,10 +481,11 @@ def convolve_via_operator(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
     exponential of ``sum a * q[i][j] * d/dz(a,i) d/dw(a,j)`` to their
     product, and reads off the constant term, with each operator application
     accounting for one glued contact in the Euler characteristic.  Must agree
-    exactly with :func:`convolve`; the two paths share no weight bookkeeping.
+    exactly with :func:`convolve` under its default glue map and output
+    geometry; the two paths share no weight bookkeeping.
     """
     glue, out_geometry, out_ends, cutoff = _convolution_frame(
-        x, y, q, glue, out_geometry)
+        x, y, q, None, None)
     basis = q.size
 
     # Group terms by everything except the glued-end multiset.
@@ -680,16 +674,21 @@ def neck_identity(twf: RelSeries, n: int, q: IntersectionMatrix) -> RelSeries:
 # -- dimension bookkeeping ----------------------------------------------------
 
 def moduli_dimension(geometry: Geometry, class_key: ClassKey, chi: int,
-                     n_points: int, contacts: Iterable[tuple[int, int]],
+                     n_points: int, ends: tuple[ContactMultiset, ...],
                      dim_x: int) -> int:
     """Expected real dimension of the space of relative maps.
 
     ``-2 K[A] + (chi/2)(dim X - 6) + 2 n - 2 (deg s - len s)`` where ``s``
-    runs over all contact points (both ends together) and ``chi`` is the
+    runs over all contact points of ``ends`` together and ``chi`` is the
     Euler characteristic of the domain.  Each contact of multiplicity ``a``
     cuts the dimension by ``2(a - 1)``.
     """
-    len_s, deg_s, _ = seq_stats(contacts)
+    len_s = deg_s = 0
+    for m in ends:
+        if not isinstance(m, ContactMultiset):
+            raise GluingError(f"contact {m!r} is not a ContactMultiset")
+        length, degree, _, _ = multiset_stats(m)
+        len_s, deg_s = len_s + length, deg_s + degree
     return (-2 * geometry.pair_k(class_key)
             + (chi * (dim_x - 6)) // 2
             + 2 * n_points

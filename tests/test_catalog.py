@@ -1,11 +1,17 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from sumkit import catalog
 from sumkit.catalog import CatalogError
-from sumkit.contacts import IntersectionMatrix
+from sumkit.contacts import (
+    ContactMultiset,
+    IntersectionMatrix,
+    enumerate_multisets,
+)
 from sumkit.gluing import (
+    GluingError,
     convolve,
     identity_element,
     moduli_dimension,
@@ -16,39 +22,74 @@ from sumkit.oracles import divisor_sum
 from sumkit.series import Series
 
 
+def end(*pairs):
+    """The contact end holding one point per listed ``(a, i)`` pair."""
+    return ContactMultiset([(pair, 1) for pair in pairs])
+
+
 class TestSphereCovers:
     def test_full_multiplicity_cover(self):
-        assert catalog.p1_rel(3, 0, [(3, 0)], [(3, 0)]) == Fraction(1, 3)
+        assert catalog.p1_rel(3, 0, end((3, 0)), end((3, 0))) == Fraction(1, 3)
 
     def test_positive_genus_vanishes(self):
-        assert catalog.p1_rel(2, 1, [(2, 0)], [(2, 0)]) == 0
+        assert catalog.p1_rel(2, 1, end((2, 0)), end((2, 0))) == 0
 
     def test_split_contact_vanishes(self):
-        assert catalog.p1_rel(2, 0, [(1, 0), (1, 0)], [(2, 0)]) == 0
+        assert catalog.p1_rel(2, 0, end((1, 0), (1, 0)), end((2, 0))) == 0
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(CatalogError):
-            catalog.p1_rel(3, 0, [(2, 0)], [(3, 0)])
+            catalog.p1_rel(3, 0, end((2, 0)), end((3, 0)))
 
     def test_branch_point_three_contacts(self):
-        assert catalog.p1_rel_branch(2, 0, [(2, 0)], [(1, 0), (1, 0)]) == 1
+        assert catalog.p1_rel_branch(
+            2, 0, end((2, 0)), end((1, 0), (1, 0))) == 1
 
     def test_branch_point_two_contacts_vanishes(self):
-        assert catalog.p1_rel_branch(2, 0, [(2, 0)], [(2, 0)]) == 0
+        assert catalog.p1_rel_branch(2, 0, end((2, 0)), end((2, 0))) == 0
 
     def test_branch_point_positive_genus_vanishes(self):
         assert catalog.p1_rel_branch(
-            3, 1, [(3, 0)], [(1, 0), (1, 0), (1, 0)]) == 0
+            3, 1, end((3, 0)), end((1, 0), (1, 0), (1, 0))) == 0
 
     def test_values_respect_dimension_count(self):
         geo = riemann_surface_geometry()
         for d in range(1, 7):
             for g in range(0, 3):
-                value = catalog.p1_rel(d, g, [(d, 0)], [(d, 0)])
+                value = catalog.p1_rel(d, g, end((d, 0)), end((d, 0)))
                 if value:
                     dim = moduli_dimension(geo, (d,), 2 - 2 * g, 0,
-                                           [(d, 0), (d, 0)], 2)
+                                           (end((d, 0)), end((d, 0))), 2)
                     assert dim == 0
+
+    def test_branch_point_level_values(self):
+        # the one-branch-point cylinder's values on every pair of partition
+        # ends; a point is counted once per unit of count, so the end
+        # ``1^2(0)`` holds two points though it has one label
+        hits = 0
+        for d in range(1, 6):
+            for top in enumerate_multisets(d, 1):
+                for bottom in enumerate_multisets(d, 1):
+                    points = sum(n for _, n in top) + sum(n for _, n in bottom)
+                    value = catalog.p1_rel_branch(d, 0, top, bottom)
+                    assert value == (1 if points == 3 else 0)
+                    hits += value
+        assert hits == 12
+
+
+class TestEnds:
+    @pytest.mark.parametrize("call, error", [
+        (lambda s: catalog.p1_rel(2, 0, s, end((2, 0))), CatalogError),
+        (lambda s: catalog.p1_rel_branch(2, 0, end((2, 0)), s), CatalogError),
+        (lambda s: catalog.ruled_rel(1, 0, 2, 0, s, end((2, 0))),
+         CatalogError),
+        (lambda s: moduli_dimension(riemann_surface_geometry(), (2,), 2, 0,
+                                    s + s, 2), GluingError),
+    ], ids=["p1_rel", "p1_rel_branch", "ruled_rel", "moduli_dimension"])
+    def test_a_list_of_pairs_is_rejected(self, call, error):
+        with pytest.raises(error, match=re.escape("(2, 0)")
+                           + ".* is not a ContactMultiset"):
+            call([(2, 0)])
 
 
 class TestSphereCoverSeries:
@@ -118,29 +159,31 @@ class TestProductFibration:
 
 class TestRuled:
     def test_fiber_class_tensor_value(self):
-        value = catalog.ruled_rel(1, 0, 3, 0, [(3, 0)], [(3, 0)], "none")
+        value = catalog.ruled_rel(1, 0, 3, 0, end((3, 0)), end((3, 0)), "none")
         assert type(value) is Fraction and value == Fraction(1, 3)
 
     def test_fiber_class_point_constraint(self):
-        assert catalog.ruled_rel(1, 0, 2, 0, [(2, 0)], [(2, 0)], "point") == 1
+        assert catalog.ruled_rel(
+            1, 0, 2, 0, end((2, 0)), end((2, 0)), "point") == 1
 
     def test_section_class_fixed_contacts(self):
-        assert catalog.ruled_rel(1, 1, 0, 0, [], [(1, 0)], "point",
+        assert catalog.ruled_rel(1, 1, 0, 0, end(), end((1, 0)), "point",
                                  contacts_fixed=True) == 1
 
     def test_section_class_moving_contacts_vanish(self):
-        assert catalog.ruled_rel(1, 1, 0, 0, [], [(1, 0)], "point") == 0
+        assert catalog.ruled_rel(1, 1, 0, 0, end(), end((1, 0)), "point") == 0
 
     def test_positive_genus_vanishes(self):
-        assert catalog.ruled_rel(1, 0, 2, 1, [(2, 0)], [(2, 0)], "none") == 0
+        assert catalog.ruled_rel(
+            1, 0, 2, 1, end((2, 0)), end((2, 0)), "none") == 0
 
     def test_split_contacts_vanish(self):
         assert catalog.ruled_rel(
-            0, 0, 2, 0, [(1, 0), (1, 0)], [(2, 0)], "none") == 0
+            0, 0, 2, 0, end((1, 0), (1, 0)), end((2, 0)), "none") == 0
 
     def test_degree_pairing_enforced(self):
         with pytest.raises(CatalogError):
-            catalog.ruled_rel(1, 1, 1, 0, [(1, 0)], [(1, 0)], "point")
+            catalog.ruled_rel(1, 1, 1, 0, end((1, 0)), end((1, 0)), "point")
 
     def test_nonzero_values_pass_dimension_filter(self):
         for n in (0, 1, 2):
@@ -151,8 +194,8 @@ class TestRuled:
                             continue
                         try:
                             value = catalog.ruled_rel(
-                                n, a, b, g, [(b, 0)] if b else [],
-                                [(b + n * a, 0)] if b + n * a else [],
+                                n, a, b, g, end((b, 0)) if b else end(),
+                                end((b + n * a, 0)) if b + n * a else end(),
                                 "point", contacts_fixed=True)
                         except CatalogError:
                             continue

@@ -16,7 +16,6 @@ from sumkit.contacts import (
     glue_weights,
     multiset_stats,
     partitions,
-    seq_stats,
 )
 
 
@@ -39,21 +38,6 @@ multisets = st.lists(
     max_size=4).map(ContactMultiset)
 
 
-class TestSeqStats:
-    def test_single_triple_contact(self):
-        assert seq_stats([(3, 0)]) == (1, 3, 3)
-
-    def test_empty(self):
-        assert seq_stats([]) == (0, 0, 1)
-
-    def test_mixed(self):
-        assert seq_stats([(2, 0), (3, 1)]) == (2, 5, 6)
-
-    def test_rejects_zero_multiplicity(self):
-        with pytest.raises(ContactError):
-            seq_stats([(0, 0)])
-
-
 class TestMultisetStats:
     def test_triple_double_contact(self):
         m = ContactMultiset([((2, 0), 3)])
@@ -65,6 +49,14 @@ class TestMultisetStats:
     def test_mixed(self):
         m = ContactMultiset([((1, 0), 2), ((3, 0), 1)])
         assert multiset_stats(m) == (3, 5, 3, 2)
+
+
+@pytest.mark.parametrize("counts", [
+    [((0, 0), 1)], [((1, -1), 1)], [((1, 0), -1)]],
+    ids=["zero-multiplicity", "negative-index", "negative-count"])
+def test_multiset_rejects_a_bad_contact(counts):
+    with pytest.raises(ContactError):
+        ContactMultiset(counts)
 
 
 class TestEnumerate:

@@ -25,7 +25,6 @@ from sumkit.gluing import (
     RelSeries,
     convolve,
     convolve_via_operator,
-    glue_add,
     gw_from_tw,
     identity_element,
     moduli_dimension,
@@ -262,7 +261,8 @@ class TestConvolve:
             return RelSeries(geo, 1, 3, terms)
 
         glued = convolve(side(chi_x - chi_v), side(chi_y - chi_v), POINT,
-                         glue=glue_add, out_geometry=geo)
+                         glue=lambda k1, k2, deg_m: geo.add(k1, k2),
+                         out_geometry=geo)
         key = RelKey((0,), 0, (), "chi")
         assert glued.coefficient(key) == chi_x + chi_y - 2 * chi_v
 
@@ -673,13 +673,14 @@ class TestDimensions:
         for d in range(1, 6):
             for g in range(0, 3):
                 chi = 2 - 2 * g
-                contacts = [(d, 0), (d, 0)]
+                contacts = (single(d), single(d))
                 dim = moduli_dimension(geo, (d,), chi, 0, contacts, 2)
                 assert dim == 2 * (2 * g - 2 + 2)
 
     def test_degree_one_rigid(self):
         geo = riemann_surface_geometry()
-        assert moduli_dimension(geo, (1,), 2, 0, [(1, 0), (1, 0)], 2) == 0
+        assert moduli_dimension(geo, (1,), 2, 0, (single(1), single(1)),
+                                2) == 0
 
     def test_ruled_surface_halved_dimension(self):
         # classes a*S + b*F on the twisted surface, divisor = both sections
@@ -688,8 +689,10 @@ class TestDimensions:
                        canonical_k=(-(n + 2), -2), grading=(1, 1), v_basis=2)
         for a, b, g in [(0, 2, 0), (1, 1, 0), (1, 2, 1)]:
             contacts = [(1, 0)] * b + [(1, 0)] * (b + n * a)
+            ends = (ContactMultiset([((1, 0), b)]),
+                    ContactMultiset([((1, 0), b + n * a)]))
             chi = 2 - 2 * g
-            dim = moduli_dimension(geo, (a, b), chi, 0, contacts, 4)
+            dim = moduli_dimension(geo, (a, b), chi, 0, ends, 4)
             length = len(contacts)
             assert dim // 2 == 2 * a + g - 1 + length
 
@@ -703,6 +706,7 @@ class TestDimensions:
         for _ in range(25):
             d = rng.randint(0, 3)
             contacts = [(a, 0) for a in _random_partition(rng, d)]
+            ends = (ContactMultiset([(pair, 1) for pair in contacts]),)
             b1, b2 = rng.randint(0, 3), rng.randint(0, 3)
             k1, k2 = (d, b1), (d, b2)
             chi1, chi2 = 2 * rng.randint(-2, 1), 2 * rng.randint(-2, 1)
@@ -712,8 +716,8 @@ class TestDimensions:
             glued_k = geo.pair_k(k1) + geo.pair_k(k2) + 2 * d
             lhs = (-2 * glued_k + (chi * (dim_x - 6)) // 2
                    + 2 * (n1 + n2))
-            rhs = (moduli_dimension(geo, k1, chi1, n1, contacts, dim_x)
-                   + moduli_dimension(geo, k2, chi2, n2, contacts, dim_x)
+            rhs = (moduli_dimension(geo, k1, chi1, n1, ends, dim_x)
+                   + moduli_dimension(geo, k2, chi2, n2, ends, dim_x)
                    - length * (dim_x - 2))
             assert lhs == rhs
 
