@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 import sumkit
-from sumkit.series import Series, parse_fraction
+from sumkit import profiles
 
 
 def _lazy(name: str):
@@ -44,11 +44,15 @@ def _lazy(name: str):
     return module
 
 
+# every layer, so that `import sumkit.cli` puts each one the benchmark's
+# tracer patches in sys.modules, even those no verb reads directly
 catalog = _lazy("catalog")
+contacts = _lazy("contacts")
 elliptic = _lazy("elliptic")
 gluing = _lazy("gluing")
 hurwitz = _lazy("hurwitz")
 oracles = _lazy("oracles")
+series = _lazy("series")
 severi = _lazy("severi")
 
 ENGINE_VERSION = sumkit.__version__
@@ -216,10 +220,10 @@ def _fraction_row(value: Fraction) -> dict:
             "numerator": value.numerator, "denominator": value.denominator}
 
 
-def _series_rows(series: Series) -> list[dict]:
+def _series_rows(s: series.Series) -> list[dict]:
     rows = []
-    for exps, c in series.monomials():
-        mono = " ".join(f"{n}^{e}" for n, e in zip(series.context.names, exps)
+    for exps, c in s.monomials():
+        mono = " ".join(f"{n}^{e}" for n, e in zip(s.context.names, exps)
                         if e) or "1"
         rows.append({"monomial": mono,
                      "value": f"{c.numerator}/{c.denominator}"})
@@ -278,6 +282,20 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
+def parse_fraction(text: str) -> Fraction:
+    """``num/den`` as :meth:`Series.to_text` writes it: decimal integers,
+    an optional minus sign on ``num`` and a nonzero ``den``."""
+    if not re.fullmatch(r"-?[0-9]+/[0-9]+", text):
+        raise ValueError(f"coefficient {text!r} is not num/den")
+    num, den = text.split("/")
+    try:
+        return Fraction(int(num), int(den))
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {text!r} has denominator 0") from None
+    except ValueError as exc:  # beyond the interpreter's digit limit
+        raise ValueError(f"coefficient {text[:20]!r}...: {exc}") from None
+
+
 def _cached(directory, table: str, key: str, parse, text, compute):
     """The value of ``key``: parsed from ``table`` in the cache under
     ``directory``, if any, when stored there, else computed and stored as
@@ -290,7 +308,7 @@ def _cached(directory, table: str, key: str, parse, text, compute):
         try:
             if isinstance(stored[key], str):
                 return parse(stored[key])
-        except ValueError:  # parse_fraction's SeriesError is one
+        except ValueError:
             pass
         print(f"warning: skipping corrupt cache line in {table}.jsonl",
               file=sys.stderr)
@@ -316,18 +334,20 @@ def _cmd_severi(args) -> list[dict]:
     if args.table:
         rows = severi.severi_table(args.degree, args.delta)
     else:
-        alpha = severi.trim(alpha)
-        beta = severi.trim(beta) if beta is not None \
-            else severi.default_beta(args.degree, alpha)
+        # the key and the row need only the profile helpers: a cache hit
+        # runs no engine layer
+        alpha = profiles.trim(alpha)
+        beta = profiles.trim(beta) if beta is not None \
+            else profiles.default_beta(args.degree, alpha)
         key = json.dumps([args.degree, args.delta, list(alpha), list(beta)])
         value = _cached(args.cache_dir, "severi", key, _parse_int, str,
                         lambda: severi.severi_number(args.degree, args.delta,
                                                      alpha, beta))
-        g = severi.genus(args.degree, args.delta)
+        g = profiles.genus(args.degree, args.delta)
         rows = [{
             "d": args.degree, "delta": args.delta,
             "alpha": list(alpha), "beta": list(beta),
-            "r": severi.point_count(args.degree, g, alpha, beta),
+            "r": profiles.point_count(args.degree, g, alpha, beta),
             "value": str(value),
         }]
     return rows
@@ -337,7 +357,9 @@ def _cmd_hurwitz(args) -> list[dict]:
     alpha = _hurwitz_partition(args)
     d, g = args.degree, args.genus
     _check_max("--degree", d, HURWITZ_MAX_DEGREE, "hurwitz")
-    r = hurwitz.branch_count(d, g, alpha)
+    # _hurwitz_partition checked what hurwitz.branch_count checks, and
+    # the stdlib-only oracles module spares a cache hit the engine
+    r = oracles.branch_count_rh(d, g, alpha)
     if r > HURWITZ_MAX_BRANCH:
         raise ValueError(
             f"hurwitz: --degree {d} --genus {g} --partition {args.partition} "
@@ -362,9 +384,8 @@ def _cmd_elliptic(args) -> list[dict]:
                                                 args.order)
         return [{"identity": name, "zero": res.is_zero()}
                 for name, res in residuals.items()]
-    series = elliptic.fg(args.genus, args.order,
-                         elliptic.f0_product(args.order))
-    return _series_rows(series)
+    return _series_rows(elliptic.fg(args.genus, args.order,
+                                    elliptic.f0_product(args.order)))
 
 
 def _cmd_catalog(args) -> list[dict]:
@@ -376,14 +397,14 @@ def _cmd_catalog(args) -> list[dict]:
     _check_min("--order", args.order, 0)
     _check_max("--order", args.order, CATALOG_MAX_ORDER, "catalog")
     produced = entries[args.name].producer(args.order)
-    if isinstance(produced, Series):
+    if isinstance(produced, series.Series):
         return _series_rows(produced)
     if isinstance(produced, gluing.RelSeries):
         return gluing.relseries_to_json(produced)
     if isinstance(produced, dict):
         rows = []
-        for family, series in produced.items():
-            for row in _series_rows(series):
+        for family, s in produced.items():
+            for row in _series_rows(s):
                 rows.append(dict(row, family=family))
         return rows
     return list(produced)
@@ -524,7 +545,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: send what is
+        # left to devnull, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from fractions import Fraction
 from operator import add, mul
 from types import MappingProxyType
@@ -453,20 +452,6 @@ class Series(GradedTable):
                     parts.append(f"{name}^{e}")
             lines.append(" ".join(parts))
         return "\n".join(lines)
-
-
-def parse_fraction(text: str) -> Fraction:
-    """``num/den`` as :meth:`Series.to_text` writes it: decimal integers,
-    an optional minus sign on ``num`` and a nonzero ``den``."""
-    if not re.fullmatch(r"-?[0-9]+/[0-9]+", text):
-        raise SeriesError(f"coefficient {text!r} is not num/den")
-    num, den = text.split("/")
-    try:
-        return Fraction(int(num), int(den))
-    except ZeroDivisionError:
-        raise SeriesError(f"coefficient {text!r} has denominator 0") from None
-    except ValueError as exc:  # beyond the interpreter's digit limit
-        raise SeriesError(f"coefficient {text[:20]!r}...: {exc}") from None
 
 
 def geometric_inverse(context: VariableContext, cutoff: int,

@@ -25,7 +25,8 @@ coefficient from it.  ``tw_value`` is memoized for the process by a bounded
 ``functools.lru_cache``.
 
 Profiles are multiplicity vectors indexed from contact order 1, stored as
-trimmed tuples.
+trimmed tuples; :mod:`sumkit.profiles` holds the helpers that put a request
+on its key and its row.
 """
 
 from __future__ import annotations
@@ -37,27 +38,9 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from sumkit.contacts import ContactMultiset, enumerate_multisets
+from sumkit.profiles import (Profile, SeveriError, default_beta, genus,
+                             order_weight, point_count, trim)
 from sumkit.series import Series, VariableContext
-
-Profile = tuple[int, ...]
-
-
-class SeveriError(ValueError):
-    pass
-
-
-def trim(v: Sequence[int]) -> Profile:
-    v = list(v)
-    while v and v[-1] == 0:
-        v.pop()
-    if any(x < 0 for x in v):
-        raise SeveriError("profile entries must be nonnegative")
-    return tuple(v)
-
-
-def order_weight(v: Profile) -> int:
-    """Total contact order ``sum k * v[k-1]``."""
-    return sum((k + 1) * n for k, n in enumerate(v))
 
 
 def _bump(v: Profile, k: int, delta: int) -> Profile:
@@ -97,21 +80,6 @@ def profile(m: ContactMultiset) -> Profile:
     for (k, _), n in m:
         v[k - 1] = n
     return tuple(v)
-
-
-def genus(d: int, delta: int) -> int:
-    return (d - 1) * (d - 2) // 2 - delta
-
-
-def point_count(d: int, g: int, alpha: Profile, beta: Profile) -> int:
-    """Number of generic point conditions.
-
-    ``3d + g - 1 - I(alpha) - (I(beta) - len(beta))``: each fixed order-``k``
-    tangency cuts ``k`` parameters, each moving one ``k - 1``.  A negative
-    value signals an over-constrained (zero) count.
-    """
-    return (3 * d + g - 1 - order_weight(alpha)
-            - (order_weight(beta) - sum(beta)))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -238,12 +206,6 @@ def connected_counts(d: int, chi: int, alpha: Profile, beta: Profile
             out[d_p, chi_p, trim(alpha_p), trim(beta_p)] = \
                 c * _labels(r_p, alpha_p)
     return out
-
-
-def default_beta(d: int, alpha: Sequence[int] = ()) -> Profile:
-    """Simple moving contacts for the order not consumed by ``alpha``."""
-    rest = d - order_weight(trim(alpha))
-    return (rest,) if rest > 0 else ()
 
 
 def tw_severi(d: int, chi: int, alpha: Sequence[int] = (),

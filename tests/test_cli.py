@@ -458,6 +458,13 @@ def test_only_the_check_verb_imports_checks():
     assert json.loads(out)["value"] == "28"
 
 
+ENGINE = {"series", "contacts", "severi", "hurwitz", "gluing", "catalog",
+          "elliptic"}
+# a request that ends with these is answered from a cache that the test
+# fills first
+CACHED = ["--cache-dir", "<filled>"]
+
+
 @pytest.mark.parametrize("argv, runs, idle", [
     (["hurwitz", "--degree", "3", "--genus", "0", "--partition", "3"],
      {"hurwitz"}, {"catalog", "elliptic", "gluing", "dataclasses"}),
@@ -465,22 +472,58 @@ def test_only_the_check_verb_imports_checks():
      {"severi"}, {"catalog", "elliptic", "gluing", "dataclasses"}),
     (["catalog", "torus", "--order", "3"],
      {"catalog", "gluing", "dataclasses"}, {"elliptic", "hurwitz", "severi"}),
+    pytest.param(["hurwitz", "--degree", "3", "--genus", "0", "--partition",
+                  "3", *CACHED], {"oracles"}, ENGINE, id="hurwitz-cached"),
+    pytest.param(["severi", "--degree", "3", "--delta", "1", *CACHED],
+                 {"profiles"}, ENGINE, id="severi-cached"),
+    pytest.param(["oracle", "kontsevich", "--degree", "3"],
+                 {"oracles"}, ENGINE, id="oracle-kontsevich"),
+    pytest.param(None, set(), ENGINE | {"oracles", "profiles"},
+                 id="import-sumkit-alone"),
 ])
-def test_each_verb_runs_only_the_layers_it_uses(argv, runs, idle):
+def test_each_verb_runs_only_the_layers_it_uses(capsys, tmp_path, argv, runs,
+                                                idle):
     # a layer that sumkit.cli registered and nothing has used is still of
     # the lazy module type: any attribute access would run its body
+    cached = argv is not None and argv[-2:] == CACHED
+    if cached:
+        argv = argv[:-1] + [str(tmp_path)]
+        assert run(argv) == 0 and os.listdir(tmp_path)
+    request = "" if argv is None else \
+        f"import sumkit.cli; assert sumkit.cli.run({argv!r}) == 0"
     out = run_fresh(f"""
         import json, sys, types
-        import sumkit.cli
-        assert sumkit.cli.run({argv!r}) == 0
+        import sumkit
+        {request}
         ran = [name.removeprefix("sumkit.")
                for name, module in sys.modules.items()
                if type(module) is types.ModuleType]
         print(json.dumps(ran))
     """)
-    ran = set(json.loads(out.splitlines()[-1]))
+    *printed, last = out.splitlines()
+    if cached:
+        # the hit printed what the request that filled the cache printed
+        assert printed == capsys.readouterr().out.splitlines()
+    ran = set(json.loads(last))
     assert runs <= ran
     assert not idle & ran
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    # as `python -m sumkit.cli catalog p1 | head -1` does; the read end is
+    # closed before the first write, so the write always fails
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "sumkit.cli", "catalog", "p1", "--order",
+             "8"], stdout=write, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr == ""
 
 
 def test_lazy_layers_behave_like_imported_ones():

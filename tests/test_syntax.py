@@ -31,10 +31,8 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_every_imported_name_is_used():
-    # the package __init__ imports only to re-export
     files = sorted(path for folder in ("src/sumkit", "tests", "demos")
-                   for path in (ROOT / folder).rglob("*.py")
-                   if path != ROOT / "src/sumkit/__init__.py")
+                   for path in (ROOT / folder).rglob("*.py"))
     assert len(files) > 20
     unused = {str(path.relative_to(ROOT)): names for path in files
               if (names := _unused_imports(path))}
@@ -66,11 +64,9 @@ AWAITING_CALLERS = {"catalog.p1_rel_branch", "catalog.t2s2_two_fiber"}
 
 
 def test_every_module_level_definition_is_used():
-    # the package __init__ only re-exports: its names are no use
     package = ROOT / "src/sumkit"
     modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
-               for path in sorted(package.glob("*.py"))
-               if path.name != "__init__.py"}
+               for path in sorted(package.glob("*.py"))}
     used = set().union(*map(_named, modules.values()), *(
         _named(ast.parse(path.read_text(), filename=str(path)))
         for folder in ("demos", "perfbench")
