@@ -47,6 +47,13 @@ def _run(name: str, body: Callable[[], str]) -> CheckResult:
     return CheckResult(name, passed, detail, time.perf_counter() - start)
 
 
+def _require(holds: bool, identity: str, trial: int) -> None:
+    """Raise the failure of ``identity`` at random trial ``trial`` unless it
+    ``holds``."""
+    if not holds:
+        raise AssertionError(f"{identity} fails at trial {trial}")
+
+
 ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = ()
 
 
@@ -193,30 +200,30 @@ def check_scattering() -> str:
         if trial % 2 == 0:
             # nilpotency up to 6 at this cutoff
             r = _random_residual(rng, geo, cutoff, 1, 2)
-            if not r:  # an empty residual would test only the unit
-                raise AssertionError(trial)
+            # an empty residual would test only the unit
+            _require(bool(r), "r != 0", trial)
             twf = ident + r
             s = gluing.s_matrix(twf, q)
-            if gluing.convolve(s, twf, q) != ident:
-                raise AssertionError(trial)
-            if gluing.convolve(twf, s, q) != ident:
-                raise AssertionError(trial)
+            _require(gluing.convolve(s, twf, q) == ident,
+                     "convolve(s, twf) == unit", trial)
+            _require(gluing.convolve(twf, s, q) == ident,
+                     "convolve(twf, s) == unit", trial)
             inverses += 1
         else:
             # residual square vanishes at cutoff: neck sums collapse
             r = _random_residual(rng, geo, cutoff, cutoff // 2 + 1, 2)
-            if not r:
-                raise AssertionError(trial)
+            _require(bool(r), "r != 0", trial)
             twf = ident + r
             s = gluing.s_matrix(twf, q)
-            if gluing.convolve(s, twf, q) != ident:
-                raise AssertionError(trial)
+            _require(gluing.convolve(s, twf, q) == ident,
+                     "convolve(s, twf) == unit", trial)
             for n in range(1, 6):
-                if gluing.neck_identity(twf, n, q) != s:
-                    raise AssertionError((trial, n))
+                _require(gluing.neck_identity(twf, n, q) == s,
+                         f"neck_identity(twf, {n}) == s", trial)
             necks += 1
     if not (inverses and necks):
-        raise AssertionError()
+        raise AssertionError(f"{inverses} inverse checks, {necks} neck-sum "
+                             "checks")
     return f"{inverses} inverse checks, {necks} neck-sum checks (n=1..5)"
 
 
@@ -254,8 +261,8 @@ def check_convolution_routes() -> str:
         y = _random_one_ended(rng, geo, cutoff, 2)
         direct = gluing.convolve(x, y, q)
         operator = gluing.convolve_via_operator(x, y, q)
-        if direct != operator:
-            raise AssertionError(f"trial {trial}")
+        _require(direct == operator,
+                 "convolve(x, y) == convolve_via_operator(x, y)", trial)
     return "100 random pairs, enumeration vs differential operator"
 
 
@@ -332,28 +339,23 @@ def check_series_core() -> str:
 
     for trial in range(500):
         a, b, c = random_series(), random_series(), random_series()
-        if a + b != b + a:
-            raise AssertionError()
-        if a * b != b * a:
-            raise AssertionError()
-        if (a + b) + c != a + (b + c):
-            raise AssertionError()
-        if (a * b) * c != a * (b * c):
-            raise AssertionError()
-        if a * (b + c) != a * b + a * c:
-            raise AssertionError()
-        # Leibniz rule
-        if (a * b).differentiate("t") != \
-                a.differentiate("t") * b.truncate(cutoff - 1) \
-                + a.truncate(cutoff - 1) * b.differentiate("t"):
-            raise AssertionError()
+        _require(a + b == b + a, "a + b == b + a", trial)
+        _require(a * b == b * a, "a * b == b * a", trial)
+        _require((a + b) + c == a + (b + c), "(a + b) + c == a + (b + c)",
+                 trial)
+        _require((a * b) * c == a * (b * c), "(a * b) * c == a * (b * c)",
+                 trial)
+        _require(a * (b + c) == a * b + a * c, "a * (b + c) == a * b + a * c",
+                 trial)
+        leibniz = a.differentiate("t") * b.truncate(cutoff - 1) \
+            + a.truncate(cutoff - 1) * b.differentiate("t")
+        _require((a * b).differentiate("t") == leibniz,
+                 "Leibniz rule (a * b)' == a' * b + a * b'", trial)
         if trial % 10 == 0:
             f = random_series(max_terms=5, laurent=1, unit=True)
-            if f.exp().log() != f:
-                raise AssertionError()
+            _require(f.exp().log() == f, "log(exp(f)) == f", trial)
             g = Series.one(ctx, cutoff) + f
-            if g.log().exp() != g:
-                raise AssertionError()
+            _require(g.log().exp() == g, "exp(log(1 + f)) == 1 + f", trial)
     return "ring axioms, Leibniz, exp/log roundtrip on 500 random series"
 
 

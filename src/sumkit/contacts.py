@@ -36,6 +36,8 @@ class ContactError(ValueError):
 
 
 def _validate_pair(a: int, i: int) -> None:
+    if type(a) is not int or type(i) is not int:
+        raise ContactError(f"contact ({a!r}, {i!r}) is not a pair of ints")
     if a < 1:
         raise ContactError(f"contact multiplicity must be >= 1, got {a}")
     if i < 0:
@@ -44,7 +46,8 @@ def _validate_pair(a: int, i: int) -> None:
 
 class ContactMultiset(tuple):
     """Multiset of (multiplicity, basis index) pairs: the sorted tuple of its
-    ``((a, i), count)`` items.
+    ``((a, i), count)`` items, each an ``int`` with ``a >= 1``, ``i >= 0``
+    and ``count >= 0`` (a zero count adds nothing).
 
     Immutable, and hashed, compared and ordered as that tuple; used directly
     as a dictionary key in coefficient tables and serialized as
@@ -57,8 +60,8 @@ class ContactMultiset(tuple):
         merged: dict[ContactPair, int] = {}
         for (a, i), n in counts:
             _validate_pair(a, i)
-            if n < 0:
-                raise ContactError("counts must be nonnegative")
+            if type(n) is not int or n < 0:
+                raise ContactError(f"count {n!r} is not a nonnegative int")
             if n:
                 merged[(a, i)] = merged.get((a, i), 0) + n
         return tuple.__new__(cls, sorted(merged.items()))

@@ -127,6 +127,9 @@ class VariableContext:
         if len(exponents) != len(self.names):
             raise SeriesError("exponent vector has wrong length")
         for i, e in enumerate(exponents):
+            if type(e) is not int:
+                raise SeriesError(
+                    f"exponent {e!r} of {self.names[i]!r} is not an int")
             if e < 0 and i != self.laurent_index:
                 raise SeriesError(
                     f"negative exponent on non-laurent variable {self.names[i]!r}"
@@ -280,8 +283,9 @@ class Series(GradedTable):
 
     Keys are exponent vectors over a :class:`VariableContext`, graded by
     its weights.  The constructor checks that each vector has the context's
-    length, is nonnegative off the laurent variable and has grading at most
-    ``cutoff``; it converts coefficients to Fractions and drops zeros.
+    length, holds only ``int`` exponents, is nonnegative off the laurent
+    variable and has grading at most ``cutoff``; it converts coefficients to
+    Fractions and drops zeros.
     """
 
     __slots__ = ("context",)

@@ -1,7 +1,9 @@
 """Acceptance criteria, one test per check registered with ``@criterion``.
 
 Each run prints its own pass/fail line (visible with ``pytest -s``) and
-enforces the criterion's time budget.  All equalities are exact.
+enforces the criterion's time budget.  All equalities are exact.  Every
+check also has its committed corruptions in ``CORRUPTIONS``, each of which
+it must fail with the detail its row names.
 """
 
 import os
@@ -9,7 +11,9 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from operator import methodcaller
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -44,14 +48,16 @@ def test_criterion(check):
     _report(check())
 
 
-def _assert_budgets_match(registry):
+def _assert_covers(registry, table):
+    """Every registered check has an entry in ``table``, and every entry
+    names a registered check."""
     names = sorted(check.name for check in registry)
-    assert names == sorted(BUDGETS), \
-        f"criteria {names} and budgets {sorted(BUDGETS)} differ"
+    entries = sorted(name for name, entry in table.items() if entry)
+    assert names == entries, f"criteria {names} and entries {entries} differ"
 
 
 def test_every_criterion_has_exactly_one_budget():
-    _assert_budgets_match(checks.ALL_CHECKS)
+    _assert_covers(checks.ALL_CHECKS, BUDGETS)
 
 
 def test_a_criterion_without_a_budget_fails(monkeypatch):
@@ -64,149 +70,156 @@ def test_a_criterion_without_a_budget_fails(monkeypatch):
     assert checks.ALL_CHECKS[-1] is check_unbudgeted
     assert check_unbudgeted().detail == "fine"
     with pytest.raises(AssertionError, match="differ"):
-        _assert_budgets_match(checks.ALL_CHECKS)
+        _assert_covers(checks.ALL_CHECKS, BUDGETS)
 
 
 def test_a_budget_without_a_criterion_fails():
     with pytest.raises(AssertionError, match="differ"):
-        _assert_budgets_match(checks.ALL_CHECKS[1:])
+        _assert_covers(checks.ALL_CHECKS[1:], BUDGETS)
 
 
-def test_catalog_consistency_fails_on_a_corrupted_ruled_value(monkeypatch):
-    ruled_rel = catalog.ruled_rel
-
-    def corrupted(n, a, b, g, *args, **kwargs):
-        if (a, g) == (1, 1):  # the genus-one section class
-            return Fraction(1)
-        return ruled_rel(n, a, b, g, *args, **kwargs)
-
-    monkeypatch.setattr(catalog, "ruled_rel", corrupted)
-    result = checks.check_catalog()
-    assert not result.passed and "(1, 1, 1)" in result.detail
+class Row(NamedTuple):
+    """One committed corruption of a check: ``corrupt(request)`` patches an
+    engine input or operation, and the failed check reports ``detail``
+    (all of it if ``exact``) while every check in ``spares`` still passes."""
+    corrupt: Callable
+    detail: str
+    exact: bool = False
+    spares: tuple[str, ...] = ()
 
 
-def test_cut_join_residual_fails_on_a_doubled_hurwitz_number(monkeypatch):
-    hurwitz_number = hurwitz.hurwitz_number
-
-    def doubled(d, g, alpha):
-        value = hurwitz_number(d, g, alpha)
-        return 2 * value if (d, g, tuple(alpha)) == (3, 0, (2, 1)) else value
-
-    monkeypatch.setattr(hurwitz, "hurwitz_number", doubled)
-    result = checks.check_cut_join_residual()
-    assert not result.passed and "-4/3 z3^1 u^3" in result.detail
-    result = checks.check_hurwitz_oracle()
-    assert not result.passed
-    assert "(3, 0, (2, 1), Fraction(8, 1), Fraction(4, 1))" in result.detail
+def _corrupted(owner, name, change):
+    """Pass each value of ``owner.name`` through ``change(value, *args)``."""
+    real = getattr(owner, name)
+    return lambda request: request.getfixturevalue("monkeypatch").setattr(
+        owner, name,
+        lambda *args, **kwargs: change(real(*args, **kwargs), *args))
 
 
-def test_catalog_consistency_fails_on_a_doubled_torus_coefficient(
-        monkeypatch):
-    torus_rel_series = catalog.torus_rel_series
-
-    def doubled(cutoff):
-        series = torus_rel_series(cutoff)
-        terms = dict(series.terms)
-        key = series.context.exponents({"t": 6})
-        terms[key] *= 2
-        return Series(series.context, series.cutoff, terms)
-
-    monkeypatch.setattr(catalog, "torus_rel_series", doubled)
-    result = checks.check_catalog()
-    assert not result.passed
-    assert "torus t^6: sieve 24 != divisor sum 12" in result.detail
+def _doubled(owner, name, at):
+    """Double the value of ``owner.name`` where ``at(*args)`` holds."""
+    return _corrupted(owner, name,
+                      lambda value, *args: 2 * value if at(*args) else value)
 
 
-def test_series_core_fails_on_a_doubled_derivative_coefficient(monkeypatch):
-    differentiate = Series.differentiate
-
-    def doubled(self, name):
-        derivative = differentiate(self, name)
-        if not derivative.terms:
-            return derivative
-        terms = dict(derivative.terms)
-        terms[min(terms)] *= 2
-        return Series(derivative.context, derivative.cutoff, terms)
-
-    monkeypatch.setattr(Series, "differentiate", doubled)
-    assert not checks.check_series_core().passed
+def _double_term(series, exponents):
+    terms = dict(series.terms)
+    terms[exponents] *= 2
+    return Series(series.context, series.cutoff, terms)
 
 
-def test_elliptic_surface_fails_on_a_doubled_sigma_series(monkeypatch):
-    sigma_series = elliptic.sigma_series
+DOUBLED_HURWITZ_NUMBER = _doubled(
+    hurwitz, "hurwitz_number",
+    lambda d, g, alpha: (d, g, tuple(alpha)) == (3, 0, (2, 1)))
+DOUBLED_GLUE_WEIGHT = methodcaller("getfixturevalue", "doubled_glue_weight")
 
-    def doubled(cutoff):
-        return 2 * sigma_series(cutoff)
-
-    monkeypatch.setattr(elliptic, "sigma_series", doubled)
-    result = checks.check_elliptic()
-    assert not result.passed
-    assert result.detail == \
-        "AssertionError: nonzero residuals: ['genus1-two-routes']"
-
-
-@pytest.mark.parametrize("name", [
-    "scattering-algebra", "convolution-routes", "catalog-consistency"])
-def test_gluing_checks_fail_on_a_doubled_glue_weight(name,
-                                                     doubled_glue_weight):
-    check, = [check for check in checks.ALL_CHECKS if check.name == name]
-    assert not check().passed
-
-
-@pytest.fixture
-def fresh_severi_memo():
-    """Clear the Severi memo before and after a test."""
-    severi.tw_value.cache_clear()
-    yield
-    severi.tw_value.cache_clear()
-
-
-def test_severi_kontsevich_fails_on_a_doubled_tangency_weight(
-        monkeypatch, fresh_severi_memo):
-    order_product = severi._order_product
-
-    def doubled(v):
-        value = order_product(v)
-        # the weight of one smoothed tangency of order 2
-        return 2 * value if v == (0, 1) else value
-
-    monkeypatch.setattr(severi, "_order_product", doubled)
-    result = checks.check_severi_kontsevich()
-    assert not result.passed
-    assert "[1, 1, 16, 1108, 182312] != [1, 1, 12, 620, 87304]" \
-        in result.detail
-    # the smooth counts never smooth a tangency
-    assert checks.check_smooth_curves().passed
-
-
-def test_severi_kontsevich_fails_on_doubled_order_six_weights(
-        monkeypatch, fresh_severi_memo):
-    order_product = severi._order_product
-
-    def doubled(v):
-        value = order_product(v)
+CORRUPTIONS = {
+    "severi-kontsevich": {
+        # one smoothed tangency of order 2, which no smooth count smooths
+        "doubled-tangency-weight": Row(
+            _doubled(severi, "_order_product", lambda v: v == (0, 1)),
+            "[1, 1, 16, 1108, 182312] != [1, 1, 12, 620, 87304]",
+            spares=("smooth-curves",)),
         # every profile with a contact of order 6 or more: only d >= 6
-        return 2 * value if len(v) >= 6 else value
+        "doubled-order-six-weights": Row(
+            _doubled(severi, "_order_product", lambda v: len(v) >= 6),
+            "rational degrees d=6..10: "),
+    },
+    "smooth-curves": {  # one smoothed contact of order 1
+        "doubled-order-weight": Row(
+            _doubled(severi, "_order_product", lambda v: v == (1,)),
+            "AssertionError: [1, 2, 2, 2]", exact=True),
+    },
+    "hurwitz-oracle": {"doubled-hurwitz-number": Row(
+        DOUBLED_HURWITZ_NUMBER,
+        "(3, 0, (2, 1), Fraction(8, 1), Fraction(4, 1))")},
+    "cut-join-residual": {"doubled-hurwitz-number": Row(
+        DOUBLED_HURWITZ_NUMBER, "-4/3 z3^1 u^3")},
+    "elliptic-surface": {"doubled-sigma-series": Row(
+        _doubled(elliptic, "sigma_series", lambda cutoff: True),
+        "AssertionError: nonzero residuals: ['genus1-two-routes']",
+        exact=True)},
+    "scattering-algebra": {"doubled-glue-weight": Row(
+        DOUBLED_GLUE_WEIGHT,
+        "AssertionError: convolve(s, twf) == unit fails at trial 0",
+        exact=True)},
+    "convolution-routes": {"doubled-glue-weight": Row(
+        DOUBLED_GLUE_WEIGHT,
+        "AssertionError: convolve(x, y) == convolve_via_operator(x, y) "
+        "fails at trial 1", exact=True)},
+    "catalog-consistency": {
+        # the genus-one section class
+        "corrupted-ruled-value": Row(
+            _corrupted(catalog, "ruled_rel", lambda value, n, a, b, g, *_:
+                       Fraction(1) if (a, g) == (1, 1) else value),
+            "(1, 1, 1)"),
+        "doubled-torus-coefficient": Row(
+            _corrupted(catalog, "torus_rel_series", lambda value, cutoff:
+                       _double_term(value, value.context.exponents({"t": 6}))),
+            "torus t^6: sieve 24 != divisor sum 12"),
+        "doubled-glue-weight": Row(
+            DOUBLED_GLUE_WEIGHT,
+            "AssertionError: self-gluing changed the cover series",
+            exact=True),
+    },
+    "series-core": {"doubled-derivative-coefficient": Row(
+        # the least term of every nonzero derivative
+        _corrupted(Series, "differentiate", lambda value, *_:
+                   _double_term(value, min(value.terms))
+                   if value.terms else value),
+        "AssertionError: Leibniz rule (a * b)' == a' * b + a * b' "
+        "fails at trial 0", exact=True)},
+}
 
-    monkeypatch.setattr(severi, "_order_product", doubled)
-    result = checks.check_severi_kontsevich()
-    assert not result.passed
-    assert "rational degrees d=6..10: " in result.detail
+
+def _clear_memos():
+    """Clear every ``lru_cache`` memo of the sumkit modules."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sumkit."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
-def test_smooth_curves_fails_on_a_doubled_order_weight(monkeypatch,
-                                                       fresh_severi_memo):
-    order_product = severi._order_product
+def _check(name):
+    return next(check for check in checks.ALL_CHECKS if check.name == name)
 
-    def doubled(v):
-        value = order_product(v)
-        # the weight of one smoothed contact of order 1
-        return 2 * value if v == (1,) else value
 
-    monkeypatch.setattr(severi, "_order_product", doubled)
-    result = checks.check_smooth_curves()
-    assert not result.passed
-    assert result.detail == "AssertionError: [1, 2, 2, 2]"
+@pytest.mark.parametrize("name, row", [
+    pytest.param(name, row, id=f"{name}-{label}")
+    for name, rows in CORRUPTIONS.items() for label, row in rows.items()])
+def test_corruption(name, row, request):
+    # no memo holds a true value into the row or a corrupted one out of it
+    _clear_memos()
+    try:
+        row.corrupt(request)
+        result = _check(name)()
+        assert not result.passed
+        assert (result.detail == row.detail if row.exact
+                else row.detail in result.detail), result.detail
+        for spared in row.spares:
+            assert _check(spared)().passed, spared
+    finally:
+        _clear_memos()
+
+
+def test_every_criterion_has_a_corruption():
+    _assert_covers(checks.ALL_CHECKS, CORRUPTIONS)
+
+
+def test_a_criterion_without_a_corruption_fails(monkeypatch):
+    monkeypatch.setattr(checks, "ALL_CHECKS", checks.ALL_CHECKS)
+    checks.criterion("uncorrupted")(lambda: "fine")
+    with pytest.raises(AssertionError, match="differ"):
+        _assert_covers(checks.ALL_CHECKS, CORRUPTIONS)
+    with pytest.raises(AssertionError, match="differ"):  # an empty entry
+        _assert_covers(checks.ALL_CHECKS[:-1],
+                       dict(CORRUPTIONS, **{"series-core": {}}))
+
+
+def test_a_corruption_without_a_criterion_fails():
+    with pytest.raises(AssertionError, match="differ"):
+        _assert_covers(checks.ALL_CHECKS[1:], CORRUPTIONS)
 
 
 def test_a_corrupted_check_fails_under_python_o():

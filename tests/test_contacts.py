@@ -52,8 +52,11 @@ class TestMultisetStats:
 
 
 @pytest.mark.parametrize("counts", [
-    [((0, 0), 1)], [((1, -1), 1)], [((1, 0), -1)]],
-    ids=["zero-multiplicity", "negative-index", "negative-count"])
+    [((0, 0), 1)], [((1, -1), 1)], [((1, 0), -1)], [((1.5, 0), 2)],
+    [((1, 0.0), 1)], [((1, 0), 2.0)], [((True, 0), 1)]],
+    ids=["zero-multiplicity", "negative-index", "negative-count",
+         "float-multiplicity", "float-index", "float-count",
+         "bool-multiplicity"])
 def test_multiset_rejects_a_bad_contact(counts):
     with pytest.raises(ContactError):
         ContactMultiset(counts)

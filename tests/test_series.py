@@ -49,6 +49,12 @@ class TestContext:
             Series(c, 5, {c.exponents({"t": -1}): 1})
         Series(c, 5, {c.exponents({"lam": -4}): 1})  # fine
 
+    @pytest.mark.parametrize("exponent", [1.5, 2.0, Fraction(1), True])
+    def test_exponent_must_be_an_int(self, exponent):
+        # a float exponent would differentiate to a float coefficient
+        with pytest.raises(SeriesError, match="is not an int"):
+            Series(VariableContext("t"), 3, {(exponent,): 1})
+
     @pytest.mark.parametrize("field", [
         "names", "weights", "laurent_index", "_index"])
     def test_fields_cannot_be_assigned(self, field):
