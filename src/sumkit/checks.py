@@ -119,7 +119,8 @@ def check_severi_kontsevich() -> str:
 def check_smooth_curves() -> str:
     got = [severi.severi_number(d, 0) for d in range(1, 5)]
     if got != [1, 1, 1, 1]:
-        raise AssertionError(got)
+        raise AssertionError(f"severi_number(d, 0) for d=1..4: {got} != "
+                             "[1, 1, 1, 1]")
     return "unique smooth curve through the full point count, d=1..4"
 
 
@@ -135,7 +136,9 @@ def check_hurwitz_oracle() -> str:
                 fast = hurwitz.hurwitz_number(d, g, alpha)
                 slow = oracles.hurwitz_oracle(d, g, alpha)
                 if fast != slow:
-                    raise AssertionError((d, g, alpha, fast, slow))
+                    raise AssertionError(
+                        f"hurwitz_number{(d, g, alpha)} = {fast} != "
+                        f"hurwitz_oracle{(d, g, alpha)} = {slow}")
                 checked += 1
     return f"{checked} keys against tuple enumeration"
 
@@ -153,7 +156,9 @@ def check_elliptic() -> str:
     f0 = elliptic.f0_via_ode(100)
     lead = [f0.coefficient({"t": n}) for n in range(5)]
     if lead != [1, 12, 90, 520, 2535]:
-        raise AssertionError(lead)
+        raise AssertionError(f"f0_via_ode coefficients t^0..t^4: "
+                             f"{', '.join(map(str, lead))} != "
+                             "1, 12, 90, 520, 2535")
     residuals = elliptic.identity_residuals(3, 100)
     bad = [k for k, v in residuals.items() if not v.is_zero()]
     if bad:
@@ -276,11 +281,17 @@ def check_catalog() -> str:
                 s_prime = ContactMultiset([((b + a, 0), 1)])
                 if catalog.ruled_rel(1, a, b, g, s, s_prime, "none"):
                     if not catalog.vanishing_filter(a, g, 0):
-                        raise AssertionError((a, b, g))
+                        raise AssertionError(
+                            f"ruled_rel(a={a}, b={b}, g={g}) without a point "
+                            "is nonzero where vanishing_filter(a, g, 0) "
+                            "is false")
                 if catalog.ruled_rel(1, a, b, g, s, s_prime, "point",
                                      contacts_fixed=True):
                     if not catalog.vanishing_filter(a, g, 1):
-                        raise AssertionError((a, b, g))
+                        raise AssertionError(
+                            f"ruled_rel(a={a}, b={b}, g={g}) through a point "
+                            "is nonzero where vanishing_filter(a, g, 1) "
+                            "is false")
     for d in range(1, 8):
         for g in (0, 1):
             end = ContactMultiset([((d, 0), 1)])
@@ -290,7 +301,9 @@ def check_catalog() -> str:
                     gluing.riemann_surface_geometry(), (d,), 2 - 2 * g,
                     0, (end, end), 2)
                 if dim != 0:
-                    raise AssertionError((d, g, dim))
+                    raise AssertionError(
+                        f"p1_rel(d={d}, g={g}) is nonzero on a moduli space "
+                        f"of dimension {dim} != 0")
     # self-gluing of the sphere reproduces 1/d for d <= 10
     q = IntersectionMatrix.point_pairing()
     cutoff = 10
@@ -307,7 +320,8 @@ def check_catalog() -> str:
         key = gluing.RelKey((d,), 2, (end, end))
         got = gluing.gw_from_tw(glued).coefficient(key)
         if got != Fraction(1, d):
-            raise AssertionError((d, got))
+            raise AssertionError(f"connected sphere self-gluing at d={d}: "
+                                 f"{got} != 1/{d}")
     # the torus sieve against trial division, every coefficient
     torus = catalog.torus_rel_series(100)
     for n in range(101):

@@ -45,32 +45,22 @@ def f0_via_ode(cutoff: int) -> Series:
                   {ctx.exponents({"t": n}): c for n, c in enumerate(coeffs)})
 
 
-def euler_product(k: int, cutoff: int) -> Series:
-    """``prod_{d=1..cutoff} (1 - t^d)^(-k)`` through order ``cutoff``.
+def f0_product(cutoff: int) -> Series:
+    """The same series as the twelfth power of the partition series
+    ``prod_{d>=1} (1 - t^d)^(-1)``, through order ``cutoff``.
 
-    Built on a list of Python ints, one factor ``1 - t^d`` at a time.
-    Dividing by it is the running sum ``b_n = a_n + b_(n-d)``, ascending in
-    ``n`` so that ``b_(n-d)`` is already divided; multiplying by it is the
-    difference ``b_n = a_n - a_(n-d)``, descending in ``n`` so that
-    ``a_(n-d)`` is not yet multiplied.
+    Built on a list of Python ints, dividing by each factor ``1 - t^d``
+    twelve times.  One division is the running sum ``b_n = a_n + b_(n-d)``,
+    ascending in ``n`` so that ``b_(n-d)`` is already divided.
     """
     coeffs = [1] + [0] * cutoff
     for d in range(1, cutoff + 1):
-        for _ in range(abs(k)):
-            if k > 0:
-                for n in range(d, cutoff + 1):
-                    coeffs[n] += coeffs[n - d]
-            else:
-                for n in range(cutoff, d - 1, -1):
-                    coeffs[n] -= coeffs[n - d]
+        for _ in range(12):
+            for n in range(d, cutoff + 1):
+                coeffs[n] += coeffs[n - d]
     ctx = fiber_context()
     return Series(ctx, cutoff,
                   {ctx.exponents({"t": n}): c for n, c in enumerate(coeffs)})
-
-
-def f0_product(cutoff: int) -> Series:
-    """The same series as the twelfth power of the partition series."""
-    return euler_product(12, cutoff)
 
 
 def fg(g: int, cutoff: int, f0: Series) -> Series:

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from types import MappingProxyType
 from typing import Callable, Mapping
 
 from sumkit.contacts import (
@@ -177,6 +176,10 @@ class RelKey:
     tag: str = "1"
 
     def __post_init__(self):
+        if type(self.tag) is not str:
+            raise GluingError(f"tag must be a str, got {self.tag!r}")
+        # equal products of atoms are one key, however the tag was written
+        object.__setattr__(self, "tag", tag_mul(self.tag, "1"))
         if type(self.chi) is not int:
             raise GluingError(
                 f"Euler characteristic must be an int, got {self.chi!r}")
@@ -217,11 +220,11 @@ class RelSeries(GradedTable):
     Keys are :class:`RelKey` values graded by their class.  The constructor
     checks that ``end_count`` is 0, 1 or 2 and that each key is a
     :class:`RelKey` with ``end_count`` contact multisets, a class of the
-    geometry's dimension with ``0 <= grade(class) <= cutoff``, on each end
-    ``deg(contacts) == pair_v(class)``, and every contact label below
-    ``v_basis``; it converts coefficients to Fractions and drops zeros.
-    :func:`convolve` accepts any ``glue`` map, so it still checks each glued
-    class, once per pair of input classes that has a pair of terms meeting.
+    geometry's dimension, on each end ``deg(contacts) == pair_v(class)``,
+    and every contact label below ``v_basis``, and then the terms as every
+    :class:`~sumkit.series.GradedTable` does.  :func:`convolve` accepts any
+    ``glue`` map, so it still checks each glued class, once per pair of
+    input classes that has a pair of terms meeting.
     """
 
     __slots__ = ("geometry", "end_count")
@@ -230,60 +233,41 @@ class RelSeries(GradedTable):
 
     def __init__(self, geometry: Geometry, end_count: int, cutoff: int,
                  terms: Mapping[RelKey, Fraction | int] | None = None):
-        if end_count not in (0, 1, 2):
-            raise GluingError("end_count must be 0, 1 or 2")
-        clean: dict[RelKey, Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                if not isinstance(key, RelKey):
-                    raise GluingError(f"key {key!r} is not a RelKey")
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if not c:
-                    continue
-                if len(key.class_key) != geometry.class_dim:
-                    raise GluingError("class key has wrong dimension")
-                if len(key.contacts) != end_count:
-                    raise GluingError("key has wrong number of ends")
-                grade = geometry.grade(key.class_key)
-                if grade > cutoff:
-                    raise GluingError("term beyond cutoff")
-                if grade < 0:
-                    raise GluingError("negative grading")
-                deg_v = geometry.pair_v(key.class_key)
-                for m in key.contacts:
-                    if not isinstance(m, ContactMultiset):
-                        raise GluingError(
-                            f"contact {m!r} is not a ContactMultiset")
-                    if m.degree != deg_v:
-                        raise GluingError(
-                            f"contact degree {m.degree} != class "
-                            f"pairing {deg_v} for key {key}"
-                        )
-                    for (a, i), _ in m:
-                        if i >= geometry.v_basis:
-                            raise GluingError(
-                                f"contact label ({a}, {i}) is outside the "
-                                f"divisor basis, v_basis={geometry.v_basis}, "
-                                f"for key {key}")
-                clean[key] = c
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "end_count", end_count)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        if type(end_count) is not int or end_count not in (0, 1, 2):
+            raise GluingError(
+                f"end_count must be the int 0, 1 or 2, got {end_count!r}")
+        super().__init__(geometry, end_count, cutoff, terms)
 
     def _grade(self, key: RelKey) -> int:
         return self.geometry.grade(key.class_key)
 
-    @classmethod
-    def unit(cls, geometry: Geometry, end_count: int, cutoff: int) -> "RelSeries":
-        """Coefficient 1 on the empty-curve key."""
-        key = _rel_key(geometry.zero_key(), 0,
-                       tuple(ContactMultiset() for _ in range(end_count)), "1")
-        return cls(geometry, end_count, cutoff, {key: 1})
+    def _check_key(self, key) -> RelKey:
+        if not isinstance(key, RelKey):
+            raise GluingError(f"key {key!r} is not a RelKey")
+        geometry = self.geometry
+        if len(key.class_key) != geometry.class_dim:
+            raise GluingError("class key has wrong dimension")
+        if len(key.contacts) != self.end_count:
+            raise GluingError("key has wrong number of ends")
+        deg_v = geometry.pair_v(key.class_key)
+        for m in key.contacts:
+            if not isinstance(m, ContactMultiset):
+                raise GluingError(f"contact {m!r} is not a ContactMultiset")
+            if m.degree != deg_v:
+                raise GluingError(f"contact degree {m.degree} != class "
+                                  f"pairing {deg_v} for key {key}")
+            for (a, i), _ in m:
+                if i >= geometry.v_basis:
+                    raise GluingError(
+                        f"contact label ({a}, {i}) is outside the "
+                        f"divisor basis, v_basis={geometry.v_basis}, "
+                        f"for key {key}")
+        return key
 
-    def coefficient(self, key: RelKey) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+    @staticmethod
+    def _empty_key(geometry: Geometry, end_count: int) -> RelKey:
+        return _rel_key(geometry.zero_key(), 0,
+                        (ContactMultiset(),) * end_count, "1")
 
     def __repr__(self):
         return (f"RelSeries(ends={self.end_count}, cutoff={self.cutoff}, "
@@ -324,17 +308,12 @@ class RelSeries(GradedTable):
 
 def tw_from_gw(gw: RelSeries) -> RelSeries:
     """Disconnected counts from connected ones: the disjoint-product exponential."""
-    return graded_exp(gw, RelSeries.disjoint_mul,
-                      RelSeries.unit(gw.geometry, gw.end_count, gw.cutoff))
+    return graded_exp(gw, RelSeries.disjoint_mul)
 
 
 def gw_from_tw(tw: RelSeries) -> RelSeries:
     """Connected counts from disconnected ones: the disjoint-product logarithm."""
-    (empty,) = RelSeries.unit(tw.geometry, tw.end_count, tw.cutoff).terms
-    rest = dict(tw.terms)
-    if rest.pop(empty, None) != 1:
-        raise GluingError("series must have coefficient 1 on the empty key")
-    return graded_log(tw._wrap(rest), RelSeries.disjoint_mul)
+    return graded_log(tw, RelSeries.disjoint_mul)
 
 
 # -- convolution --------------------------------------------------------------

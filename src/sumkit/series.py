@@ -6,7 +6,8 @@ weighted grading.  Each variable in a :class:`VariableContext` has a
 nonnegative integer weight; a monomial is kept only while its total weight is
 at most the series cutoff.  Arithmetic is exact -- coefficients are
 ``fractions.Fraction`` values and are never stored as zero.  The table
-policy (sums, scaling, truncation, equality, pickling) lives in
+policy (the validating constructor, the coefficient lookup, sums, scaling,
+truncation, equality, pickling, the unit of exp and log) lives in
 :class:`GradedTable`, which ``gluing.RelSeries`` shares.
 
 One variable per context may be marked *laurent*, in which case negative
@@ -64,6 +65,9 @@ class VariableContext:
             elif len(entry) == 2:
                 entry = (entry[0], entry[1], False)
             name, weight, laurent = entry
+            if type(weight) is not int:
+                raise SeriesError(
+                    f"weight {weight!r} of variable {name!r} is not an int")
             if weight < 0:
                 raise SeriesError(f"negative weight for variable {name!r}")
             if laurent:
@@ -142,27 +146,32 @@ class GradedTable:
     The shared policy of :class:`Series` and ``gluing.RelSeries``.  A
     subclass names its other constructor fields in ``_HEADER`` (they come
     before ``cutoff`` and ``terms``), the grade of a key in :meth:`_grade`,
-    and its error types in ``_Error`` and ``_Mismatch`` (operands with
-    different headers).  Stored keys always satisfy ``grade <= cutoff``.
-    Immutable once constructed: ``terms`` is a read-only view, so a memoized
-    table cannot be changed under later callers.
+    the check of one key in ``_check_key(key)``, which returns the key as
+    stored or raises, the key of its product's unit in the static
+    ``_empty_key(*header)``, and its error types in ``_Error`` and
+    ``_Mismatch`` (operands with different headers).  Stored keys always
+    satisfy ``0 <= grade <= cutoff``.  Immutable once constructed: ``terms``
+    is a read-only view, so a memoized table cannot be changed under later
+    callers.
 
-    The subclass constructor checks every term; it is the boundary for
-    caller data, unpickled tables included.  The operations build their
-    results through :meth:`_trusted` instead, without revalidating: their
-    inputs already hold the invariants, and each operation keeps them.
-    Sums and scalings keep the keys; products add exponents, or classes
-    and contact degrees (both pairings are linear); a derivative lowers one
-    exponent that was positive off the laurent variable, and its cutoff by
-    that variable's weight; other grades are filtered against the result's
-    cutoff.  One exact accumulator sums every table: ``+``, ``-`` and
-    :meth:`scale` are each one :func:`linear_combination`, and the products
-    (``Series.__mul__``, ``RelSeries.disjoint_mul``, ``gluing.convolve``)
-    and the level sum of ``hurwitz.CutJoinTable`` pass integer products to
-    :func:`add_ratio`.  :func:`reduced_sums` reduces each sum once and drops
-    a key whose numerator sums to 0; a scalar 0 adds no term, and exact
-    arithmetic on nonzero Fractions gives nonzero Fractions, so no zero is
-    ever stored.
+    The validating constructor, :meth:`__init__`, checks every term; it is
+    the boundary for caller data, unpickled tables included.  The cutoff
+    must be an ``int`` and each coefficient an ``int`` or a ``Fraction``;
+    every key is checked before a zero coefficient is dropped.  The
+    operations build their results through :meth:`_trusted` instead, without
+    revalidating: their inputs already hold the invariants, and each
+    operation keeps them.  Sums and scalings keep the keys; products add
+    exponents, or classes and contact degrees (both pairings are linear); a
+    derivative lowers one exponent that was positive off the laurent
+    variable, and its cutoff by that variable's weight; other grades are
+    filtered against the result's cutoff.  One exact accumulator sums every
+    table: ``+``, ``-`` and :meth:`scale` are each one
+    :func:`linear_combination`, and the products (``Series.__mul__``,
+    ``RelSeries.disjoint_mul``, ``gluing.convolve``) and the level sum of
+    ``hurwitz.CutJoinTable`` pass integer products to :func:`add_ratio`.
+    :func:`reduced_sums` reduces each sum once and drops a key whose
+    numerator sums to 0; a scalar 0 adds no term, and exact arithmetic on
+    nonzero Fractions gives nonzero Fractions, so no zero is ever stored.
 
     The hash is computed on the first ``hash()`` and kept in ``_hash``; a
     memo keyed by a table rehashes nothing.  It is never pickled:
@@ -185,8 +194,44 @@ class GradedTable:
     _Error: type[ValueError] = ValueError
     _Mismatch: type[ValueError] = ValueError
 
+    def __init__(self, *fields):
+        """``fields`` are the header values, the cutoff and a mapping of
+        terms, or None; see the class docstring for the checks."""
+        *header, cutoff, terms = fields
+        for name, value in zip(self._HEADER, header):
+            object.__setattr__(self, name, value)
+        if type(cutoff) is not int:
+            raise self._Error(f"cutoff {cutoff!r} is not an int")
+        object.__setattr__(self, "cutoff", cutoff)
+        clean = {}
+        if terms:
+            check_key, grade = self._check_key, self._grade
+            for key, c in terms.items():
+                key = check_key(key)
+                if type(c) is not Fraction:
+                    if type(c) is not int:
+                        raise self._Error(
+                            f"coefficient {c!r} is not an int or a Fraction")
+                    c = Fraction(c)
+                if not c:
+                    continue
+                g = grade(key)
+                if g > cutoff:
+                    raise self._Error("term beyond cutoff")
+                if g < 0:
+                    raise self._Error("negative grading")
+                clean[key] = c
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+
     def _grade(self, key) -> int:
         raise NotImplementedError
+
+    @classmethod
+    def one(cls, *fields):
+        """Coefficient 1 on the empty key, the unit of the type's product;
+        ``fields`` are the header values and the cutoff."""
+        *header, cutoff = fields
+        return cls(*header, cutoff, {cls._empty_key(*header): 1})
 
     def _header(self) -> tuple:
         return tuple(getattr(self, name) for name in self._HEADER)
@@ -247,6 +292,15 @@ class GradedTable:
             object.__setattr__(self, "_hash", h)
             return h
 
+    def coefficient(self, key) -> Fraction:
+        """Coefficient of ``key``, 0 where no term is stored; raises
+        :class:`CutoffExceeded` beyond the cutoff, where it is unknown."""
+        key = self._check_key(key)
+        if self._grade(key) > self.cutoff:
+            raise CutoffExceeded(
+                f"key {key} has grade beyond cutoff {self.cutoff}")
+        return self.terms.get(key, Fraction(0))
+
     def sorted_keys(self) -> list:
         """Keys in canonical order: by grade, then by key."""
         grade = self._grade
@@ -283,9 +337,8 @@ class Series(GradedTable):
 
     Keys are exponent vectors over a :class:`VariableContext`, graded by
     its weights.  The constructor checks that each vector has the context's
-    length, holds only ``int`` exponents, is nonnegative off the laurent
-    variable and has grading at most ``cutoff``; it converts coefficients to
-    Fractions and drops zeros.
+    length, holds only ``int`` exponents and is nonnegative off the laurent
+    variable, and then the terms as every :class:`GradedTable` does.
     """
 
     __slots__ = ("context",)
@@ -295,24 +348,19 @@ class Series(GradedTable):
 
     def __init__(self, context: VariableContext, cutoff: int,
                  terms: Mapping[tuple[int, ...], Coeff] | None = None):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "cutoff", cutoff)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for exps, c in terms.items():
-                exps = tuple(exps)
-                context.validate(exps)
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if not c:
-                    continue
-                if context.grading(exps) > cutoff:
-                    raise SeriesError("term beyond cutoff")
-                clean[exps] = c
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        super().__init__(context, cutoff, terms)
 
     def _grade(self, key: tuple[int, ...]) -> int:
         return self.context.grading(key)
+
+    def _check_key(self, key) -> tuple[int, ...]:
+        key = tuple(key)
+        self.context.validate(key)
+        return key
+
+    @staticmethod
+    def _empty_key(context: VariableContext) -> tuple[int, ...]:
+        return (0,) * len(context)
 
     # -- constructors ------------------------------------------------------
 
@@ -322,32 +370,19 @@ class Series(GradedTable):
 
     @classmethod
     def constant(cls, context: VariableContext, cutoff: int, c: Coeff) -> "Series":
-        exps = (0,) * len(context)
-        return cls(context, cutoff, {exps: Fraction(c)})
-
-    @classmethod
-    def one(cls, context: VariableContext, cutoff: int) -> "Series":
-        return cls.constant(context, cutoff, 1)
+        return cls(context, cutoff, {cls._empty_key(context): c})
 
     @classmethod
     def term(cls, context: VariableContext, cutoff: int,
              powers: Mapping[str, int], c: Coeff = 1) -> "Series":
-        return cls(context, cutoff, {context.exponents(powers): Fraction(c)})
+        return cls(context, cutoff, {context.exponents(powers): c})
 
     # -- inspection --------------------------------------------------------
 
-    def coefficient(self, powers: Mapping[str, int] | tuple[int, ...]) -> Fraction:
-        """Coefficient of a monomial; raises :class:`CutoffExceeded` beyond cutoff."""
-        if isinstance(powers, tuple):
-            exps = powers
-        else:
-            exps = self.context.exponents(powers)
-        self.context.validate(exps)
-        if self.context.grading(exps) > self.cutoff:
-            raise CutoffExceeded(
-                f"monomial {exps} has grading beyond cutoff {self.cutoff}"
-            )
-        return self.terms.get(exps, Fraction(0))
+    def coefficient(self, powers: Mapping[str, int]) -> Fraction:
+        """Coefficient of the monomial ``{name: exponent}``; raises
+        :class:`CutoffExceeded` beyond the cutoff."""
+        return super().coefficient(self.context.exponents(powers))
 
     def monomials(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """Terms in canonical (graded lexicographic) order."""
@@ -421,15 +456,11 @@ class Series(GradedTable):
         only finitely many powers reach each graded piece.  Laurent exponents
         are unrestricted.
         """
-        return graded_exp(self, Series.__mul__,
-                          Series.one(self.context, self.cutoff))
+        return graded_exp(self, Series.__mul__)
 
     def log(self) -> "Series":
         """Logarithm of f with constant term 1, by :func:`graded_log`."""
-        rest = dict(self.terms)
-        if rest.pop((0,) * len(self.context), None) != 1:
-            raise SeriesError("log needs constant term exactly 1")
-        return graded_log(self._wrap(rest), Series.__mul__)
+        return graded_log(self, Series.__mul__)
 
     def differentiate(self, name: str) -> "Series":
         """Formal partial derivative.  The cutoff drops by the variable weight."""
@@ -585,17 +616,18 @@ def _graded_pieces(g: GradedTable) -> dict[int, dict]:
     return pieces
 
 
-def graded_exp(g: GradedTable, mul, one: GradedTable) -> GradedTable:
+def graded_exp(g: GradedTable, mul) -> GradedTable:
     """``exp(g)`` for a table ``g`` of positive grade on every term, where
-    ``mul`` is a product of ``g``'s type that adds grades and ``one`` its
-    unit.  Let D multiply a term of grade n by n.  It is a derivation, so
-    ``D E = D(g) E`` for ``E = exp(g)``, which on graded pieces reads ``n
-    E_n = sum_{k=1..n} k g_k E_(n-k)``: about one full product in all,
-    where a sum of powers takes one product per power.
+    ``mul`` is a product of ``g``'s type that adds grades and whose unit is
+    coefficient 1 on the type's empty key.  Let D multiply a term of grade
+    n by n.  It is a derivation, so ``D E = D(g) E`` for ``E = exp(g)``,
+    which on graded pieces reads ``n E_n = sum_{k=1..n} k g_k E_(n-k)``:
+    about one full product in all, where a sum of powers takes one product
+    per power.
     """
     dg = {k: g._wrap(piece).scale(k)
           for k, piece in _graded_pieces(g).items()}
-    pieces = {0: one}
+    pieces = {0: type(g).one(*g._header(), g.cutoff)}
     for n in range(1, g.cutoff + 1):
         products = [(Fraction(1, n), mul(dg_k, pieces[n - k]))
                     for k, dg_k in dg.items() if n - k in pieces]
@@ -605,9 +637,14 @@ def graded_exp(g: GradedTable, mul, one: GradedTable) -> GradedTable:
 
 
 def graded_log(g: GradedTable, mul) -> GradedTable:
-    """``log(1 + g)`` for ``g`` and ``mul`` as in :func:`graded_exp`:
-    ``(1 + g) D L = D(g)`` for ``L = log(1 + g)`` reads ``(DL)_n = n g_n -
-    sum_{k<n} g_(n-k) (DL)_k`` on graded pieces."""
+    """``log(1 + h)`` for ``g = 1 + h``, which has coefficient 1 on its
+    empty key (else the type's error), and ``h`` and ``mul`` as in
+    :func:`graded_exp`: ``(1 + h) D L = D(h)`` for ``L = log(1 + h)`` reads
+    ``(DL)_n = n h_n - sum_{k<n} h_(n-k) (DL)_k`` on graded pieces."""
+    terms = dict(g.terms)
+    if terms.pop(g._empty_key(*g._header()), None) != 1:
+        raise g._Error("log needs coefficient 1 on the empty key")
+    g = g._wrap(terms)
     pieces = {k: g._wrap(piece) for k, piece in _graded_pieces(g).items()}
     dl: dict = {}
     for n in range(1, g.cutoff + 1):

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from sumkit.elliptic import (
-    euler_product,
     f0_product,
     fiber_context,
     f0_via_ode,
@@ -25,6 +24,13 @@ def series_ring_product(cutoff):
     for d in range(1, cutoff + 1):
         partitions = partitions * geometric_inverse(ctx, cutoff, {"t": d})
     return partitions ** 12
+
+
+def t_series(cutoff, coeffs):
+    """``sum coeffs[n] t^n`` over the fiber variable."""
+    ctx = fiber_context()
+    return Series(ctx, cutoff, {ctx.exponents({"t": n}): c
+                                for n, c in coeffs.items() if n <= cutoff})
 
 
 class TestSigmaSeries:
@@ -63,19 +69,25 @@ class TestGenusZero:
             assert f0_product(n) == series_ring_product(n), n
 
     def test_inverse_product_is_the_reciprocal(self):
+        # prod_d (1 - t^d)^12 in the Fraction series ring
+        euler = Series.one(fiber_context(), 60)
+        for d in range(1, 61):
+            euler = euler * t_series(60, {0: 1, d: -1})
+        euler = euler ** 12
         for n in range(61):
-            one = f0_product(n) * euler_product(-12, n)
+            one = f0_product(n) * euler.truncate(n)
             assert one == Series.one(fiber_context(), n), n
 
     def test_partitions_and_pentagonal_numbers(self):
-        # k = 1 counts partitions; k = -1 is Euler's pentagonal series
-        p = euler_product(1, 12)
-        assert [p.coefficient({"t": n}) for n in range(13)] \
-            == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
-        pentagonal = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1}
-        q = euler_product(-1, 16)
-        assert [q.coefficient({"t": n}) for n in range(17)] \
-            == [pentagonal.get(n, 0) for n in range(17)]
+        # the twelfth power of the partition numbers, and the reciprocal
+        # of the twelfth power of Euler's pentagonal series
+        partitions = t_series(12, dict(enumerate(
+            [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77])))
+        assert f0_product(12) == partitions ** 12
+        pentagonal = t_series(16, {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1,
+                                   15: -1})
+        assert f0_product(16) * pentagonal ** 12 \
+            == Series.one(fiber_context(), 16)
 
     def test_coefficients_are_positive_integers(self):
         f = f0_product(60)
@@ -144,15 +156,15 @@ class TestSharedGenusZeroSeries:
     def test_identity_residuals_build_the_product_once(self, monkeypatch):
         import sumkit.elliptic as elliptic
         calls = []
-        original = elliptic.euler_product
+        original = elliptic.f0_product
 
-        def counted(k, cutoff):
-            calls.append((k, cutoff))
-            return original(k, cutoff)
+        def counted(cutoff):
+            calls.append(cutoff)
+            return original(cutoff)
 
-        monkeypatch.setattr(elliptic, "euler_product", counted)
+        monkeypatch.setattr(elliptic, "f0_product", counted)
         residuals = elliptic.identity_residuals(3, 30)
-        assert calls == [(12, 31)]
+        assert calls == [31]
         monkeypatch.undo()
         # the names and order of the suite, each route building its own F0
         routes = {"recursion-vs-product": f0_via_ode(30) - f0_product(30),

@@ -191,12 +191,45 @@ class TestTags:
         assert tag_mul("p^0", "1") == "1"
         assert tag_mul("p^0", "p") == "p"
 
+    def test_a_key_stores_its_tag_in_canonical_form(self):
+        def key(tag):
+            return RelKey((1, 0), 2, (single(1),) * 2, tag)
+
+        assert key("q;p") == key("p;q")
+        assert hash(key("q;p")) == hash(key("p;q"))
+        for written, canonical in (("q;p", "p;q"), ("p;p", "p^2"),
+                                   ("p^1", "p"), ("p^0", "1"), ("1;p", "p"),
+                                   ("C1(p);p", "C1(p);p")):
+            assert key(written).tag == canonical
+            assert pickle.loads(pickle.dumps(key(written))) == key(canonical)
+        for tag in (None, 1, b"p", ("p",)):
+            with pytest.raises(GluingError, match="tag must be a str"):
+                key(tag)
+
+    @pytest.mark.parametrize("tag", ["q;p", "p;p", "p^1"])
+    def test_unit_law_and_exp_log_hold_however_a_tag_is_written(self, tag):
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        x = RelSeries(geo, 2, 3, {
+            RelKey((1, 1), 0, (single(1, 0), single(1, 1)), tag): 3})
+        ident = identity_element(geo, SPHERE, 3)
+        assert convolve(x, ident, SPHERE) == x
+        assert convolve(ident, x, SPHERE) == x
+        assert gw_from_tw(tw_from_gw(x)) == x
+
+
+class TestRelSeriesBoundary:
+    @pytest.mark.parametrize("end_count", [3, -1, 1.0, True, None])
+    def test_end_count_must_be_the_int_0_1_or_2(self, end_count):
+        # a float end count passed the constructor, then broke exp and log
+        with pytest.raises(GluingError, match="end_count must be"):
+            RelSeries(riemann_surface_geometry(), end_count, 3)
+
 
 class TestExpLog:
     def test_exp_of_zero_is_unit(self):
         geo = riemann_surface_geometry()
         zero = RelSeries(geo, 1, 5)
-        assert tw_from_gw(zero) == RelSeries.unit(geo, 1, 5)
+        assert tw_from_gw(zero) == RelSeries.one(geo, 1, 5)
 
     def test_single_term_squares(self):
         # contactless sector: coefficient c becomes c^2/2 at the doubled key
@@ -232,7 +265,7 @@ class TestExpLog:
 
     @pytest.mark.parametrize("empty", [0, 2, -1, Fraction(1, 2)])
     def test_log_needs_coefficient_one_on_the_empty_key(self, empty):
-        tw = RelSeries.unit(riemann_surface_geometry(), 1, 5).scale(empty)
+        tw = RelSeries.one(riemann_surface_geometry(), 1, 5).scale(empty)
         with pytest.raises(GluingError, match="coefficient 1 on the empty"):
             gw_from_tw(tw)
 
@@ -828,7 +861,7 @@ class TestTrustedResults:
             unit.terms.clear()
         with pytest.raises(TypeError):
             unit.terms[key] = Fraction(5)
-        for result in (RelSeries.unit(geo, 2, 3), unit + unit, unit.scale(2),
+        for result in (RelSeries.one(geo, 2, 3), unit + unit, unit.scale(2),
                        unit.disjoint_mul(unit), convolve(unit, unit, q)):
             with pytest.raises(TypeError):
                 del result.terms[next(iter(result.terms))]

@@ -14,10 +14,13 @@ from sumkit.gluing import (
     GluingError,
     RelKey,
     RelSeries,
+    gw_from_tw,
     riemann_surface_geometry,
 )
 from sumkit.series import (
     ContextMismatch,
+    CutoffExceeded,
+    GradedTable,
     Series,
     SeriesError,
     VariableContext,
@@ -53,6 +56,36 @@ def _relseries():
 @pytest.fixture(params=[_series, _relseries], ids=["Series", "RelSeries"])
 def table(request):
     return request.param()
+
+
+def _key(x, grade):
+    """A well-formed key of ``grade >= 1`` for the table ``x``: of the
+    shape of the fixture's keys."""
+    if isinstance(x, Series):
+        return (grade, 0)
+    return RelKey((grade,), 2, (ContactMultiset([((grade, 0), 1)]),) * 2)
+
+
+def _malformed_keys(x):
+    """Keys that the type of ``x`` rejects, each for a different reason."""
+    if isinstance(x, Series):
+        return [(1,), (1, 0, 0), (1.0, 0), (-1, 0)]
+    one = ContactMultiset([((1, 0), 1)])
+    return [(1,), RelKey((1,), 2, (one,)),
+            RelKey((1,), 2, (ContactMultiset([((2, 0), 1)]), one)),
+            RelKey((1,), 2, (one, ContactMultiset([((1, 1), 1)]))),
+            RelKey((1, 0), 2, (one, one))]
+
+
+def _coefficient(x, key):
+    """``x.coefficient`` of ``key``; a Series takes ``{name: exponent}``."""
+    if isinstance(x, Series):
+        return x.coefficient(dict(zip(x.context.names, key)))
+    return x.coefficient(key)
+
+
+def _log(x):
+    return x.log() if isinstance(x, Series) else gw_from_tw(x)
 
 
 def _reference(pairs, grade):
@@ -96,6 +129,48 @@ class TestGradedTable:
         beyond = type(x)._trusted(*x._header(), 3, dict(x.terms))
         with pytest.raises(error, match="term beyond cutoff"):
             pickle.loads(pickle.dumps(beyond))
+
+    def test_a_malformed_key_is_rejected_whatever_its_coefficient(
+            self, table):
+        x, _, _, error, _ = table
+        for key in _malformed_keys(x):
+            for c in (0, 1, Fraction(0)):
+                with pytest.raises(error):
+                    type(x)(*x._header(), x.cutoff, {key: c})
+            with pytest.raises(error):  # the lookup under Series' mapping
+                GradedTable.coefficient(x, key)
+
+    def test_coefficient_beyond_the_cutoff_is_unknown_not_zero(self, table):
+        x = table[0]
+        for grade in range(1, x.cutoff + 1):
+            key = _key(x, grade)
+            assert _coefficient(x, key) == x.terms.get(key, 0)
+        for grade in (x.cutoff + 1, x.cutoff + 3):
+            with pytest.raises(CutoffExceeded):
+                _coefficient(x, _key(x, grade))
+        with pytest.raises(CutoffExceeded):
+            _coefficient(x.truncate(2), _key(x, 3))
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 0.0, True, "1/2", None])
+    def test_a_coefficient_must_be_an_int_or_a_fraction(self, table, c):
+        x, _, _, error, _ = table
+        with pytest.raises(error, match="is not an int or a Fraction"):
+            type(x)(*x._header(), x.cutoff, {_key(x, 1): c})
+
+    @pytest.mark.parametrize("cutoff", [2.5, 4.0, Fraction(4), True, None])
+    def test_the_cutoff_must_be_an_int(self, table, cutoff):
+        x, _, _, error, _ = table
+        for terms in ({}, {_key(x, 1): 1}):
+            with pytest.raises(error, match="is not an int"):
+                type(x)(*x._header(), cutoff, terms)
+
+    def test_log_needs_coefficient_one_on_the_empty_key(self, table):
+        x, _, _, error, _ = table
+        empty = type(x).one(*x._header(), x.cutoff)
+        for g in (x, x + empty.scale(2), x - empty, x.scale(0)):
+            with pytest.raises(error, match="coefficient 1 on the empty key"):
+                _log(g)
+        assert _log(empty).is_zero()
 
     def test_assignment_raises(self, table):
         x = table[0]

@@ -55,6 +55,12 @@ class TestContext:
         with pytest.raises(SeriesError, match="is not an int"):
             Series(VariableContext("t"), 3, {(exponent,): 1})
 
+    @pytest.mark.parametrize("weight", [1.5, 1.0, Fraction(1), True])
+    def test_weight_must_be_an_int(self, weight):
+        # a float weight would grade a key, and so cut a table, by a float
+        with pytest.raises(SeriesError, match="is not an int"):
+            VariableContext(("t", weight))
+
     @pytest.mark.parametrize("field", [
         "names", "weights", "laurent_index", "_index"])
     def test_fields_cannot_be_assigned(self, field):
