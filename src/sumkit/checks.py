@@ -18,13 +18,13 @@ from fractions import Fraction
 from typing import Callable
 
 from sumkit import catalog, elliptic, gluing, hurwitz, oracles, severi
-from sumkit.cli import SEVERI_MAX_DEGREE
 from sumkit.contacts import (
     ContactMultiset,
     IntersectionMatrix,
     enumerate_multisets,
     partitions,
 )
+from sumkit.profiles import SEVERI_MAX_DEGREE
 from sumkit.series import Series, VariableContext
 
 

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import sumkit
 from sumkit import profiles
+from sumkit.profiles import SEVERI_MAX_DEGREE
 
 
 def _lazy(name: str):
@@ -61,11 +62,6 @@ ENGINE_VERSION = sumkit.__version__
 # search tree of at most (C(d,2) + 1)^r nodes; the slowest request under
 # this bound takes about 0.17 s on a 2-core VM
 ORACLE_HURWITZ_NODES = 2_000_000
-
-# `severi` work grows fast with the degree: on a 2-core VM a d = 10 request
-# takes under 0.7 s and the whole d <= 10 table 2.6 s, but d = 12 takes
-# about 4 s per request, and the recursion overflows the stack near d = 27
-SEVERI_MAX_DEGREE = 10
 
 # a `hurwitz` request solves the cut-join table of its degree up to its
 # branch count r = d + 2g - 2 + len(partition); on a 2-core VM the slowest
@@ -231,8 +227,9 @@ def _series_rows(s: series.Series) -> list[dict]:
 
 
 def _parse_profile(text: str | None, flag: str, degree: int
-                   ) -> tuple[int, ...]:
-    """``k:c,...`` pairs with ``k <= degree`` into a multiplicity vector."""
+                   ) -> profiles.Profile:
+    """``k:c,...`` pairs with ``k <= degree`` into a trimmed multiplicity
+    vector."""
     if not text:
         return ()
     out: list[int] = []
@@ -249,7 +246,7 @@ def _parse_profile(text: str | None, flag: str, degree: int
         while len(out) < k:
             out.append(0)
         out[k - 1] += c
-    return tuple(out)
+    return profiles.trim(out)
 
 
 def _check_min(flag: str, value: int, low: int) -> None:
@@ -328,29 +325,18 @@ def _cmd_severi(args) -> list[dict]:
         flag = "--alpha" if args.alpha is not None else "--beta"
         raise ValueError(f"{flag} cannot be combined with --table, which "
                          "covers the pure point-condition profiles only")
-    alpha = _parse_profile(args.alpha, "--alpha", args.degree)
-    beta = _parse_profile(args.beta, "--beta", args.degree) \
-        if args.beta else None
     if args.table:
-        rows = severi.severi_table(args.degree, args.delta)
-    else:
-        # the key and the row need only the profile helpers: a cache hit
-        # runs no engine layer
-        alpha = profiles.trim(alpha)
-        beta = profiles.trim(beta) if beta is not None \
-            else profiles.default_beta(args.degree, alpha)
-        key = json.dumps([args.degree, args.delta, list(alpha), list(beta)])
-        value = _cached(args.cache_dir, "severi", key, _parse_int, str,
-                        lambda: severi.severi_number(args.degree, args.delta,
-                                                     alpha, beta))
-        g = profiles.genus(args.degree, args.delta)
-        rows = [{
-            "d": args.degree, "delta": args.delta,
-            "alpha": list(alpha), "beta": list(beta),
-            "r": profiles.point_count(args.degree, g, alpha, beta),
-            "value": str(value),
-        }]
-    return rows
+        return severi.severi_table(args.degree, args.delta)
+    # the key and the row need only the profile helpers: a cache hit runs
+    # no engine layer
+    alpha = _parse_profile(args.alpha, "--alpha", args.degree)
+    beta = _parse_profile(args.beta, "--beta", args.degree) if args.beta \
+        else profiles.default_beta(args.degree, alpha)
+    key = json.dumps([args.degree, args.delta, list(alpha), list(beta)])
+    value = _cached(args.cache_dir, "severi", key, _parse_int, str,
+                    lambda: severi.severi_number(args.degree, args.delta,
+                                                 alpha, beta))
+    return [profiles.row(args.degree, args.delta, alpha, beta, value)]
 
 
 def _cmd_hurwitz(args) -> list[dict]:
@@ -537,7 +523,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(rows, args.format)

@@ -72,7 +72,8 @@ class Geometry:
     used for truncation.  ``v_basis`` is the size of the divisor homology
     basis indexing contact points.  For spaces that serve as necks,
     ``fiber`` names the class of an irreducible fiber; it must pair to 1
-    with the divisor.
+    with the divisor.  Every size and every entry of a functional or of
+    the fiber is an ``int``.
     """
 
     class_dim: int
@@ -83,14 +84,20 @@ class Geometry:
     fiber: ClassKey | None = None
 
     def __post_init__(self):
-        for name in ("v_degree", "canonical_k", "grading"):
-            if len(getattr(self, name)) != self.class_dim:
+        for name in ("class_dim", "v_basis"):
+            size = getattr(self, name)
+            if type(size) is not int:
+                raise GluingError(f"{name} must be an int, got {size!r}")
+        for name in ("v_degree", "canonical_k", "grading", "fiber"):
+            vec = getattr(self, name)
+            if vec is None:  # a geometry without a fiber
+                continue
+            if len(vec) != self.class_dim:
                 raise GluingError(f"{name} has wrong dimension")
-        if self.fiber is not None:
-            if len(self.fiber) != self.class_dim:
-                raise GluingError("fiber has wrong dimension")
-            if _dot(self.v_degree, self.fiber) != 1:
-                raise GluingError("fiber class must pair to 1 with the divisor")
+            if any(type(x) is not int for x in vec):
+                raise GluingError(f"{name} must hold ints, got {vec!r}")
+        if self.fiber is not None and _dot(self.v_degree, self.fiber) != 1:
+            raise GluingError("fiber class must pair to 1 with the divisor")
 
     def pair_v(self, key: ClassKey) -> int:
         return _dot(self.v_degree, key)
@@ -219,9 +226,10 @@ class RelSeries(GradedTable):
 
     Keys are :class:`RelKey` values graded by their class.  The constructor
     checks that ``end_count`` is 0, 1 or 2 and that each key is a
-    :class:`RelKey` with ``end_count`` contact multisets, a class of the
-    geometry's dimension, on each end ``deg(contacts) == pair_v(class)``,
-    and every contact label below ``v_basis``, and then the terms as every
+    :class:`RelKey` with ``end_count`` contact multisets, a class of
+    ``int`` entries and of the geometry's dimension, on each end
+    ``deg(contacts) == pair_v(class)``, and every contact label below
+    ``v_basis``, and then the terms as every
     :class:`~sumkit.series.GradedTable` does.  :func:`convolve` accepts any
     ``glue`` map, so it still checks each glued class, once per pair of
     input classes that has a pair of terms meeting.
@@ -247,6 +255,8 @@ class RelSeries(GradedTable):
         geometry = self.geometry
         if len(key.class_key) != geometry.class_dim:
             raise GluingError("class key has wrong dimension")
+        if any(type(x) is not int for x in key.class_key):
+            raise GluingError(f"class key {key.class_key!r} must hold ints")
         if len(key.contacts) != self.end_count:
             raise GluingError("key has wrong number of ends")
         deg_v = geometry.pair_v(key.class_key)

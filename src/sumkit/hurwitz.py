@@ -71,19 +71,25 @@ class HurwitzError(ValueError):
     pass
 
 
-def _normalize(alpha: Sequence[int]) -> tuple[int, ...]:
-    alpha = tuple(sorted(alpha, reverse=True))
+def _normalize(d: int, g: int, alpha: Sequence[int]) -> tuple[int, ...]:
+    """The parts of ``alpha``, largest first, once the degree, the genus
+    and every part are ``int`` (not ``bool``), the degree is at least 1 and
+    every part at least 1."""
+    alpha = tuple(alpha)
+    if any(type(value) is not int for value in (d, g, *alpha)):
+        raise HurwitzError(f"degree, genus and parts must be ints, got "
+                           f"{d!r}, {g!r}, {alpha!r}")
+    if d < 1:
+        raise HurwitzError("degree must be >= 1")
     if any(a < 1 for a in alpha):
         raise HurwitzError("partition parts must be >= 1")
-    return alpha
+    return tuple(sorted(alpha, reverse=True))
 
 
 def branch_count(d: int, g: int, alpha: Sequence[int]) -> int:
     """Simple branch points forced by the Euler characteristic:
     ``2d + 2g - 2 - sum(a - 1)``.  Negative means the key is empty."""
-    if d < 1:
-        raise HurwitzError("degree must be >= 1")
-    alpha = _normalize(alpha)
+    alpha = _normalize(d, g, alpha)
     if sum(alpha) != d:
         raise HurwitzError(f"{alpha} is not a partition of {d}")
     return branch_count_rh(d, g, alpha)
@@ -206,9 +212,7 @@ def _build_table(d: int) -> CutJoinTable:
 
 def hurwitz_number(d: int, g: int, alpha: Sequence[int]) -> Fraction:
     """Connected cover count; invalid keys give 0."""
-    if d < 1:
-        raise HurwitzError("degree must be >= 1")
-    alpha = _normalize(alpha)
+    alpha = _normalize(d, g, alpha)
     r = branch_count_rh(d, g, alpha)
     if sum(alpha) != d or g < 0 or r < 0:
         return Fraction(0)

@@ -2,8 +2,9 @@
 
 A profile is a multiplicity vector indexed from contact order 1, stored as
 a trimmed tuple.  These are the helpers that put a request on its key and
-its row: :mod:`sumkit.severi` imports them for its recursion, and the CLI
-imports them alone, so a cached ``severi`` request runs no engine layer.
+its row, and the CLI's degree limit: :mod:`sumkit.severi` imports them for
+its recursion and its table, and the CLI imports them alone, so a cached
+``severi`` request runs no engine layer.
 """
 
 from __future__ import annotations
@@ -11,6 +12,11 @@ from __future__ import annotations
 from typing import Sequence
 
 Profile = tuple[int, ...]
+
+# `severi` work grows fast with the degree: on a 2-core VM a d = 10 request
+# takes under 0.7 s and the whole d <= 10 table 2.6 s, but d = 12 takes
+# about 4 s per request, and the recursion overflows the stack near d = 27
+SEVERI_MAX_DEGREE = 10
 
 
 class SeveriError(ValueError):
@@ -44,6 +50,15 @@ def point_count(d: int, g: int, alpha: Profile, beta: Profile) -> int:
     """
     return (3 * d + g - 1 - order_weight(alpha)
             - (order_weight(beta) - sum(beta)))
+
+
+def row(d: int, delta: int, alpha: Profile, beta: Profile, value: int
+        ) -> dict:
+    """The output row of one Severi key, its point count ``r`` included.
+    The keys keep this order, which the csv and table headers follow."""
+    return {"d": d, "delta": delta, "alpha": list(alpha), "beta": list(beta),
+            "r": point_count(d, genus(d, delta), alpha, beta),
+            "value": str(value)}
 
 
 def default_beta(d: int, alpha: Sequence[int] = ()) -> Profile:

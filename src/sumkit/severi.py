@@ -20,7 +20,7 @@ ones.  Put each key ``(d, chi, alpha, beta)`` on the monomial
 ``r`` its point count: the divided powers distribute the generic points and
 the fixed contacts among the components, and moving contacts carry no
 choice.  :func:`connected_counts` takes :meth:`Series.log` of the
-:func:`tw_value` table, and :func:`irreducible` reads the request's own
+:func:`tw_value` table, and :func:`severi_number` reads the request's own
 coefficient from it.  ``tw_value`` is memoized for the process by a bounded
 ``functools.lru_cache``.
 
@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 
 from sumkit.contacts import ContactMultiset, enumerate_multisets
 from sumkit.profiles import (Profile, SeveriError, default_beta, genus,
-                             order_weight, point_count, trim)
+                             order_weight, point_count, row, trim)
 from sumkit.series import Series, VariableContext
 
 
@@ -140,26 +140,6 @@ def _shed_line(d, chi, alpha, beta) -> int:
     return total
 
 
-def irreducible(d: int, chi: int, alpha: Profile, beta: Profile) -> int:
-    """Connected count: the request's own entry of :func:`connected_counts`.
-
-    That is the coefficient of the request's monomial in the logarithm of
-    the :func:`tw_value` table, times ``r! prod alpha_k!``.  ``alpha`` and
-    ``beta`` are trimmed profiles.  A value that is not an integer raises
-    :class:`SeveriError`; no valid table produces one.
-    """
-    g = 1 - chi // 2
-    if d < 1 or chi % 2 or not 0 <= g <= genus(d, 0):
-        return 0
-    if order_weight(alpha) + order_weight(beta) != d:
-        return 0
-    value = connected_counts(d, chi, alpha, beta).get((d, chi, alpha, beta), 0)
-    if value.denominator != 1:
-        raise SeveriError(f"connected count {value} at {(d, chi, alpha, beta)} "
-                          "is not an integer")
-    return int(value)
-
-
 def _labels(r: int, alpha: Profile) -> int:
     """Orderings of the labeled conditions: generic points, fixed contacts."""
     return math.factorial(r) * math.prod(map(math.factorial, alpha))
@@ -208,9 +188,18 @@ def connected_counts(d: int, chi: int, alpha: Profile, beta: Profile
     return out
 
 
+def _require_ints(*values) -> None:
+    """Reject a key entry that is not an ``int``: a float or a bool would
+    reach the recursion as another key, or fail there with a raw error."""
+    for value in values:
+        if type(value) is not int:
+            raise SeveriError(f"Severi keys take ints, got {value!r}")
+
+
 def tw_severi(d: int, chi: int, alpha: Sequence[int] = (),
               beta: Sequence[int] | None = None) -> int:
     """Disconnected Severi degree at total Euler characteristic ``chi``."""
+    _require_ints(d, chi, *alpha, *(beta or ()))
     if beta is None:
         beta = default_beta(d, alpha)
     return tw_value(d, chi, trim(alpha), trim(beta))
@@ -218,46 +207,53 @@ def tw_severi(d: int, chi: int, alpha: Sequence[int] = (),
 
 def severi_number(d: int, delta: int, alpha: Sequence[int] = (),
                   beta: Sequence[int] | None = None) -> int:
-    """Irreducible Severi degree.
+    """Irreducible Severi degree: the request's own entry of
+    :func:`connected_counts`.
 
-    ``beta`` defaults to simple moving contacts for the order left over by
+    That is the coefficient of the request's monomial in the logarithm of
+    the :func:`tw_value` table, times ``r! prod alpha_k!``.  ``beta``
+    defaults to simple moving contacts for the order left over by
     ``alpha``.  Invalid keys (negative genus, mismatched profiles,
-    over-constrained counts) give 0.
+    over-constrained counts) give 0; a key entry that is not an ``int``
+    raises :class:`SeveriError`, and so does a value that is not an
+    integer, which no valid table produces.
     """
+    _require_ints(d, delta, *alpha, *(beta or ()))
     if beta is None:
         beta = default_beta(d, alpha)
-    if d < 1 or delta < 0:
-        return 0
+    alpha, beta = trim(alpha), trim(beta)
     g = genus(d, delta)
-    if g < 0:
+    if not (d >= 1 and 0 <= g <= genus(d, 0)
+            and order_weight(alpha) + order_weight(beta) == d):
         return 0
-    return irreducible(d, 2 - 2 * g, trim(alpha), trim(beta))
+    key = (d, 2 - 2 * g, alpha, beta)
+    value = connected_counts(*key).get(key, 0)
+    if value.denominator != 1:
+        raise SeveriError(f"connected count {value} at {key} "
+                          "is not an integer")
+    return int(value)
 
 
 def rational_degree(d: int) -> int:
     """Count of irreducible rational degree-``d`` curves through ``3d - 1``
     generic points."""
+    _require_ints(d)
     if d < 1:
         raise SeveriError("degree must be >= 1")
     return severi_number(d, (d - 1) * (d - 2) // 2, (), (d,))
 
 
 def severi_table(d_max: int, delta_max: int) -> list[dict]:
-    """Rows (d, delta, r, value) for the pure point-condition profiles."""
+    """Rows (d, delta, alpha, beta, r, value) for the pure point-condition
+    profiles."""
+    _require_ints(d_max, delta_max)
     if d_max < 1 or delta_max < 0:
         raise SeveriError("bounds must be positive / nonnegative")
     rows = []
     for d in range(1, d_max + 1):
         for delta in range(0, delta_max + 1):
-            g = genus(d, delta)
-            if g < 0:
+            if genus(d, delta) < 0:
                 continue
-            rows.append({
-                "d": d,
-                "delta": delta,
-                "alpha": [],
-                "beta": [d],
-                "r": point_count(d, g, (), (d,)),
-                "value": str(severi_number(d, delta, (), (d,))),
-            })
+            rows.append(row(d, delta, (), (d,),
+                            severi_number(d, delta, (), (d,))))
     return rows

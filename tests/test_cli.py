@@ -458,6 +458,30 @@ def test_only_the_check_verb_imports_checks():
     assert json.loads(out)["value"] == "28"
 
 
+def test_checks_does_not_import_the_cli():
+    # the acceptance suite reads the Severi degree limit from profiles, so
+    # it and the CLI that imports it for `check` form no import cycle
+    out = run_fresh("""
+        import sys
+        import sumkit.checks
+        print("sumkit.cli" in sys.modules)
+    """)
+    assert out == "False\n"
+
+
+def test_an_engine_key_error_is_not_reported_as_a_user_error(monkeypatch):
+    # no code path raises KeyError on purpose: one is a bug, and must not
+    # print as "error: 'x'" with exit 1
+    from sumkit import oracles
+
+    def broken(n):
+        raise KeyError("x")
+
+    monkeypatch.setattr(oracles, "divisor_sum", broken)
+    with pytest.raises(KeyError):
+        run(["oracle", "sigma", "--n", "4"])
+
+
 ENGINE = {"series", "contacts", "severi", "hurwitz", "gluing", "catalog",
           "elliptic"}
 # a request that ends with these is answered from a cache that the test

@@ -224,6 +224,32 @@ class TestRelSeriesBoundary:
         with pytest.raises(GluingError, match="end_count must be"):
             RelSeries(riemann_surface_geometry(), end_count, 3)
 
+    def test_class_key_entry_must_be_an_int(self):
+        # exp steps through integer grades, so a term of grade 1.5 was
+        # accepted here and then silently dropped by tw_from_gw
+        geo = Geometry(class_dim=1, v_degree=(0,), canonical_k=(0,),
+                       grading=(1,))
+        with pytest.raises(GluingError, match="must hold ints"):
+            RelSeries(geo, 1, 3, {RelKey((1.5,), 2, (ContactMultiset(),)): 1})
+
+
+class TestGeometryBoundary:
+    @pytest.mark.parametrize("field, value", [
+        ("v_degree", (1.0,)),
+        ("canonical_k", (-2.5,)),
+        ("grading", (0.5,)),
+        ("grading", (True,)),
+        ("fiber", (1.0,)),
+        ("class_dim", 1.0),
+        ("v_basis", 2.0),
+    ])
+    def test_non_int_entry_is_rejected(self, field, value):
+        fields = dict(class_dim=1, v_degree=(1,), canonical_k=(0,),
+                      grading=(1,), fiber=(1,))
+        fields[field] = value
+        with pytest.raises(GluingError, match="must (be an int|hold ints)"):
+            Geometry(**fields)
+
 
 class TestExpLog:
     def test_exp_of_zero_is_unit(self):

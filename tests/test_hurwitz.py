@@ -55,6 +55,20 @@ class TestValues:
     def test_negative_genus_gives_zero(self):
         assert hurwitz_number(2, -1, (2,)) == 0
 
+    # a float part or genus failed deep in the table with a raw TypeError,
+    # and branch_count returned a float
+    @pytest.mark.parametrize("call", [hurwitz_number, branch_count])
+    @pytest.mark.parametrize("key", [
+        (3, 0, (1.5, 1.5)),
+        (3, 0.5, (3,)),
+        (3.0, 0, (3,)),
+        (True, 0, (1,)),
+        (2, 0, (True, 1)),
+    ])
+    def test_non_int_entry_raises(self, call, key):
+        with pytest.raises(HurwitzError, match="must be ints"):
+            call(*key)
+
 
 class TestOracleAgreement:
     def test_full_window(self):

@@ -10,7 +10,6 @@ from sumkit.oracles import kontsevich_oracle
 from sumkit.severi import (
     SeveriError,
     genus,
-    irreducible,
     point_count,
     rational_degree,
     severi_number,
@@ -134,9 +133,9 @@ class TestInvariants:
 
 
 class TestIrreducible:
-    # sha256 of every nonzero irreducible(d, chi, alpha, beta) for d <= 6,
-    # one line "d chi alpha beta value" each, as the component-splitting
-    # route that preceded the logarithm computed them
+    # sha256 of every nonzero connected count at (d, chi, alpha, beta) for
+    # d <= 6, one line "d chi alpha beta value" each, as the
+    # component-splitting route that preceded the logarithm computed them
     DIGEST_D6 = ("0a40c2bb98a7122cb22fef9d925fbafe"
                  "2bbb54ec78aa62cbe29b8eb64dc34e0e")
 
@@ -148,7 +147,10 @@ class TestIrreducible:
                     for b in partitions(d - w):
                         alpha, beta = _to_profile(a), _to_profile(b)
                         for chi in range(-d * d, 2 * d + 1):
-                            value = irreducible(d, chi, alpha, beta)
+                            if chi % 2:
+                                continue
+                            value = severi_number(
+                                d, genus(d, 0) - 1 + chi // 2, alpha, beta)
                             if value:
                                 lines.append(f"{d} {chi} {list(alpha)} "
                                              f"{list(beta)} {value}\n")
@@ -161,7 +163,7 @@ class TestIrreducible:
         monkeypatch.setattr(severi, "connected_counts",
                             lambda *request: {key: Fraction(25, 2)})
         with pytest.raises(SeveriError, match="not an integer"):
-            irreducible(*key)
+            severi_number(3, 1, (), (3,))
 
     def test_logarithm_cancels_the_disconnected_terms(self):
         # the table of this request holds the 3 line pairs at chi = 4;
@@ -201,6 +203,28 @@ class TestTable:
         assert len(rows) == 64
         text = json.dumps(rows, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST_8_21
+
+
+class TestKeyTypes:
+    # a float or a bool key entry reached the recursion as another key or
+    # failed there with a raw TypeError; well-typed invalid keys still give 0
+    @pytest.mark.parametrize("call, args", [
+        (severi_number, (3, 0.5)),
+        (severi_number, (3.0, 1)),
+        (severi_number, (3, True)),
+        (severi_number, (3, 1, (1.0,), (2,))),
+        (severi_number, (3, 1, (), (3.0,))),
+        (tw_severi, (3, 2.0)),
+        (tw_severi, (3.0, 2)),
+        (tw_severi, (3, 2, (), (False, 1.5))),
+        (rational_degree, (3.0,)),
+        (rational_degree, (True,)),
+        (severi_table, (2.0, 1)),
+        (severi_table, (2, 1.0)),
+    ])
+    def test_non_int_entry_raises(self, call, args):
+        with pytest.raises(SeveriError, match="Severi keys take ints"):
+            call(*args)
 
 
 def _to_profile(parts):
