@@ -115,6 +115,23 @@ def check_severi_kontsevich() -> str:
             "match Kontsevich, genus-one d=3..6 match Getzler")
 
 
+@criterion("severi-nodes")
+def check_severi_nodes() -> str:
+    # the node polynomials count reducible curves too, so they compare
+    # with the disconnected counts, up to the CLI's own degree limit
+    compared = 0
+    for delta, low in oracles.NODE_POLYNOMIAL_MIN_DEGREE.items():
+        for d in range(low, SEVERI_MAX_DEGREE + 1):
+            got = severi.tw_severi(d, 2 - 2 * severi.genus(d, delta))
+            expected = oracles.node_polynomial(d, delta)
+            if got != expected:
+                raise AssertionError(f"node polynomial delta={delta}, "
+                                     f"d={d}: {got} != {expected}")
+            compared += 1
+    return (f"{compared} disconnected counts at delta=1..3, "
+            f"d<={SEVERI_MAX_DEGREE} match the node polynomials")
+
+
 @criterion("smooth-curves")
 def check_smooth_curves() -> str:
     got = [severi.severi_number(d, 0) for d in range(1, 5)]

@@ -181,3 +181,38 @@ def kontsevich_oracle(d: int) -> int:
             )
         values[n] = total
     return values[d]
+
+
+# the least degree at which each node polynomial counts the nodal curves:
+# the delta = 3 sextic gives 75 and -32 at d = 1, 2, where the count is 0
+NODE_POLYNOMIAL_MIN_DEGREE = {1: 1, 2: 1, 3: 3}
+
+
+def node_polynomial(d: int, delta: int) -> int:
+    """Number of ``delta``-nodal plane curves of degree ``d``, reducible
+    ones included, through ``d(d + 3)/2 - delta`` generic points.
+
+    The node polynomials of Kleiman and Piene ("Enumerating singular
+    curves on surfaces", 1999; the forms go back to Vainsencher)::
+
+        delta = 1:  3(d-1)^2
+        delta = 2:  (3/2)(d-1)(d-2)(3d^2 - 3d - 11)
+        delta = 3:  (9/2)d^6 - 27d^5 + (9/2)d^4 + (423/2)d^3 - 229d^2
+                    - (829/2)d + 525
+
+    each from the degree in :data:`NODE_POLYNOMIAL_MIN_DEGREE` on.  Every
+    halved numerator below is even.
+    """
+    if delta not in NODE_POLYNOMIAL_MIN_DEGREE:
+        raise ValueError(f"node polynomials are given for delta = 1, 2, 3, "
+                         f"not {delta}")
+    if d < NODE_POLYNOMIAL_MIN_DEGREE[delta]:
+        raise ValueError(f"the delta = {delta} node polynomial needs "
+                         f"d >= {NODE_POLYNOMIAL_MIN_DEGREE[delta]}, "
+                         f"got {d}")
+    if delta == 1:
+        return 3 * (d - 1) ** 2
+    if delta == 2:
+        return 3 * (d - 1) * (d - 2) * (3 * d * d - 3 * d - 11) // 2
+    return (9 * d ** 6 - 54 * d ** 5 + 9 * d ** 4 + 423 * d ** 3
+            - 458 * d ** 2 - 829 * d + 1050) // 2

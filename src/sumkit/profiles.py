@@ -13,9 +13,10 @@ from typing import Sequence
 
 Profile = tuple[int, ...]
 
-# `severi` work grows fast with the degree: on a 2-core VM a d = 10 request
-# takes under 0.7 s and the whole d <= 10 table 2.6 s, but d = 12 takes
-# about 4 s per request, and the recursion overflows the stack near d = 27
+# `severi` work grows fast with the degree: on a 2-core VM, in a fresh
+# process, a d = 10 request takes under 0.3 s and the whole d <= 10 table
+# about 0.7 s, but d = 12 takes up to 1.4 s per request, and the recursion
+# overflows the stack from d = 25 on
 SEVERI_MAX_DEGREE = 10
 
 

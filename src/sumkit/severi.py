@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -49,16 +50,6 @@ def _bump(v: Profile, k: int, delta: int) -> Profile:
     if out[k - 1] < 0:
         raise SeveriError("profile went negative")
     return trim(out)
-
-
-def _add(a: Profile, b: Profile) -> Profile:
-    return trim(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
-
-
-def _binom_product(a: Profile, b: Profile) -> int:
-    """``prod C(a_k, b_k)``: zero unless ``b <= a``."""
-    return math.prod(math.comb(x, y)
-                     for x, y in itertools.zip_longest(a, b, fillvalue=0))
 
 
 def _order_product(v: Profile) -> int:
@@ -80,6 +71,22 @@ def profile(m: ContactMultiset) -> Profile:
     for (k, _), n in m:
         v[k - 1] = n
     return tuple(v)
+
+
+@functools.lru_cache(maxsize=1024)
+def _shed_terms(beta: Profile, budget: int
+                ) -> tuple[tuple[Profile, int, int], ...]:
+    """The terms of a shed line that leaves new moving contacts ``gamma``
+    of order ``budget`` next to ``beta``, in partition order: the moving
+    profile ``beta' = beta + gamma``, the Euler characteristic shift
+    ``2 sum(gamma)`` and the weight ``prod k^gamma_k C(beta'_k, beta_k)``."""
+    out = []
+    for gamma in map(profile, enumerate_multisets(budget, 1)):
+        beta_p = (tuple(map(operator.add, beta, gamma))
+                  + beta[len(gamma):] + gamma[len(beta):])
+        out.append((beta_p, 2 * sum(gamma), _order_product(gamma)
+                    * math.prod(map(math.comb, beta_p, beta))))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=65536)
@@ -123,20 +130,20 @@ def _shed_line(d, chi, alpha, beta) -> int:
     degree ``d - 1``, keeps fixed contacts ``alpha' <= alpha``, and its
     new moving contacts (profile ``beta' - beta``) are smoothed, each
     order-``k`` one with multiplicity ``k`` and Euler characteristic
-    ``chi'' = chi - 2 + 2 len(beta' - beta)``."""
+    ``chi'' = chi - 2 + 2 len(beta' - beta)``.  The new moving contacts
+    spend the order that ``alpha'`` and ``beta`` leave, and
+    :func:`_shed_terms` holds their terms."""
+    rest = d - 1 - order_weight(beta)
     total = 0
     for alpha_p in _profiles_leq(alpha):
-        budget = d - 1 - order_weight(alpha_p) - order_weight(beta)
+        budget = rest - order_weight(alpha_p)
         if budget < 0:
             continue
-        for m in enumerate_multisets(budget, 1):
-            gamma = profile(m)
-            beta_p = _add(beta, gamma)
-            chi_pp = chi - 2 + 2 * sum(gamma)
-            total += (_order_product(gamma)
-                      * _binom_product(alpha, alpha_p)
-                      * _binom_product(beta_p, beta)
-                      * tw_value(d - 1, chi_pp, trim(alpha_p), beta_p))
+        alpha_t = trim(alpha_p)
+        part = 0  # a loop, not a generator: no extra frame per degree
+        for beta_p, shift, c in _shed_terms(beta, budget):
+            part += c * tw_value(d - 1, chi - 2 + shift, alpha_t, beta_p)
+        total += math.prod(map(math.comb, alpha, alpha_p)) * part
     return total
 
 
@@ -172,9 +179,12 @@ def connected_counts(d: int, chi: int, alpha: Profile, beta: Profile
     for alpha_p in _profiles_leq(alpha):
         for beta_p in _profiles_leq(beta):
             d_p = order_weight(alpha_p) + order_weight(beta_p)
+            if not d_p:
+                continue
+            r_0 = point_count(d_p, 1, alpha_p, beta_p)  # at chi' = 0
             for chi_p in range(chi - 2 * (d - d_p), 2 * d_p + 1, 2):
-                r_p = point_count(d_p, 1 - chi_p // 2, alpha_p, beta_p)
-                if d_p and divides(d_p, chi_p, r_p, alpha_p, beta_p):
+                r_p = r_0 - chi_p // 2
+                if divides(d_p, chi_p, r_p, alpha_p, beta_p):
                     terms[(d_p, chi_p, r_p) + alpha_p + beta_p] = Fraction(
                         tw_value(d_p, chi_p, trim(alpha_p), trim(beta_p)),
                         _labels(r_p, alpha_p))

@@ -22,6 +22,7 @@ from sumkit.series import Series
 
 BUDGETS = {
     "severi-kontsevich": 10.0,
+    "severi-nodes": 2.0,
     "smooth-curves": 1.0,
     "hurwitz-oracle": 60.0,
     "cut-join-residual": 10.0,
@@ -124,6 +125,15 @@ CORRUPTIONS = {
         "doubled-order-six-weights": Row(
             _doubled(severi, "_order_product", lambda v: len(v) >= 6),
             "rational degrees d=6..10: "),
+    },
+    "severi-nodes": {
+        # the degree-drop term of the curves of degree 7 or more with at
+        # most three nodes, which no other check reaches
+        "doubled-few-node-shed-line": Row(
+            _doubled(severi, "_shed_line", lambda d, chi, alpha, beta:
+                     d >= 7 and chi + d * (d - 3) <= 6),
+            "AssertionError: node polynomial delta=1, d=7: 216 != 108",
+            exact=True, spares=("severi-kontsevich", "smooth-curves")),
     },
     "smooth-curves": {  # one smoothed contact of order 1
         "doubled-order-weight": Row(

@@ -19,6 +19,7 @@ MEMOS = (
     gluing._neck_step,
     hurwitz._build_table,
     series._ratio,
+    severi._shed_terms,
     severi.tw_value,
 )
 

@@ -12,6 +12,7 @@ from sumkit.oracles import (
     divisor_sum,
     hurwitz_oracle,
     kontsevich_oracle,
+    node_polynomial,
 )
 
 
@@ -124,6 +125,39 @@ class TestKontsevichOracle:
 
     def test_positive(self):
         assert all(kontsevich_oracle(d) > 0 for d in range(1, 8))
+
+
+class TestNodePolynomial:
+    def test_classical_values(self):
+        # one-nodal cubics, two-nodal quartics, the 15 triangles through
+        # six points, and the 620 rational quartics with 55 cubic + line
+        assert node_polynomial(3, 1) == 12
+        assert node_polynomial(4, 2) == 225
+        assert node_polynomial(3, 3) == 15
+        assert node_polynomial(4, 3) == 675
+
+    def test_no_nodal_lines_or_two_nodal_conics(self):
+        assert [node_polynomial(d, delta) for d in (1, 2)
+                for delta in (1, 2)] == [0, 0, 3, 0]
+
+    def test_halved_forms_are_exact(self):
+        for d in range(3, 40):
+            assert 2 * node_polynomial(d, 2) \
+                == 3 * (d - 1) * (d - 2) * (3 * d * d - 3 * d - 11)
+            assert 2 * node_polynomial(d, 3) == sum(
+                c * d ** k for k, c in enumerate(
+                    (1050, -829, -458, 423, 9, -54, 9)))
+
+    @pytest.mark.parametrize("d, delta, message", [
+        (0, 1, "needs d >= 1, got 0"),
+        (0, 2, "needs d >= 1, got 0"),
+        (2, 3, "needs d >= 3, got 2"),
+        (5, 0, "delta = 1, 2, 3, not 0"),
+        (5, 4, "delta = 1, 2, 3, not 4"),
+    ])
+    def test_rejects_keys_outside_the_ranges(self, d, delta, message):
+        with pytest.raises(ValueError, match=message):
+            node_polynomial(d, delta)
 
 
 def test_import_firewall():

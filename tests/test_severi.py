@@ -7,6 +7,7 @@ import pytest
 from sumkit import severi
 from sumkit.contacts import partitions
 from sumkit.oracles import kontsevich_oracle
+from sumkit.profiles import SEVERI_MAX_DEGREE
 from sumkit.severi import (
     SeveriError,
     genus,
@@ -203,6 +204,25 @@ class TestTable:
         assert len(rows) == 64
         text = json.dumps(rows, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST_8_21
+
+    # sha256 of json.dumps(rows, sort_keys=True) for severi_table(10, 36),
+    # every row up to the CLI's degree limit, as the shed-line sum that
+    # built each term inside its innermost loop computed it
+    DIGEST_10_36 = ("ac60a5732814e7ee76d008de2b8bba3e"
+                    "85564f34c050f79f2c05defbebafe682")
+
+    def test_digest_of_the_table_up_to_the_degree_limit(self):
+        rows = severi_table(SEVERI_MAX_DEGREE, 36)
+        assert len(rows) == 130
+        text = json.dumps(rows, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST_10_36
+
+    def test_recursion_key_space(self):
+        # the memo keys the degree-eight table reaches, as the shed-line
+        # sum that built each term inside its innermost loop reached them
+        severi.tw_value.cache_clear()
+        severi_table(8, 21)
+        assert severi.tw_value.cache_info().currsize == 5183
 
 
 class TestKeyTypes:
