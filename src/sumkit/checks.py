@@ -162,10 +162,10 @@ def check_hurwitz_oracle() -> str:
 
 @criterion("cut-join-residual")
 def check_cut_join_residual() -> str:
-    residual = hurwitz.cut_join_residual(4, 4)
+    residual = hurwitz.cut_join_residual(7, 10)
     if not residual.is_zero():
         raise AssertionError(residual.to_text())
-    return "transport-equation residual vanishes through d<=4, r<=4"
+    return "transport-equation residual vanishes through d<=7, r<=10"
 
 
 @criterion("elliptic-surface")

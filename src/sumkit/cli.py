@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import functools
 import importlib.util
 import json
 import math
@@ -65,8 +66,9 @@ ORACLE_HURWITZ_NODES = 2_000_000
 
 # a `hurwitz` request solves the cut-join table of its degree up to its
 # branch count r = d + 2g - 2 + len(partition); on a 2-core VM the slowest
-# admitted request, d = 10 with r = 18, takes about 0.4 s, where r = 22
-# takes about 0.45 s and d = 12 with r = 22 about 0.8 s
+# admitted request, d = 10 with r = 18, takes about 0.07 s end to end, of
+# which the table is about 0.015 s, where the table to r = 22 takes about
+# 0.02 s and d = 12 with r = 22 about 0.05 s
 HURWITZ_MAX_DEGREE = 10
 HURWITZ_MAX_BRANCH = 18
 
@@ -444,7 +446,11 @@ class _CheckFailure(Exception):
     pass
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process: parsing reads it
+    and changes nothing in it, so a process that calls :func:`run` again
+    reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "table"),
                         default=argparse.SUPPRESS)

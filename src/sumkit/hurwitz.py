@@ -39,11 +39,32 @@ sum at each step and keeps that slice.  :func:`cut_join_apply` applies the
 whole operator and stays the independent side that
 :func:`cut_join_residual` checks the table against.
 
-The ring grades by ``z``-degree alone.  Each operator term keeps the
-``z``-degree of its input or adds those of its two inputs, so the levels of
-a table for degree ``d`` have cutoff ``d``, and each series built from them
-declares only what it knows: a derivative by ``z_a`` through ``d - a``, and
-the join that takes the factor ``z_k`` through ``d - k``.
+The table solves each level on partitions, not in the series ring.  Write
+``n_r(alpha)`` for the number of transposition tuples above (``d!`` times
+the Hurwitz number), so that ``G_r`` puts ``n_r(alpha) / (d! r!)`` on
+``z^alpha u^r lam^(r - d - len(alpha))``: the genus follows from ``r``.
+Times ``d! (r-1)!``, the level equation turns into three moves on the
+partitions of the lower levels, with ``m_a`` the multiplicity of a part
+``a`` in the partition it is read from:
+
+- cut: a part ``k`` of a level-``(r-1)`` partition becomes ``i + j``, with
+  weight ``k m_k n_(r-1)``;
+- join within: parts ``i`` and ``j`` of a level-``(r-1)`` partition merge,
+  with weight ``i m_i * j m_j * n_(r-1)``, where ``m_j`` is read after one
+  part ``i`` is gone;
+- join across: part ``i`` of a level-``s`` partition of ``d_s`` merges with
+  part ``j`` of a level-``t`` partition of ``d_t``, where ``s + t = r - 1``,
+  with weight ``C(d_s + d_t, d_s) C(r - 1, s) * i m_i n_s * j m_j n_t``: the
+  binomials share the sheets and the branch points out between the two
+  covers.
+
+Summed over ordered pairs ``(i, j)``, and over ordered pairs of the two
+sides of a join across, the moves give ``2 n_r``: that is the ``1/2`` of
+the equation, and the ``1/r`` of the ``u``-lift is the step from
+``(r-1)!`` to ``r!``.  So every count is an integer, and each coefficient
+of ``G_r`` is reduced once.  A cut or a join within keeps the degree of
+its partition and a join across adds two degrees, so a table for degree
+``d`` drops each join across beyond ``d``, and its levels have cutoff ``d``.
 """
 
 from __future__ import annotations
@@ -51,9 +72,8 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from collections import Counter
 from fractions import Fraction
-from operator import add
+from operator import itemgetter
 from typing import Sequence
 
 from sumkit.contacts import partitions
@@ -61,7 +81,6 @@ from sumkit.oracles import branch_count_rh
 from sumkit.series import (
     Series,
     VariableContext,
-    add_ratio,
     linear_combination,
     reduced_sums,
 )
@@ -133,7 +152,7 @@ class CutJoinTable:
     """``G`` through ``z``-degree ``d_max``, solved one level at a time.
 
     :meth:`level` returns ``G_r`` (cutoff ``d_max``), solving the levels up
-    to ``r`` by the level equation of the module docstring the first time
+    to ``r`` by the partition moves of the module docstring the first time
     one at or above it is asked for.  ``G_r`` equals the ``u^r`` slice of
     the fixed point of :func:`cut_join_apply` on ``z``-degree at most
     ``d_max``.  Levels grow under a lock, so threads see the serial values.
@@ -141,14 +160,19 @@ class CutJoinTable:
 
     def __init__(self, d_max: int):
         self.d_max = d_max
-        self.context = ctx = _context(d_max)
-        self._z = [f"z{a}" for a in range(d_max + 1)]
+        self.context = _context(d_max)
         self._levels: list[Series] = []
-        # weighted[s][a] = a * dG_s/dz_a, the factor each join term takes
-        self._weighted: list[list] = []
+        # all the moves read of level s: _derivs[s][i], its derivative by
+        # z_i, holds a row (rest, d, i * m_i * n) for each partition of d
+        # with count n and m_i >= 1 parts i, the rest being the partition
+        # without one part i, the rows sorted by d
+        self._derivs: list[dict[int, list]] = []
+        # _binom[a][b] = C(a + b, a): the labels a join across shares out
+        self._binom = [[math.comb(a + b, a) for b in range(d_max + 1)]
+                       for a in range(d_max + 1)]
         self._lock = threading.Lock()
         # the unbranched single sheet: degree 1, genus 0, no branch points
-        self._add_level(Series.term(ctx, d_max, {"z1": 1, "lam": -2}))
+        self._add_level({(1,): 1})
 
     def level(self, r: int) -> Series:
         if r < 0:
@@ -158,51 +182,75 @@ class CutJoinTable:
                 self._solve_next()
         return self._levels[r]
 
-    def _add_level(self, level: Series) -> None:
-        self._levels.append(level)
-        self._weighted.append([None] + [level.differentiate(self._z[a]) * a
-                                        for a in range(1, self.d_max + 1)])
+    def _add_level(self, counts: dict[tuple[int, ...], int]) -> None:
+        """Append the level of ``counts``, its partitions' counts: the
+        series ``G_r`` and the derivatives that later levels read."""
+        r = len(self._levels)
+        d_max, labels = self.d_max, math.factorial(r)
+        sums = {}
+        derivs: dict[int, list] = {}
+        for alpha, n in counts.items():
+            d = sum(alpha)
+            powers = [0] * d_max
+            for a in alpha:
+                powers[a - 1] += 1
+            # z^alpha u^r lam^(2g - 2), with 2g - 2 = r - d - len(alpha)
+            sums[(*powers, r, r - d - len(alpha))] = \
+                [n, math.factorial(d) * labels]
+            for i, m in enumerate(powers, 1):
+                if m:
+                    k = alpha.index(i)
+                    derivs.setdefault(i, []).append(
+                        (alpha[:k] + alpha[k + 1:], d, i * m * n))
+        for rows in derivs.values():
+            rows.sort(key=itemgetter(1))
+        # the counts are positive, so every reduced sum is a term, and the
+        # partitions have degree at most d_max
+        self._levels.append(
+            Series._trusted(self.context, d_max, reduced_sums(sums)))
+        self._derivs.append(derivs)
 
     def _solve_next(self) -> None:
-        ctx, d_max, z = self.context, self.d_max, self._z
-        weighted = self._weighted
+        d_max, derivs, binom = self.d_max, self._derivs, self._binom
         r = len(self._levels)
-        last = weighted[r - 1]
-        # (multiplier, series, shift) triples: the level is the sum of each
-        # series times its multiplier and its monomial (the shift), over 2r
-        # (the 1/2 of both terms, the 1/r of the u-lift)
-        parts = []
-        for k in range(2, d_max + 1):
-            # only z-degree <= room survives the z_k factor
-            room = d_max - k
-            join = ctx.exponents({z[k]: 1, "lam": 2, "u": 1})
-            for i in range(1, k):
-                j = k - i
-                if last[i]:
-                    parts.append(
-                        (j, last[i].differentiate(z[j]).truncate(room), join))
-                # (s, i) and its mirror (t, j) give one product: once,
-                # doubled when they differ
-                for s in range(r):
-                    t = r - 1 - s
-                    if (s, i) > (t, j):
+        # twice the counts of level r: the sum of the moves over ordered
+        # pairs of parts, which meets each unordered pair twice
+        twice: dict = {}
+        get = twice.get
+        for i, rows in derivs[r - 1].items():
+            for rest, _, w in rows:
+                # cut: the part i becomes a and i - a
+                for a in range(1, i):
+                    key = tuple(sorted(rest + (a, i - a), reverse=True))
+                    twice[key] = get(key, 0) + w
+                # join within: the part i merges with a part j of the rest
+                for j in set(rest):
+                    k = rest.index(j)
+                    key = tuple(sorted(rest[:k] + rest[k + 1:] + (i + j,),
+                                       reverse=True))
+                    twice[key] = get(key, 0) + j * rest.count(j) * w
+        # join across: a part i at level s merges with a part j at level
+        # t = r - 1 - s; a pair of (level, part) blocks and its mirror give
+        # the same terms, so each unordered pair is summed once, doubled
+        # when the blocks differ
+        for s in range((r - 1) // 2 + 1):
+            t = r - 1 - s
+            labels = math.comb(r - 1, s)
+            for i, left in derivs[s].items():
+                for j, right in derivs[t].items():
+                    if s == t and i > j:
                         continue
-                    left, right = weighted[s][i], weighted[t][j]
-                    if left and right:
-                        parts.append((1 if (s, i) == (t, j) else 2,
-                                      left.truncate(room) * right, join))
-                # the cut: z_i z_j times k dG/dz_k, over ordered (i, j)
-                if last[k]:
-                    parts.append((1, last[k], ctx.exponents(
-                        Counter((z[i], z[j], "u")))))
-        acc: dict = {}
-        for m, series, shift in parts:
-            for exps, c in series.terms.items():
-                add_ratio(acc, tuple(map(add, exps, shift)),
-                          m * c.numerator, 2 * r * c.denominator)
-        # the sums are reduced nonzero Fractions on valid exponents shifted
-        # up, and the truncations keep every grade at or below d_max
-        self._add_level(Series._trusted(ctx, d_max, reduced_sums(acc)))
+                    m = labels if (s, i) == (t, j) else 2 * labels
+                    joined = (i + j,)
+                    for rest, d, w in left:
+                        room, shares, mw = d_max - d, binom[d], m * w
+                        for rest_t, d_t, v in right:
+                            if d_t > room:
+                                break
+                            key = tuple(sorted(rest + rest_t + joined,
+                                               reverse=True))
+                            twice[key] = get(key, 0) + shares[d_t] * mw * v
+        self._add_level({key: n // 2 for key, n in twice.items()})
 
 
 @functools.lru_cache(maxsize=32)

@@ -15,8 +15,9 @@ Profile = tuple[int, ...]
 
 # `severi` work grows fast with the degree: on a 2-core VM, in a fresh
 # process, a d = 10 request takes under 0.3 s and the whole d <= 10 table
-# about 0.7 s, but d = 12 takes up to 1.4 s per request, and the recursion
-# overflows the stack from d = 25 on
+# about 0.7 s, but d = 12 takes up to 1.4 s per request, and from d = 25 on
+# a request on an empty memo recurses past the interpreter's limit, which
+# `severi` reports as a SeveriError
 SEVERI_MAX_DEGREE = 10
 
 

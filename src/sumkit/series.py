@@ -167,8 +167,9 @@ class GradedTable:
     filtered against the result's cutoff.  One exact accumulator sums every
     table: ``+``, ``-`` and :meth:`scale` are each one
     :func:`linear_combination`, and the products (``Series.__mul__``,
-    ``RelSeries.disjoint_mul``, ``gluing.convolve``) and the level sum of
-    ``hurwitz.CutJoinTable`` pass integer products to :func:`add_ratio`.
+    ``RelSeries.disjoint_mul``, ``gluing.convolve``) pass integer products
+    to :func:`add_ratio`; the levels of ``hurwitz.CutJoinTable`` come from
+    integer counts over one denominator per key.
     :func:`reduced_sums` reduces each sum once and drops a key whose
     numerator sums to 0; a scalar 0 adds no term, and exact arithmetic on
     nonzero Fractions gives nonzero Fractions, so no zero is ever stored.

@@ -35,6 +35,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -206,13 +207,29 @@ def _require_ints(*values) -> None:
             raise SeveriError(f"Severi keys take ints, got {value!r}")
 
 
+def _within_depth(d: int, compute):
+    """``compute()``, with the interpreter's recursion limit reported as a
+    :class:`SeveriError` naming the degree.  The memo fill recurses about
+    ``d^2`` frames deep when it starts empty, which overflows from about
+    ``d = 25`` on; filled degree by degree, as :func:`severi_table` fills
+    it, it stays shallow."""
+    try:
+        return compute()
+    except RecursionError:
+        raise SeveriError(
+            f"degree {d} recurses deeper than the interpreter's recursion "
+            f"limit of {sys.getrecursionlimit()}; compute the lower degrees "
+            "first") from None
+
+
 def tw_severi(d: int, chi: int, alpha: Sequence[int] = (),
               beta: Sequence[int] | None = None) -> int:
     """Disconnected Severi degree at total Euler characteristic ``chi``."""
     _require_ints(d, chi, *alpha, *(beta or ()))
     if beta is None:
         beta = default_beta(d, alpha)
-    return tw_value(d, chi, trim(alpha), trim(beta))
+    alpha, beta = trim(alpha), trim(beta)
+    return _within_depth(d, lambda: tw_value(d, chi, alpha, beta))
 
 
 def severi_number(d: int, delta: int, alpha: Sequence[int] = (),
@@ -226,7 +243,8 @@ def severi_number(d: int, delta: int, alpha: Sequence[int] = (),
     ``alpha``.  Invalid keys (negative genus, mismatched profiles,
     over-constrained counts) give 0; a key entry that is not an ``int``
     raises :class:`SeveriError`, and so does a value that is not an
-    integer, which no valid table produces.
+    integer, which no valid table produces, and so does a degree whose
+    recursion overflows the interpreter's stack.
     """
     _require_ints(d, delta, *alpha, *(beta or ()))
     if beta is None:
@@ -237,7 +255,7 @@ def severi_number(d: int, delta: int, alpha: Sequence[int] = (),
             and order_weight(alpha) + order_weight(beta) == d):
         return 0
     key = (d, 2 - 2 * g, alpha, beta)
-    value = connected_counts(*key).get(key, 0)
+    value = _within_depth(d, lambda: connected_counts(*key)).get(key, 0)
     if value.denominator != 1:
         raise SeveriError(f"connected count {value} at {key} "
                           "is not an integer")

@@ -447,6 +447,43 @@ def run_fresh(code: str) -> str:
     return done.stdout
 
 
+# a valid request, a rejected one, help, then another verb
+REUSE_SEQUENCE = (
+    ("hurwitz", "--degree", "3", "--genus", "0", "--partition", "2,1"),
+    ("severi", "--degree", "x", "--delta", "1"),
+    ("--help",),
+    ("oracle", "sigma", "--n", "12"),
+)
+
+
+def test_one_parser_serves_every_run_of_a_process():
+    """A process that calls ``run`` again reuses the parser it built
+    first, and each request exits and prints as in a process of its own."""
+    out = run_fresh(f"""
+        import contextlib, io, json
+        from sumkit import cli
+        results = []
+        for argv in {REUSE_SEQUENCE!r}:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \\
+                    contextlib.redirect_stderr(err):
+                code = cli.run(list(argv))
+            results.append([code, out.getvalue(), err.getvalue()])
+        print(json.dumps([results, cli.build_parser.cache_info().misses]))
+    """)
+    results, misses = json.loads(out)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("SUMKIT_CACHE_DIR", None)
+    for argv, result in zip(REUSE_SEQUENCE, results, strict=True):
+        done = subprocess.run([sys.executable, "-m", "sumkit.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert result == [done.returncode, done.stdout, done.stderr], argv
+    assert [code for code, *_ in results] == [0, 2, 0, 0]
+    assert misses == 1
+
+
 def test_only_the_check_verb_imports_checks():
     out = run_fresh("""
         import sys

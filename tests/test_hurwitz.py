@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sumkit.cli import HURWITZ_MAX_BRANCH, HURWITZ_MAX_DEGREE
 from sumkit.contacts import partitions
 from sumkit.hurwitz import (
     CutJoinTable,
@@ -217,21 +218,31 @@ class TestLevelSolve:
         assert _build_table.cache_info().misses == 7
 
 
-def test_values_digest():
-    """Every key with d <= 8 and r <= 13 and its value, hashed: a change
-    to any one value changes the digest."""
+def _values_digest(d_max, r_max):
+    """The number of keys with d <= d_max and r <= r_max, and the sha256
+    of the keys and their values: a change to any one value changes it."""
     lines = []
-    for d in range(1, 9):
+    for d in range(1, d_max + 1):
         for alpha in partitions(d):
             g = 0
-            while branch_count(d, g, alpha) <= 13:
+            while branch_count(d, g, alpha) <= r_max:
                 value = hurwitz_number(d, g, alpha)
                 lines.append(f"{d} {g} {','.join(map(str, alpha))} "
                              f"{value.numerator}/{value.denominator}\n")
                 g += 1
-    assert len(lines) == 226
-    assert hashlib.sha256("".join(lines).encode()).hexdigest() == \
-        "1c1acd73763c73ed7846dbcad21b65b203075daf6a94c8c1bfcdeee60347f1d2"
+    return len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def test_values_digest():
+    assert _values_digest(8, 13) == (
+        226, "1c1acd73763c73ed7846dbcad21b65b203075daf6a94c8c1bfcdeee60347f1d2")
+
+
+def test_values_digest_over_the_cli_window():
+    # every key the `hurwitz` verb admits, as the series-ring level solver
+    # computed them
+    assert _values_digest(HURWITZ_MAX_DEGREE, HURWITZ_MAX_BRANCH) == (
+        665, "018cdf18abe3e8d5531ca33fd7dfb7f999381cd57b35ec38a885472bfd6755a8")
 
 
 class TestResidual:
@@ -239,7 +250,7 @@ class TestResidual:
         assert cut_join_residual(2, 2).is_zero()
 
     def test_acceptance_window(self):
-        assert cut_join_residual(4, 4).is_zero()
+        assert cut_join_residual(7, 10).is_zero()
 
     def test_wide_window(self):
         assert cut_join_residual(6, 8).is_zero()

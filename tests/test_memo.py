@@ -7,10 +7,11 @@ import threading
 from fractions import Fraction
 
 import sumkit
-from sumkit import contacts, gluing, hurwitz, series, severi
+from sumkit import cli, contacts, gluing, hurwitz, series, severi
 from sumkit.contacts import ContactMultiset, IntersectionMatrix, partitions
 
 MEMOS = (
+    cli.build_parser,
     contacts.enumerate_multisets,
     contacts._dual_multiset_cached,
     contacts.glue_weights,

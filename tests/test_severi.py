@@ -247,6 +247,32 @@ class TestKeyTypes:
             call(*args)
 
 
+class TestRecursionDepth:
+    # on an empty memo the fill recurses about d^2 frames deep, and a raw
+    # RecursionError escaped from d = 25 on
+    @pytest.fixture
+    def empty_memo(self):
+        memos = (severi.tw_value, severi._shed_terms)
+        for memo in memos:
+            memo.cache_clear()
+        yield
+        for memo in memos:
+            memo.cache_clear()
+
+    @pytest.mark.parametrize("call, args", [
+        (severi_number, (25, 0)),
+        (tw_severi, (25, -550)),
+    ])
+    def test_too_deep_a_degree_raises_a_severi_error(self, empty_memo,
+                                                     call, args):
+        with pytest.raises(SeveriError) as error:
+            call(*args)
+        assert type(error.value) is SeveriError
+        assert str(error.value).startswith(
+            "degree 25 recurses deeper than the interpreter's recursion "
+            "limit of ")
+
+
 def _to_profile(parts):
     out = [0] * (max(parts) if parts else 0)
     for p in parts:
