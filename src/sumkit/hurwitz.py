@@ -77,7 +77,6 @@ from operator import itemgetter
 from typing import Sequence
 
 from sumkit.contacts import partitions
-from sumkit.oracles import branch_count_rh
 from sumkit.series import (
     Series,
     VariableContext,
@@ -103,6 +102,12 @@ def _normalize(d: int, g: int, alpha: Sequence[int]) -> tuple[int, ...]:
     if any(a < 1 for a in alpha):
         raise HurwitzError("partition parts must be >= 1")
     return tuple(sorted(alpha, reverse=True))
+
+
+def branch_count_rh(d: int, g: int, alpha: Sequence[int]) -> int:
+    """Riemann-Hurwitz for a partition ``alpha`` of ``d``, unchecked:
+    ``2d + 2g - 2 - sum(a - 1)`` simple branch points."""
+    return 2 * d + 2 * g - 2 - sum(a - 1 for a in alpha)
 
 
 def branch_count(d: int, g: int, alpha: Sequence[int]) -> int:

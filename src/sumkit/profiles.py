@@ -14,8 +14,8 @@ from typing import Sequence
 Profile = tuple[int, ...]
 
 # `severi` work grows fast with the degree: on a 2-core VM, in a fresh
-# process, a d = 10 request takes under 0.3 s and the whole d <= 10 table
-# about 0.7 s, but d = 12 takes up to 1.4 s per request, and from d = 25 on
+# process, a d = 10 request takes under 0.15 s and the whole d <= 10 table
+# 0.3-0.4 s, but d = 12 takes up to 1.2 s per request, and from d = 25 on
 # a request on an empty memo recurses past the interpreter's limit, which
 # `severi` reports as a SeveriError
 SEVERI_MAX_DEGREE = 10
@@ -47,8 +47,12 @@ def point_count(d: int, g: int, alpha: Profile, beta: Profile) -> int:
     """Number of generic point conditions.
 
     ``3d + g - 1 - I(alpha) - (I(beta) - len(beta))``: each fixed order-``k``
-    tangency cuts ``k`` parameters, each moving one ``k - 1``.  A negative
-    value signals an over-constrained (zero) count.
+    tangency cuts ``k`` parameters, each moving one ``k - 1``.  When the
+    order weights of ``alpha`` and ``beta`` sum to ``d`` this is ``2d + g -
+    1 + sum(beta)``, at least ``d + sum(beta) >= 1`` at every genus a
+    reduced degree-``d`` curve can have (``g >= 1 - d``, for ``d`` disjoint
+    lines).  So a negative value means a key whose order weights do not
+    sum to ``d``.
     """
     return (3 * d + g - 1 - order_weight(alpha)
             - (order_weight(beta) - sum(beta)))

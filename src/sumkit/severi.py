@@ -45,14 +45,6 @@ from sumkit.profiles import (Profile, SeveriError, default_beta, genus,
 from sumkit.series import Series, VariableContext
 
 
-def _bump(v: Profile, k: int, delta: int) -> Profile:
-    out = list(v) + [0] * max(0, k - len(v))
-    out[k - 1] += delta
-    if out[k - 1] < 0:
-        raise SeveriError("profile went negative")
-    return trim(out)
-
-
 def _order_product(v: Profile) -> int:
     out = 1
     for k, n in enumerate(v):
@@ -75,18 +67,31 @@ def profile(m: ContactMultiset) -> Profile:
 
 
 @functools.lru_cache(maxsize=1024)
-def _shed_terms(beta: Profile, budget: int
-                ) -> tuple[tuple[Profile, int, int], ...]:
-    """The terms of a shed line that leaves new moving contacts ``gamma``
-    of order ``budget`` next to ``beta``, in partition order: the moving
-    profile ``beta' = beta + gamma``, the Euler characteristic shift
-    ``2 sum(gamma)`` and the weight ``prod k^gamma_k C(beta'_k, beta_k)``."""
+def _shed_terms(alpha: Profile, beta: Profile
+                ) -> tuple[tuple[Profile, Profile, int, int], ...]:
+    """The whole shed line of a profile pair, in the order of its sum.
+
+    The residual curve keeps fixed contacts ``alpha' <= alpha``, and its new
+    moving contacts ``gamma`` spend the order that ``alpha'`` and ``beta``
+    leave of its degree ``d - 1 = I(alpha) + I(beta) - 1``: the budget
+    ``I(alpha) - 1 - I(alpha')``, which does not depend on ``d``.  Each term
+    is the trimmed ``alpha'``, the moving profile ``beta' = beta + gamma``,
+    the Euler characteristic shift ``2 sum(gamma)`` and the weight
+    ``prod C(alpha_k, alpha'_k) k^gamma_k C(beta'_k, beta_k)``."""
+    rest = order_weight(alpha) - 1
     out = []
-    for gamma in map(profile, enumerate_multisets(budget, 1)):
-        beta_p = (tuple(map(operator.add, beta, gamma))
-                  + beta[len(gamma):] + gamma[len(beta):])
-        out.append((beta_p, 2 * sum(gamma), _order_product(gamma)
-                    * math.prod(map(math.comb, beta_p, beta))))
+    for alpha_p in _profiles_leq(alpha):
+        budget = rest - order_weight(alpha_p)
+        if budget < 0:
+            continue
+        alpha_t = trim(alpha_p)
+        fixed = math.prod(map(math.comb, alpha, alpha_p))
+        for gamma in map(profile, enumerate_multisets(budget, 1)):
+            beta_p = (tuple(map(operator.add, beta, gamma))
+                      + beta[len(gamma):] + gamma[len(beta):])
+            out.append((alpha_t, beta_p, 2 * sum(gamma),
+                        fixed * _order_product(gamma)
+                        * math.prod(map(math.comb, beta_p, beta))))
     return tuple(out)
 
 
@@ -95,19 +100,17 @@ def tw_value(d: int, chi: int, alpha: Profile, beta: Profile) -> int:
     """Count of reduced, possibly disconnected degree-``d`` curves.
 
     Indexed by the total Euler characteristic ``chi`` of the
-    normalization; the node count of such a configuration is
-    ``(chi + d(d-3))/2`` and must be nonnegative, and ``chi`` is at most
-    ``2d``, for ``d`` disjoint lines.  The point count is ``point_count``
-    at genus ``1 - chi/2``, additive over disjoint unions.  ``alpha`` and
-    ``beta`` are trimmed profiles.
+    normalization.  Every key is a recursion key: ``d >= 1``, ``chi`` even,
+    and ``alpha`` and ``beta`` trimmed profiles whose order weights sum to
+    ``d``.  :func:`tw_severi` and :func:`connected_counts` pass no other
+    key, and both steps of the recursion keep the invariant, so it is not
+    checked here.  The one guard is the window of ``chi``: the node count
+    ``(chi + d(d-3))/2`` must be nonnegative, and ``chi`` is at most
+    ``2d``, for ``d`` disjoint lines.  The point count, ``point_count`` at
+    genus ``1 - chi/2``, is then ``2d - chi/2 + sum(beta) >= d + sum(beta)
+    >= 1``, so no key in the window is over-constrained.
     """
-    if d < 1 or chi % 2:
-        return 0
-    if order_weight(alpha) + order_weight(beta) != d:
-        return 0
     if not -d * (d - 3) <= chi <= 2 * d:
-        return 0
-    if point_count(d, 1 - chi // 2, alpha, beta) < 0:
         return 0
     if d == 1:
         return 1
@@ -117,34 +120,31 @@ def tw_value(d: int, chi: int, alpha: Profile, beta: Profile) -> int:
 
 def _pin_moving_contact(d, chi, alpha, beta) -> int:
     """Specialized point hit by the curve: a moving order-``k`` contact
-    becomes fixed, with multiplicity ``k``."""
+    becomes fixed, with multiplicity ``k``.  ``alpha + e_k`` is trimmed as
+    built, and ``beta - e_k`` needs a trim only when it empties the last
+    order."""
     total = 0
-    for k in range(1, len(beta) + 1):
-        if beta[k - 1] == 0:
+    for k, n in enumerate(beta, 1):
+        if not n:
             continue
-        total += k * tw_value(d, chi, _bump(alpha, k, +1), _bump(beta, k, -1))
+        padded = alpha + (0,) * (k - len(alpha))
+        alpha_p = padded[:k - 1] + (padded[k - 1] + 1,) + padded[k:]
+        beta_p = beta[:k - 1] + (n - 1,) + beta[k:]
+        if not beta_p[-1]:
+            beta_p = trim(beta_p)
+        total += k * tw_value(d, chi, alpha_p, beta_p)
     return total
 
 
 def _shed_line(d, chi, alpha, beta) -> int:
     """Specialized point absorbed by the line: the residual curve has
-    degree ``d - 1``, keeps fixed contacts ``alpha' <= alpha``, and its
-    new moving contacts (profile ``beta' - beta``) are smoothed, each
-    order-``k`` one with multiplicity ``k`` and Euler characteristic
-    ``chi'' = chi - 2 + 2 len(beta' - beta)``.  The new moving contacts
-    spend the order that ``alpha'`` and ``beta`` leave, and
-    :func:`_shed_terms` holds their terms."""
-    rest = d - 1 - order_weight(beta)
-    total = 0
-    for alpha_p in _profiles_leq(alpha):
-        budget = rest - order_weight(alpha_p)
-        if budget < 0:
-            continue
-        alpha_t = trim(alpha_p)
-        part = 0  # a loop, not a generator: no extra frame per degree
-        for beta_p, shift, c in _shed_terms(beta, budget):
-            part += c * tw_value(d - 1, chi - 2 + shift, alpha_t, beta_p)
-        total += math.prod(map(math.comb, alpha, alpha_p)) * part
+    degree ``d - 1``, and its new moving contacts (profile ``beta' -
+    beta``) are smoothed, each order-``k`` one with multiplicity ``k`` and
+    Euler characteristic ``chi'' = chi - 2 + 2 len(beta' - beta)``.
+    :func:`_shed_terms` holds the terms."""
+    total = 0  # a loop, not a generator: no extra frame per degree
+    for alpha_p, beta_p, shift, c in _shed_terms(alpha, beta):
+        total += c * tw_value(d - 1, chi - 2 + shift, alpha_p, beta_p)
     return total
 
 
@@ -182,7 +182,7 @@ def connected_counts(d: int, chi: int, alpha: Profile, beta: Profile
             d_p = order_weight(alpha_p) + order_weight(beta_p)
             if not d_p:
                 continue
-            r_0 = point_count(d_p, 1, alpha_p, beta_p)  # at chi' = 0
+            r_0 = 2 * d_p + sum(beta_p)  # the point count at chi' = 0
             for chi_p in range(chi - 2 * (d - d_p), 2 * d_p + 1, 2):
                 r_p = r_0 - chi_p // 2
                 if divides(d_p, chi_p, r_p, alpha_p, beta_p):
@@ -224,11 +224,17 @@ def _within_depth(d: int, compute):
 
 def tw_severi(d: int, chi: int, alpha: Sequence[int] = (),
               beta: Sequence[int] | None = None) -> int:
-    """Disconnected Severi degree at total Euler characteristic ``chi``."""
+    """Disconnected Severi degree at total Euler characteristic ``chi``.
+
+    A key with ``d < 1``, an odd ``chi`` or order weights that do not sum
+    to ``d`` gives 0 here, before the memo, since :func:`tw_value` checks
+    only the window of ``chi``."""
     _require_ints(d, chi, *alpha, *(beta or ()))
     if beta is None:
         beta = default_beta(d, alpha)
     alpha, beta = trim(alpha), trim(beta)
+    if d < 1 or chi % 2 or order_weight(alpha) + order_weight(beta) != d:
+        return 0
     return _within_depth(d, lambda: tw_value(d, chi, alpha, beta))
 
 

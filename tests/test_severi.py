@@ -11,6 +11,7 @@ from sumkit.profiles import SEVERI_MAX_DEGREE
 from sumkit.severi import (
     SeveriError,
     genus,
+    order_weight,
     point_count,
     rational_degree,
     severi_number,
@@ -247,18 +248,19 @@ class TestKeyTypes:
             call(*args)
 
 
+@pytest.fixture
+def empty_memo():
+    memos = (severi.tw_value, severi._shed_terms)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
 class TestRecursionDepth:
     # on an empty memo the fill recurses about d^2 frames deep, and a raw
     # RecursionError escaped from d = 25 on
-    @pytest.fixture
-    def empty_memo(self):
-        memos = (severi.tw_value, severi._shed_terms)
-        for memo in memos:
-            memo.cache_clear()
-        yield
-        for memo in memos:
-            memo.cache_clear()
-
     @pytest.mark.parametrize("call, args", [
         (severi_number, (25, 0)),
         (tw_severi, (25, -550)),
@@ -271,6 +273,64 @@ class TestRecursionDepth:
         assert str(error.value).startswith(
             "degree 25 recurses deeper than the interpreter's recursion "
             "limit of ")
+
+
+def _is_trimmed(v):
+    return (type(v) is tuple and all(type(n) is int and n >= 0 for n in v)
+            and (not v or v[-1] > 0))
+
+
+class TestRecursionKeys:
+    # tw_value checks only the chi window of a key: the rest of the
+    # recursion-key invariant holds because the entry points pass no other
+    # key and both recursion steps keep it
+    def test_every_key_the_recursion_reaches_keeps_the_invariant(
+            self, empty_memo, monkeypatch):
+        memo = severi.tw_value
+        keys = []
+
+        def recorded(d, chi, alpha, beta):
+            keys.append((d, chi, alpha, beta))
+            return memo(d, chi, alpha, beta)
+
+        # the recursion looks tw_value up through the module, so this sees
+        # every call, memo hits included
+        monkeypatch.setattr(severi, "tw_value", recorded)
+        severi_table(8, 21)
+        assert len(set(keys)) == memo.cache_info().currsize == 5183
+        severi_number(4, 1, (2,), (0, 1))
+        severi_number(5, 2, (1, 1), (0, 1))
+        severi_number(6, 3, (0, 0, 1), (1, 1))
+        severi_number(7, 5, (1, 1, 1))
+        tw_severi(5, 0, (1, 0, 1), (1,))
+        assert len(set(keys)) == memo.cache_info().currsize > 5183
+        broken = [(d, chi, alpha, beta) for d, chi, alpha, beta in keys
+                  if not (d >= 1 and chi % 2 == 0 and _is_trimmed(alpha)
+                          and _is_trimmed(beta) and order_weight(alpha)
+                          + order_weight(beta) == d)]
+        assert broken == []
+
+    # the keys whose guards tw_value no longer has: tw_severi turns away
+    # the first four before the memo, and the chi window the last two
+    @pytest.mark.parametrize("key, memo_size", [
+        ((3, 1), 0),              # odd chi
+        ((0, 0), 0),              # d = 0
+        ((-1, 2), 0),             # d < 0
+        ((3, 2, (1,), (1,)), 0),  # order weights sum to 2, not 3
+        ((3, 8), 1),              # chi > 2d
+        ((4, -6), 1),             # chi < -d(d - 3)
+    ])
+    def test_a_key_off_the_recursion_is_zero(self, empty_memo, key,
+                                              memo_size):
+        assert tw_severi(*key) == 0
+        assert severi.tw_value.cache_info().currsize == memo_size
+
+    @pytest.mark.parametrize("key, value", [
+        ((3, 6), 15),         # three lines through six points
+        ((4, -4), 1),         # the smooth quartic through fourteen points
+    ])
+    def test_the_ends_of_the_chi_window_count(self, key, value):
+        assert tw_severi(*key) == value
 
 
 def _to_profile(parts):
