@@ -391,22 +391,50 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
     ``(x class, y class)`` pair is worked out and checked once, when the
     first of its term pairs is reached, so a pair none of whose terms meet
     is never glued.
-    """
-    glue, out_geometry, out_ends, cutoff = _convolution_frame(
-        x, y, q, glue, out_geometry)
 
+    Each call indexes ``y`` afresh, by :func:`_first_end_index`.  The
+    ladders that glue against one fixed right factor again and again index
+    it once and call the pair loop :func:`_glue_pairs` themselves: the
+    powers of :func:`s_matrix` index ``R`` once per call, and the neck
+    steps of :func:`_neck_step` index ``twf`` once, in :func:`_neck_index`.
+    """
+    frame = _convolution_frame(x, y, q, glue, out_geometry)
+    return _glue_pairs(x, _first_end_index(y), q, *frame)
+
+
+FirstEndIndex = tuple[dict[ContactMultiset, list[tuple[RelKey, int, int]]],
+                      set[int]]
+
+
+def _first_end_index(y: RelSeries) -> FirstEndIndex:
+    """The right factor of a convolution, indexed for :func:`_glue_pairs`.
+
+    Each term of ``y`` as ``(key, numerator, denominator)``, grouped by its
+    first end, and the set of divisor degrees of ``y``'s classes.  The
+    index holds only what it reads off ``y``, nothing of a pairing or of
+    the glue weights, and no caller changes it after it is built.
+    """
+    index: dict[ContactMultiset, list[tuple[RelKey, int, int]]] = {}
+    for k, c in y.terms.items():
+        index.setdefault(k.contacts[0], []).append(
+            (k, c.numerator, c.denominator))
+    return index, {y.geometry.pair_v(ay)
+                   for ay in {k.class_key for k in y.terms}}
+
+
+def _glue_pairs(x: RelSeries, indexed: FirstEndIndex, q: IntersectionMatrix,
+                glue: GlueMap, out_geometry: Geometry, out_ends: int,
+                cutoff: int) -> RelSeries:
+    """The pair loop of :func:`convolve`: glue ``x`` against the indexed
+    right factor, under the frame that :func:`_convolution_frame` settled
+    for the two factors.  The dual weights are read from
+    :func:`~sumkit.contacts.glue_weights` on each call."""
+    y_index, y_degrees = indexed
     # each term as (key, numerator, denominator)
     x_index: dict[ClassKey, list[tuple[RelKey, int, int]]] = {}
     for k, c in x.terms.items():
         x_index.setdefault(k.class_key, []).append(
             (k, c.numerator, c.denominator))
-    y_index: dict[ContactMultiset, list[tuple[RelKey, int, int]]] = {}
-    for k, c in y.terms.items():
-        y_index.setdefault(k.contacts[0], []).append(
-            (k, c.numerator, c.denominator))
-    # an x class of a degree no y class has meets no first end of y
-    y_degrees = {y.geometry.pair_v(ay)
-                 for ay in {k.class_key for k in y.terms}}
 
     tags: dict[tuple[str, str], str] = {}
     # an integer numerator and denominator per key, reduced once at the end
@@ -416,6 +444,7 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
     trusted = True
     for ax, left in x_index.items():
         deg_m = x.geometry.pair_v(ax)
+        # an x class of a degree no y class has meets no first end of y
         if deg_m not in y_degrees:
             continue
         weights = glue_weights(deg_m, q)
@@ -579,7 +608,9 @@ def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
     reduced once by :func:`~sumkit.series.linear_combination`.  The first
     power is ``R`` itself (the unit law), so the sum convolves once per
     further power: once when ``R * R`` vanishes, ``k`` times when
-    ``R^(k+1)`` is the first zero power.
+    ``R^(k+1)`` is the first zero power.  Each power is ``R^(k-1) * R``,
+    so ``R``, the fixed right factor, is indexed by its first end once
+    per call, not once per power, and kept in no memo.
     """
     if twf.end_count != 2:
         raise GluingError("scattering input must be two-ended")
@@ -599,13 +630,24 @@ def s_matrix(twf: RelSeries, q: IntersectionMatrix) -> RelSeries:
             )
     pairs = [(1, ident)]
     power, sign = r, -1
+    # every power has the geometry, ends and cutoff of r: one frame, one index
+    frame = _convolution_frame(r, r, q, None, None)
+    r_index = _first_end_index(r)
     while not power.is_zero():
         # pairs holds R^0..R^(k-1) when power is R^k
         if len(pairs) > twf.cutoff:
             raise GluingError("residual part is not nilpotent at this cutoff")
         pairs.append((sign, power))
-        power, sign = convolve(power, r, q), -sign
+        power, sign = _glue_pairs(power, r_index, q, *frame), -sign
     return linear_combination(pairs)
+
+
+@functools.lru_cache(maxsize=2)
+def _neck_index(twf: RelSeries) -> FirstEndIndex:
+    """The first-end index of a neck series ``twf``, which every convolved
+    step of :func:`_neck_step` takes as its right factor.  A neck sum has
+    one ``twf`` in flight, so two entries are enough."""
+    return _first_end_index(twf)
 
 
 @functools.lru_cache(maxsize=16)
@@ -621,13 +663,19 @@ def _neck_step(twf: RelSeries, k: int, q: IntersectionMatrix) -> RelSeries:
     ``D_1`` enters only the sum of :func:`neck_identity`, never a
     convolution: the unit's own products stay inside ``T * T``, and every
     convolved step is a difference of powers of the full ``twf``.
+    ``T * T`` and every ``D_(k-1) * T`` glue against one first-end index
+    of ``twf``, kept in :func:`_neck_index`, so ``twf`` is indexed once
+    per neck series, not once per step.
     """
     if k == 1:
         return linear_combination(
             [(1, twf), (-1, identity_element(twf.geometry, q, twf.cutoff))])
+    left = twf if k == 2 else _neck_step(twf, k - 1, q)
+    glued = _glue_pairs(left, _neck_index(twf), q,
+                        *_convolution_frame(left, twf, q, None, None))
     if k == 2:
-        return linear_combination([(1, convolve(twf, twf, q)), (-1, twf)])
-    return convolve(_neck_step(twf, k - 1, q), twf, q)
+        return linear_combination([(1, glued), (-1, twf)])
+    return glued
 
 
 def neck_identity(twf: RelSeries, n: int, q: IntersectionMatrix) -> RelSeries:
@@ -644,7 +692,9 @@ def neck_identity(twf: RelSeries, n: int, q: IntersectionMatrix) -> RelSeries:
     with coefficient 1, so it is copied whole, and every other table is a
     step, which holds only what the unit does not.  The memo is shared, so
     the sums for ``n = 1..5`` on one series hold the steps ``D_1..D_9`` and
-    convolve 8 times, for ``D_2..D_9``; ``n = 1`` convolves nothing.
+    convolve 8 times, for ``D_2..D_9``; ``n = 1`` convolves nothing.  Each
+    of those convolutions has ``twf`` as its right factor, indexed once
+    for all of them in :func:`_neck_index`.
     ``D_1 = twf - unit`` enters only the sum; every convolved term is a
     power of the full ``twf`` or a difference of two, never of its residual:
     the sum stays an independent route to the inverse that :func:`s_matrix`

@@ -66,7 +66,7 @@ def profile(m: ContactMultiset) -> Profile:
     return tuple(v)
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=4096)
 def _shed_terms(alpha: Profile, beta: Profile
                 ) -> tuple[tuple[Profile, Profile, int, int], ...]:
     """The whole shed line of a profile pair, in the order of its sum.

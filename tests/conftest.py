@@ -7,8 +7,8 @@ from sumkit import gluing
 def doubled_glue_weight(monkeypatch):
     """Make ``convolve`` glue with the first dual weight of the least
     degree-1 multiset doubled.  Convolution stays linear but the unit law
-    breaks.  The neck step memo is cleared before and after, so no step
-    crosses between the doubled and the true weights."""
+    breaks.  The neck step memo and its index memo are cleared before and
+    after, so no step crosses between the doubled and the true weights."""
     real = gluing.glue_weights
 
     def doubled(degree, q):
@@ -21,7 +21,10 @@ def doubled_glue_weight(monkeypatch):
         table[m] = (length, ((dual, 2 * wn, wd), *rest))
         return table
 
-    gluing._neck_step.cache_clear()
+    memos = (gluing._neck_step, gluing._neck_index)
+    for memo in memos:
+        memo.cache_clear()
     monkeypatch.setattr(gluing, "glue_weights", doubled)
     yield
-    gluing._neck_step.cache_clear()
+    for memo in memos:
+        memo.cache_clear()

@@ -440,12 +440,18 @@ class TestConvolve:
             convolve(ident, ident, SPHERE)
 
 
+def _clear_neck_memos():
+    gluing._neck_step.cache_clear()
+    gluing._neck_index.cache_clear()
+
+
 @pytest.fixture
 def fresh_neck_steps():
-    """Clear the neck step memo before and after a test."""
-    gluing._neck_step.cache_clear()
+    """Clear the neck step memo and its index memo before and after a
+    test."""
+    _clear_neck_memos()
     yield
-    gluing._neck_step.cache_clear()
+    _clear_neck_memos()
 
 
 class TestScattering:
@@ -497,17 +503,20 @@ class TestScattering:
             powers.append(convolve(powers[-1], twf, SPHERE))
         calls = []
         combinations = []
+        glue_pairs = gluing._glue_pairs
         linear_combination = gluing.linear_combination
 
-        def counted(*args, **kwargs):
+        # every convolution, plain or against a prepared index, runs the
+        # pair loop once
+        def counted(*args):
             calls.append(args)
-            return convolve(*args, **kwargs)
+            return glue_pairs(*args)
 
         def counted_combination(pairs):
             combinations.append(pairs)
             return linear_combination(pairs)
 
-        monkeypatch.setattr(gluing, "convolve", counted)
+        monkeypatch.setattr(gluing, "_glue_pairs", counted)
         monkeypatch.setattr(gluing, "linear_combination",
                             counted_combination)
         sums = []
@@ -537,6 +546,9 @@ class TestScattering:
         # T^(k-1) * r = r, the left factor of each later call
         assert calls[0][0] == twf
         assert all(args[0] == r for args in calls[1:])
+        # twf, the right factor of every step, is indexed once
+        assert gluing._neck_index.cache_info().misses == 1
+        assert all(args[1] is gluing._neck_index(twf) for args in calls)
 
     @pytest.mark.parametrize("base, doubled", [
         (3, False), (1, False), (1, True), (3, True)])
@@ -601,14 +613,17 @@ class TestScattering:
             RelKey((1, base), 2, (single(1, 0), single(1, 1))): -2})
         twf = ident + r
         calls = []
+        glue_pairs = gluing._glue_pairs
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args)
-            return convolve(*args, **kwargs)
+            return glue_pairs(*args)
 
-        monkeypatch.setattr(gluing, "convolve", counted)
+        monkeypatch.setattr(gluing, "_glue_pairs", counted)
         s = s_matrix(twf, SPHERE)
         assert len(calls) == cutoff // base
+        # R is indexed once for all its powers
+        assert len({id(args[1]) for args in calls}) == 1
         monkeypatch.undo()
         assert convolve(s, twf, SPHERE) == ident == convolve(twf, s, SPHERE)
 
@@ -654,6 +669,88 @@ class TestScattering:
             s_matrix(twf, SPHERE)
 
 
+def _neck_series(cutoff, square_zero):
+    """Unit plus a random residual: square-zero when every term's base
+    grading is above half the cutoff, else with base grading from 1."""
+    rng = random.Random(60 + 2 * cutoff + square_zero)
+    geo = neck_geometry(base_dim=1, v_basis=2)
+    min_base = cutoff // 2 + 1 if square_zero else 1
+    return identity_element(geo, SPHERE, cutoff) + random_two_ended(
+        rng, geo, cutoff, 2, min_base=min_base)
+
+
+NECK_SERIES = [pytest.param(cutoff, square_zero, id=f"{cutoff}-{kind}")
+               for cutoff in (4, 5, 6)
+               for square_zero, kind in ((True, "square-zero"),
+                                         (False, "general"))]
+
+
+class TestPreparedIndex:
+    """The ladders that index their fixed right factor once give what
+    plain :func:`convolve` gives."""
+
+    @pytest.mark.parametrize("cutoff, square_zero", NECK_SERIES)
+    def test_each_step_is_a_plain_convolution(self, fresh_neck_steps,
+                                              cutoff, square_zero):
+        twf = _neck_series(cutoff, square_zero)
+        for k in range(2, 10):
+            _clear_neck_memos()
+            step = gluing._neck_step(twf, k, SPHERE)
+            _clear_neck_memos()
+            below = gluing._neck_step(twf, k - 1, SPHERE)
+            assert step == convolve(below, twf, SPHERE), k
+
+    @pytest.mark.parametrize("cutoff, square_zero", NECK_SERIES)
+    def test_s_matrix_is_the_sum_of_plain_powers(self, cutoff, square_zero):
+        twf = _neck_series(cutoff, square_zero)
+        ident = identity_element(twf.geometry, SPHERE, cutoff)
+        r = twf - ident
+        expected, power, sign = ident, r, -1
+        while not power.is_zero():
+            expected = expected + power.scale(sign)
+            power, sign = convolve(power, r, SPHERE), -sign
+        assert s_matrix(twf, SPHERE) == expected
+
+    @pytest.mark.parametrize("cutoff, square_zero", NECK_SERIES)
+    def test_neck_sums_do_not_depend_on_a_warm_index(self, fresh_neck_steps,
+                                                      cutoff, square_zero):
+        twf = _neck_series(cutoff, square_zero)
+        cold = [neck_identity(twf, n, SPHERE) for n in range(1, 6)]
+        # warm the index on an equal series built apart, then rebuild the
+        # steps against it
+        _clear_neck_memos()
+        gluing._neck_index(RelSeries(twf.geometry, 2, cutoff,
+                                     dict(twf.terms)))
+        warm = [neck_identity(twf, n, SPHERE) for n in range(1, 6)]
+        info = gluing._neck_index.cache_info()
+        assert (info.misses, info.hits) == (1, 8)
+        assert warm == cold
+        assert [hash(t) for t in warm] == [hash(t) for t in cold]
+
+    def test_a_warm_index_hides_no_corrupted_weight(self, request,
+                                                    monkeypatch):
+        # the index holds no glue weight: steps built under the doubled
+        # weight against an index warmed under the true ones follow the
+        # doubled weight
+        twf = _neck_series(5, square_zero=True)
+        request.getfixturevalue("doubled_glue_weight")
+        with monkeypatch.context() as true_weights:
+            true_weights.setattr(gluing, "glue_weights", glue_weights)
+            true_steps = [gluing._neck_step(twf, k, SPHERE)
+                          for k in range(1, 5)]
+        gluing._neck_step.cache_clear()
+        assert gluing._neck_index.cache_info().currsize == 1
+        below = gluing._neck_step(twf, 1, SPHERE)
+        assert below == true_steps[0]
+        for k in range(2, 5):
+            step = gluing._neck_step(twf, k, SPHERE)
+            plain = convolve(twf if k == 2 else below, twf, SPHERE)
+            assert step == (plain - twf if k == 2 else plain), k
+            assert step != true_steps[k - 1], k
+            below = step
+        assert gluing._neck_index.cache_info().misses == 1
+
+
 def _stored_key(series, key):
     """The key object that ``series`` stores under a key equal to ``key``."""
     return {k: k for k in series.terms}[key]
@@ -685,7 +782,8 @@ class TestInternedKeys:
                 neck_identity(twf, n, SPHERE) for n in (1, 3)]
 
         before = compute()
-        for memo in (gluing._rel_key, gluing._neck_step, identity_element):
+        for memo in (gluing._rel_key, gluing._neck_step, gluing._neck_index,
+                     identity_element):
             memo.cache_clear()
         after = compute()
         assert after == before

@@ -5,6 +5,7 @@ import pkgutil
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import sumkit
 from sumkit import cli, contacts, gluing, hurwitz, series, severi
@@ -17,6 +18,7 @@ MEMOS = (
     contacts.glue_weights,
     gluing._rel_key,
     gluing.identity_element,
+    gluing._neck_index,
     gluing._neck_step,
     hurwitz._build_table,
     series._ratio,
@@ -40,6 +42,21 @@ def test_every_memo_is_a_bounded_lru_cache():
     for memo in MEMOS:
         maxsize = memo.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0, memo
+
+
+NUMBER_WORDS = ("zero one two three four five six seven eight nine ten "
+                "eleven twelve thirteen fourteen fifteen sixteen").split()
+
+
+def test_readme_lists_every_memo():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph, = [p for p in readme.split("\n\n")
+                  if "there is no other memo mechanism" in p]
+    paragraph = " ".join(paragraph.split())
+    assert f"The {NUMBER_WORDS[len(MEMOS)]} memos" in paragraph
+    for memo in MEMOS:
+        name = f"{memo.__module__.rpartition('.')[2]}.{memo.__name__}"
+        assert f"`{name}`" in paragraph, name
 
 
 def _square_zero(cutoff):

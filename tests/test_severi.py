@@ -275,6 +275,15 @@ class TestRecursionDepth:
             "limit of ")
 
 
+class TestShedTermsMemo:
+    # d = 12 is above the CLI's degree limit; at a bound of 1024 its fill
+    # evicted shed lines and rebuilt them, 11,649 misses for 1,977 pairs
+    def test_a_degree_twelve_fill_evicts_no_shed_line(self, empty_memo):
+        severi_number(12, 20)
+        info = severi._shed_terms.cache_info()
+        assert info.misses == info.currsize
+
+
 def _is_trimmed(v):
     return (type(v) is tuple and all(type(n) is int and n >= 0 for n in v)
             and (not v or v[-1] > 0))
