@@ -141,27 +141,30 @@ def riemann_surface_geometry() -> Geometry:
 
 # -- constraint tags ---------------------------------------------------------
 
+def _tag_power(atom: str) -> tuple[str, int]:
+    """A tag atom as ``(base, count)``: ``base^n`` for a decimal ``n`` and a
+    nonblank base, else the stripped atom once."""
+    base, hat, mult = atom.strip().rpartition("^")
+    if hat and mult.isdecimal() and base.rstrip():
+        return base.rstrip(), int(mult)
+    return atom.strip(), 1
+
+
 def tag_mul(t1: str, t2: str) -> str:
     """Commutative product of constraint tags.
 
     Tags are canonical strings: semicolon-joined sorted atoms, repeated atoms
-    contracted to ``atom^count``; an atom whose count is 0 is dropped.  The
-    unit tag is ``"1"``.
+    contracted to ``atom^count``; a blank atom, an atom whose count is 0,
+    and the unit tag ``"1"`` at any power are dropped.  A base that reads
+    as a power keeps its ``^1``, so a canonical ``t`` is its own product
+    with ``"1"``.
     """
     counts: dict[str, int] = {}
-    for t in (t1, t2):
-        for atom in t.split(";"):
-            atom = atom.strip()
-            if not atom or atom == "1":
-                continue
-            if "^" in atom:
-                base, _, mult = atom.rpartition("^")
-                if mult.isdigit():
-                    counts[base] = counts.get(base, 0) + int(mult)
-                    continue
-            counts[atom] = counts.get(atom, 0) + 1
-    parts = [atom if n == 1 else f"{atom}^{n}"
-             for atom, n in sorted(counts.items()) if n]
+    for base, n in map(_tag_power, f"{t1};{t2}".split(";")):
+        counts[base] = counts.get(base, 0) + n
+    parts = [atom if n == 1 and _tag_power(atom) == (atom, 1)
+             else f"{atom}^{n}" for atom, n in sorted(counts.items())
+             if n and atom not in ("", "1")]
     return ";".join(parts) or "1"
 
 
@@ -246,6 +249,9 @@ class RelSeries(GradedTable):
                 f"end_count must be the int 0, 1 or 2, got {end_count!r}")
         super().__init__(geometry, end_count, cutoff, terms)
 
+    def _header(self) -> tuple:
+        return self.geometry, self.end_count
+
     def _grade(self, key: RelKey) -> int:
         return self.geometry.grade(key.class_key)
 
@@ -297,11 +303,11 @@ class RelSeries(GradedTable):
         cutoff = min(self.cutoff, other.cutoff)
         geo = self.geometry
         acc: dict = {}
-        right = [(k2, geo.grade(k2.class_key), c2.numerator, c2.denominator)
+        right = [(k2, geo.grade(k2.class_key), *c2.as_integer_ratio())
                  for k2, c2 in other.terms.items()]
         for k1, c1 in self.terms.items():
             g1 = geo.grade(k1.class_key)
-            n1, d1 = c1.numerator, c1.denominator
+            n1, d1 = c1.as_integer_ratio()
             for k2, g2, n2, d2 in right:
                 if g1 + g2 > cutoff:
                     continue
@@ -309,9 +315,11 @@ class RelSeries(GradedTable):
                 for a, b in zip(k1.contacts, k2.contacts):
                     merged, split = a.merge(b)
                     contacts, weight = contacts + (merged,), weight * split
+                # stored tags are canonical: a unit factor leaves the other
+                t1, t2 = k1.tag, k2.tag
+                tag = t2 if t1 == "1" else t1 if t2 == "1" else tag_mul(t1, t2)
                 key = _rel_key(geo.add(k1.class_key, k2.class_key),
-                               k1.chi + k2.chi, contacts,
-                               tag_mul(k1.tag, k2.tag))
+                               k1.chi + k2.chi, contacts, tag)
                 add_ratio(acc, key, weight, d1 * d2)
         return self._wrap(reduced_sums(acc), cutoff)
 
@@ -335,7 +343,7 @@ def make_neck_glue(fiber: ClassKey) -> GlueMap:
     """Componentwise sum with the matched fiber multiples absorbed."""
 
     def glue(k1: ClassKey, k2: ClassKey, deg_m: int) -> ClassKey:
-        return tuple(a + b - deg_m * f for a, b, f in zip(k1, k2, fiber))
+        return tuple([a + b - deg_m * f for a, b, f in zip(k1, k2, fiber)])
 
     return glue
 
@@ -383,14 +391,14 @@ def convolve(x: RelSeries, y: RelSeries, q: IntersectionMatrix, *,
     add with the matched fiber multiples absorbed (the neck glue), and any
     other pair of geometries must pass ``glue``.
 
-    Only pairs of terms that glue are visited: ``x`` is indexed by class and
-    ``y`` by its first end, and each ``x`` term looks up the duals of its
-    last end in the :func:`~sumkit.contacts.glue_weights` table of its
-    degree, then the ``y`` terms that start on one of them; an ``x`` class
-    whose degree no class of ``y`` has is skipped.  The glued class of an
-    ``(x class, y class)`` pair is worked out and checked once, when the
-    first of its term pairs is reached, so a pair none of whose terms meet
-    is never glued.
+    Only pairs of terms that glue are visited: ``y`` is indexed by its
+    first end, and one pass over ``x`` looks up, for each term, the duals
+    of its last end in the :func:`~sumkit.contacts.glue_weights` table of
+    its degree, then the ``y`` terms that start on one of them; an ``x``
+    class whose degree no class of ``y`` has is skipped.  The glued class
+    of an ``(x class, y class)`` pair is worked out and checked once, when
+    the first of its term pairs is reached, so a pair none of whose terms
+    meet is never glued.
 
     Each call indexes ``y`` afresh, by :func:`_first_end_index`.  The
     ladders that glue against one fixed right factor again and again index
@@ -410,14 +418,14 @@ def _first_end_index(y: RelSeries) -> FirstEndIndex:
     """The right factor of a convolution, indexed for :func:`_glue_pairs`.
 
     Each term of ``y`` as ``(key, numerator, denominator)``, grouped by its
-    first end, and the set of divisor degrees of ``y``'s classes.  The
-    index holds only what it reads off ``y``, nothing of a pairing or of
-    the glue weights, and no caller changes it after it is built.
+    first end, and the set of divisor degrees of ``y``'s classes; the left
+    factor needs no index.  The index holds only what it reads off ``y``,
+    nothing of a pairing or of the glue weights, and no caller changes it
+    after it is built.
     """
     index: dict[ContactMultiset, list[tuple[RelKey, int, int]]] = {}
     for k, c in y.terms.items():
-        index.setdefault(k.contacts[0], []).append(
-            (k, c.numerator, c.denominator))
+        index.setdefault(k.contacts[0], []).append((k, *c.as_integer_ratio()))
     return index, {y.geometry.pair_v(ay)
                    for ay in {k.class_key for k in y.terms}}
 
@@ -427,61 +435,62 @@ def _glue_pairs(x: RelSeries, indexed: FirstEndIndex, q: IntersectionMatrix,
                 cutoff: int) -> RelSeries:
     """The pair loop of :func:`convolve`: glue ``x`` against the indexed
     right factor, under the frame that :func:`_convolution_frame` settled
-    for the two factors.  The dual weights are read from
-    :func:`~sumkit.contacts.glue_weights` on each call."""
+    for the two factors, in one pass over the terms of ``x`` in any order.
+    The dual weights are read from :func:`~sumkit.contacts.glue_weights`
+    once per ``x`` class on each call."""
     y_index, y_degrees = indexed
-    # each term as (key, numerator, denominator)
-    x_index: dict[ClassKey, list[tuple[RelKey, int, int]]] = {}
-    for k, c in x.terms.items():
-        x_index.setdefault(k.class_key, []).append(
-            (k, c.numerator, c.denominator))
-
+    pair_v = x.geometry.pair_v
+    # per x class: None when no y class has its degree (it meets no first
+    # end of y), else its degree, its weights and the glued class per y
+    # class met so far, None past the cutoff
+    states: dict[ClassKey, tuple | None] = {}
     tags: dict[tuple[str, str], str] = {}
     # an integer numerator and denominator per key, reduced once at the end
     acc: dict[RelKey, list[int]] = {}
     # Every surviving end has degree deg_m, because x and y are valid; the
     # glued class is checked against it once per class pair.
     trusted = True
-    for ax, left in x_index.items():
-        deg_m = x.geometry.pair_v(ax)
-        # an x class of a degree no y class has meets no first end of y
-        if deg_m not in y_degrees:
+    for kx, c in x.terms.items():
+        ax = kx.class_key
+        state = states.get(ax, False)
+        if state is False:
+            deg_m = pair_v(ax)
+            state = states[ax] = ((deg_m, glue_weights(deg_m, q), {})
+                                  if deg_m in y_degrees else None)
+        if state is None:
             continue
-        weights = glue_weights(deg_m, q)
-        # the glued class per y class met so far, None past the cutoff
-        out_classes: dict[ClassKey, ClassKey | None] = {}
-        for kx, xn, xd in left:
-            length, duals = weights[kx.contacts[-1]]
-            head = kx.contacts[:-1]
-            chi = kx.chi - 2 * length
-            for m_dual, wn, wd in duals:
-                right = y_index.get(m_dual)
-                if right is None:
+        deg_m, weights, out_classes = state
+        length, duals = weights[kx.contacts[-1]]
+        xn, xd = c.as_integer_ratio()
+        head, chi, tx = kx.contacts[:-1], kx.chi - 2 * length, kx.tag
+        for m_dual, wn, wd in duals:
+            right = y_index.get(m_dual)
+            if right is None:
+                continue
+            cwn, cwd = wn * xn, wd * xd
+            for ky, yn, yd in right:
+                ay = ky.class_key
+                out_class = out_classes.get(ay, False)
+                if out_class is False:
+                    # grade() also checks the dimension
+                    out_class = glue(ax, ay, deg_m)
+                    grade = out_geometry.grade(out_class)
+                    if grade > cutoff:
+                        out_class = None
+                    elif grade < 0 or (
+                            out_ends
+                            and out_geometry.pair_v(out_class) != deg_m):
+                        trusted = False
+                    out_classes[ay] = out_class
+                if out_class is None:
                     continue
-                cwn, cwd = wn * xn, wd * xd
-                for ky, yn, yd in right:
-                    ay = ky.class_key
-                    if ay in out_classes:
-                        out_class = out_classes[ay]
-                    else:
-                        # grade() also checks the dimension
-                        out_class = glue(ax, ay, deg_m)
-                        grade = out_geometry.grade(out_class)
-                        if grade > cutoff:
-                            out_class = None
-                        elif grade < 0 or (
-                                out_ends
-                                and out_geometry.pair_v(out_class) != deg_m):
-                            trusted = False
-                        out_classes[ay] = out_class
-                    if out_class is None:
-                        continue
-                    tag = tags.get((kx.tag, ky.tag))
-                    if tag is None:
-                        tag = tags[kx.tag, ky.tag] = tag_mul(kx.tag, ky.tag)
-                    key = _rel_key(out_class, chi + ky.chi,
-                                   head + ky.contacts[1:], tag)
-                    add_ratio(acc, key, cwn * yn, cwd * yd)
+                # stored tags are canonical: a unit factor leaves the other
+                tag = ky.tag if tx == "1" else tx if ky.tag == "1" else (
+                    tags.get((tx, ky.tag))
+                    or tags.setdefault((tx, ky.tag), tag_mul(tx, ky.tag)))
+                key = _rel_key(out_class, chi + ky.chi,
+                               head + ky.contacts[1:], tag)
+                add_ratio(acc, key, cwn * yn, cwd * yd)
     out = reduced_sums(acc)
     if not trusted:
         # a bad glued class is an error only if one of its terms survives;

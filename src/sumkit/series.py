@@ -145,7 +145,8 @@ class GradedTable:
 
     The shared policy of :class:`Series` and ``gluing.RelSeries``.  A
     subclass names its other constructor fields in ``_HEADER`` (they come
-    before ``cutoff`` and ``terms``), the grade of a key in :meth:`_grade`,
+    before ``cutoff`` and ``terms``) and returns their values as a tuple
+    from :meth:`_header`, the grade of a key in :meth:`_grade`,
     the check of one key in ``_check_key(key)``, which returns the key as
     stored or raises, the key of its product's unit in the static
     ``_empty_key(*header)``, and its error types in ``_Error`` and
@@ -233,9 +234,6 @@ class GradedTable:
         ``fields`` are the header values and the cutoff."""
         *header, cutoff = fields
         return cls(*header, cutoff, {cls._empty_key(*header): 1})
-
-    def _header(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._HEADER)
 
     @classmethod
     def _trusted(cls, *fields):
@@ -351,6 +349,9 @@ class Series(GradedTable):
                  terms: Mapping[tuple[int, ...], Coeff] | None = None):
         super().__init__(context, cutoff, terms)
 
+    def _header(self) -> tuple:
+        return (self.context,)
+
     def _grade(self, key: tuple[int, ...]) -> int:
         return self.context.grading(key)
 
@@ -423,10 +424,10 @@ class Series(GradedTable):
         grading = self.context.grading
         acc: dict = {}
         # ascending grading, so each row stops at the first factor too high
-        right = sorted((grading(e), e, c.numerator, c.denominator)
+        right = sorted((grading(e), e, *c.as_integer_ratio())
                        for e, c in other.terms.items())
         for e1, c1 in self.terms.items():
-            n1, d1 = c1.numerator, c1.denominator
+            n1, d1 = c1.as_integer_ratio()
             room = cutoff - grading(e1)
             for g2, e2, n2, d2 in right:
                 if g2 > room:
@@ -513,18 +514,19 @@ def linear_combination(pairs: Iterable[tuple[Coeff, GradedTable]]
 
     Every ``t`` has one type and header (else the type's mismatch error),
     and the result takes the least cutoff, trimming the rest.  Each ``c`` is
-    converted to a Fraction once per table, and the terms are summed by
-    :func:`add_ratio`, reduced once at the end.  A term with coefficient 1
-    on a key no other term reaches keeps its Fraction as is: a first table
-    with coefficient 1 and nothing to trim is copied whole.  When a second
-    term reaches its key, the lone Fraction leaves ``acc`` as its integer
-    sum with that term, and only these sums go through :func:`reduced_sums`.
-    A term with coefficient -1 that meets its key's lone Fraction as the
-    very same object cancels it with no arithmetic; an equal Fraction built
-    apart is summed, and its zero dropped, as any other.  So ``a + b`` with
-    no key shared costs a copy of ``a`` and one lookup per term of ``b``,
-    and ``a - b`` a copy of ``a`` and a sum per term of ``b``, however large
-    ``a`` is; a key both hold as one shared object costs one lookup.
+    read as an integer ratio once per table (an ``int`` needs no Fraction),
+    and the terms are summed by :func:`add_ratio`, reduced once at the end.
+    A term with coefficient 1 on a key no other term reaches keeps its
+    Fraction as is: a first table with coefficient 1 and nothing to trim is
+    copied whole.  When a second term reaches its key, the lone Fraction
+    leaves ``acc`` as its integer sum with that term, and only these sums
+    go through :func:`reduced_sums`.  A term with coefficient -1 that meets
+    its key's lone Fraction as the very same object cancels it with no
+    arithmetic; an equal Fraction built apart is summed, and its zero
+    dropped, as any other.  So ``a + b`` with no key shared costs a copy of
+    ``a`` and one lookup per term of ``b``, and ``a - b`` a copy of ``a``
+    and a sum per term of ``b``, however large ``a`` is; a key both hold as
+    one shared object costs one lookup.
     """
     pairs = list(pairs)
     if not pairs:
@@ -547,8 +549,7 @@ def linear_combination(pairs: Iterable[tuple[Coeff, GradedTable]]
                 continue
             cn = cd = 1
         else:
-            c = Fraction(c)
-            cn, cd = c.numerator, c.denominator
+            cn, cd = (c if type(c) is int else Fraction(c)).as_integer_ratio()
         negated = cn == -1 and cd == 1
         for key, v in t.terms.items():
             if trim and grade(key) > cutoff:
@@ -556,10 +557,11 @@ def linear_combination(pairs: Iterable[tuple[Coeff, GradedTable]]
             lone = acc.pop(key, None) if acc else None
             if negated and lone is v:
                 continue
-            n, d = cn * v.numerator, cd * v.denominator
+            vn, vd = v.as_integer_ratio()
+            n, d = cn * vn, cd * vd
             if lone is not None:
-                sums[key] = [lone.numerator * d + n * lone.denominator,
-                             lone.denominator * d]
+                ln, ld = lone.as_integer_ratio()
+                sums[key] = [ln * d + n * ld, ld * d]
             elif unit and key not in sums:
                 acc[key] = v
             else:

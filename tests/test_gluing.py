@@ -1,5 +1,8 @@
 import copy
 import dataclasses
+import hashlib
+import itertools
+import json
 import math
 import os
 import pickle
@@ -39,6 +42,11 @@ from sumkit.gluing import (
 
 POINT = IntersectionMatrix.point_pairing()
 SPHERE = IntersectionMatrix.sphere_pairing()
+# a pairing with a fractional entry, so dual weights have denominators
+TWISTED = IntersectionMatrix([[0, 1], [1, Fraction(1, 2)]])
+# tags as a caller may write them: the unit, atoms, a power, and "q;p",
+# which a key stores as "p;q"
+TAGS = ("1", "p", "q", "p;q", "q;p", "p^2")
 
 
 def single(a, i=0):
@@ -199,12 +207,50 @@ class TestTags:
         assert hash(key("q;p")) == hash(key("p;q"))
         for written, canonical in (("q;p", "p;q"), ("p;p", "p^2"),
                                    ("p^1", "p"), ("p^0", "1"), ("1;p", "p"),
-                                   ("C1(p);p", "C1(p);p")):
+                                   ("C1(p);p", "C1(p);p"),
+                                   # a superscript digit is no power
+                                   ("p^²", "p^²")):
             assert key(written).tag == canonical
             assert pickle.loads(pickle.dumps(key(written))) == key(canonical)
         for tag in (None, 1, b"p", ("p",)):
             with pytest.raises(GluingError, match="tag must be a str"):
                 key(tag)
+
+    def test_every_stored_tag_is_its_own_product_with_the_unit(self):
+        # a unit atom at any power, a blank atom or base, and a base that
+        # reads as a power itself
+        for written, canonical in (("1^1;p", "p"), ("1^2", "1"),
+                                   ("p;1^3;q", "p;q"), (" ;p; ", "p"),
+                                   ("p ^2", "p^2"), ("^1;p", "^1;p"),
+                                   ("p^1^1", "p^1^1"), ("p^2^1", "p^2^1"),
+                                   ("p^1^2;p^1", "p;p^1^2")):
+            assert tag_mul(written, "1") == canonical
+            assert RelKey((1, 0), 2, (single(1),) * 2, written).tag == \
+                canonical
+        rng = random.Random(3)
+        pieces = ("p", "q", "1", "^", "0", "2", ";", " ", "²", "^1")
+        written = ["".join(rng.choices(pieces, k=rng.randint(0, 8)))
+                   for _ in range(3000)]
+        for tag in TAGS + ("C1(p);p", "p^x", "^2", *written):
+            stored = RelKey((1, 0), 2, (single(1),) * 2, tag).tag
+            assert tag_mul(stored, "1") == tag_mul("1", stored) == stored
+
+    # a unit factor on either side, two atoms, a shared atom, and a tag
+    # written non-canonically
+    @pytest.mark.parametrize("t1, t2", [
+        ("1", "p"), ("p", "1"), ("1", "1"), ("p", "q"), ("p;q", "p"),
+        ("q;p", "p"), ("1", "q;p"), ("q;p", "1"), ("1^1;p", "1")])
+    def test_products_tag_each_key_with_the_product_of_the_tags(self, t1,
+                                                                t2):
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        a, b = single(1, 0), single(1, 1)
+        x = RelSeries(geo, 2, 4, {RelKey((1, 1), 0, (a, a), t1): 2})
+        y = RelSeries(geo, 2, 4, {RelKey((1, 0), 2, (b, a), t2): 3})
+        for product in (convolve(x, y, SPHERE), x.disjoint_mul(y),
+                        y.disjoint_mul(x)):
+            assert product.terms
+            assert {k.tag for k in product.terms} == {tag_mul(t1, t2)}
+        assert convolve(x, y, SPHERE) == convolve_via_operator(x, y, SPHERE)
 
     @pytest.mark.parametrize("tag", ["q;p", "p;p", "p^1"])
     def test_unit_law_and_exp_log_hold_however_a_tag_is_written(self, tag):
@@ -749,6 +795,88 @@ class TestPreparedIndex:
             assert step != true_steps[k - 1], k
             below = step
         assert gluing._neck_index.cache_info().misses == 1
+
+
+def _tagged_one_ended(rng, geo, cutoff):
+    """A random one-ended series whose keys carry tags, some of them
+    written non-canonically."""
+    terms = {}
+    for _ in range(rng.randint(3, 8)):
+        d, b = rng.randint(0, 2), rng.randint(0, 2)
+        if d + b > cutoff:
+            continue
+        key = RelKey((d, b), 2 * rng.randint(-1, 1),
+                     (rng.choice(enumerate_multisets(d, 2)),),
+                     rng.choice(TAGS))
+        terms[key] = terms.get(key, 0) + Fraction(rng.randint(-3, 3),
+                                                  rng.randint(1, 3))
+    return RelSeries(geo, 1, cutoff, terms)
+
+
+def _algebra_outputs():
+    """The algebra's results on fixed seeded inputs, in a fixed order."""
+    geo = neck_geometry(base_dim=1, v_basis=2)
+    for cutoff in (4, 5, 6):
+        for square_zero in (False, True):
+            twf = _neck_series(cutoff, square_zero)
+            y = random_two_ended(random.Random(70 + cutoff), geo, cutoff, 2)
+            s = s_matrix(twf, SPHERE)
+            yield from (s, convolve(s, twf, SPHERE),
+                        convolve(twf, s, SPHERE), convolve(twf, y, SPHERE),
+                        convolve(y, twf, SPHERE))
+            yield from (neck_identity(twf, n, SPHERE) for n in range(1, 6))
+    rng = random.Random(80)
+    for cutoff in (3, 4, 5):
+        for _ in range(4):
+            x = _tagged_one_ended(rng, geo, cutoff)
+            y = _tagged_one_ended(rng, geo, cutoff)
+            yield from (convolve(x, y, TWISTED), convolve(y, x, TWISTED))
+            # exp and log need positive grade on every term
+            tw = tw_from_gw(RelSeries(geo, 1, cutoff, {
+                k: c for k, c in x.terms.items() if sum(k.class_key)}))
+            yield from (tw, gw_from_tw(tw))
+        gw = random_two_ended(rng, geo, cutoff, 2, min_base=1)
+        tw = tw_from_gw(gw)
+        yield from (tw, gw_from_tw(tw), gw_from_tw(tw_from_gw(gw.scale(-1))))
+
+
+class TestExactOutputs:
+    """The algebra's outputs do not depend on how its loops are written."""
+
+    def test_outputs_digest(self, fresh_neck_steps):
+        digest, count = hashlib.sha256(), 0
+        for result in _algebra_outputs():
+            digest.update(json.dumps(
+                [result.end_count, result.cutoff, relseries_to_json(result)],
+                sort_keys=True).encode() + b"\n")
+            count += 1
+        assert (count, digest.hexdigest()) == (117, "090e069ecfcc1653356a3"
+                                               "9b5f194259617ec860f7f1751a5"
+                                               "64b17cf1b200ae8f")
+
+    def test_order_of_insertion_does_not_change_a_convolution(self):
+        twf = _neck_series(5, square_zero=False)
+        y = random_two_ended(random.Random(90), twf.geometry, 5, 2)
+        by_class = sorted(twf.terms.items())
+        # round-robin over the classes, so each class's terms interleave
+        # with the others'
+        groups = {}
+        for k, c in by_class:
+            groups.setdefault(k.class_key, []).append((k, c))
+        mixed = [kc for row in itertools.zip_longest(*groups.values())
+                 for kc in row if kc]
+        classes = [k.class_key for k, _ in mixed]
+        assert any(a != b and a in classes[i + 2:]
+                   for i, (a, b) in enumerate(zip(classes, classes[1:])))
+        first, second = (RelSeries(twf.geometry, 2, 5, dict(items))
+                         for items in (by_class, mixed))
+        assert list(first.terms) != list(second.terms)
+        for a, b in ((convolve(first, y, SPHERE),
+                      convolve(second, y, SPHERE)),
+                     (convolve(y, first, SPHERE),
+                      convolve(y, second, SPHERE))):
+            assert a == b and hash(a) == hash(b)
+            assert relseries_to_json(a) == relseries_to_json(b)
 
 
 def _stored_key(series, key):

@@ -342,6 +342,42 @@ class TestGradedTable:
         assert linear_combination([(1, low), (-1, x)]).is_zero()
         assert dict(low.terms) == before
 
+    def test_int_and_fraction_coefficients_give_equal_tables(self, table):
+        x, _, grade, _, _ = table
+        low = x.truncate(2)
+        for n in (3, -1, 0, 1):
+            for pairs in ([(n, x)], [(1, low), (n, x)], [(2, x), (n, low)]):
+                as_int = linear_combination(pairs)
+                as_fraction = linear_combination(
+                    [(Fraction(c), t) for c, t in pairs])
+                assert as_int == as_fraction
+                assert hash(as_int) == hash(as_fraction)
+                assert (as_int.cutoff, dict(as_int.terms)) == \
+                    _reference(pairs, grade)
+                assert all(type(v) is Fraction for v in as_int.terms.values())
+
+    @pytest.mark.parametrize("minus_one", [-1, Fraction(-1)])
+    def test_minus_one_cancels_the_very_same_coefficient_unread(
+            self, table, minus_one):
+        x = table[0]
+
+        class Unread(Fraction):
+            """A coefficient that fails any read of its value."""
+
+            def as_integer_ratio(self):
+                raise AssertionError("coefficient read")
+
+            numerator = denominator = property(as_integer_ratio)
+
+        unread = type(x)._trusted(*x._header(), x.cutoff, {
+            k: Unread(v) for k, v in x.terms.items()})
+        for pairs in ([(1, unread), (minus_one, unread)],
+                      [(1, unread), (minus_one, unread), (1, x),
+                       (minus_one, x)]):
+            assert linear_combination(pairs).is_zero()
+        with pytest.raises(AssertionError, match="coefficient read"):
+            linear_combination([(1, unread), (3, unread)])
+
     def test_shared_and_rebuilt_coefficients_cancel_alike(self, table):
         x = table[0]
         # the same values as fresh Fraction objects: no identity to match
