@@ -3,8 +3,9 @@
 A curve hits a distinguished divisor in finitely many points, each with a
 multiplicity and each decorated by an index into a chosen homology basis of
 the divisor.  The contacts of one end are a :class:`ContactMultiset`, the
-sorted tuple of its ``((a, i), count)`` items, which hashes, compares and
-pickles as that tuple.  It computes its total multiplicity, its ``degree``,
+sorted tuple of its ``((a, i), count)`` items, which compares, orders and
+pickles as that tuple.  Each value is one object, so it hashes by
+identity.  It computes its total multiplicity, its ``degree``,
 and ``merge`` returns a union with the binomial split count that weights a
 disjoint product.  Its statistics (number of points, total multiplicity,
 product of multiplicities, factorial of the counts) weight every gluing sum;
@@ -49,12 +50,18 @@ class ContactMultiset(tuple):
     ``((a, i), count)`` items, each an ``int`` with ``a >= 1``, ``i >= 0``
     and ``count >= 0`` (a zero count adds nothing).
 
-    Immutable, and hashed, compared and ordered as that tuple; used directly
-    as a dictionary key in coefficient tables and serialized as
-    ``a^count(i)`` groups.
+    Immutable, and compared, ordered and pickled as that tuple; used
+    directly as a dictionary key in coefficient tables and serialized as
+    ``a^count(i)`` groups.  Every way of building one (the constructor,
+    :meth:`merge`, pickling, ``copy``) returns the one live multiset of its
+    items, kept in :data:`_LIVE_MULTISETS`, so equal multisets are the same
+    object and the hash is the identity hash, a pointer read.  A plain
+    tuple equals its multiset but hashes apart from it, so it does not
+    find the multiset's entry in a dict.
     """
 
     __slots__ = ()
+    __hash__ = object.__hash__
 
     def __new__(cls, counts: Iterable[tuple[ContactPair, int]] = ()):
         merged: dict[ContactPair, int] = {}
@@ -64,7 +71,11 @@ class ContactMultiset(tuple):
                 raise ContactError(f"count {n!r} is not a nonnegative int")
             if n:
                 merged[(a, i)] = merged.get((a, i), 0) + n
-        return tuple.__new__(cls, sorted(merged.items()))
+        return _live_multiset(tuple(sorted(merged.items())))
+
+    def __reduce__(self):
+        # rebuild through the constructor: the copy is the live multiset
+        return ContactMultiset, (tuple(self),)
 
     @property
     def degree(self) -> int:
@@ -88,13 +99,31 @@ class ContactMultiset(tuple):
             else:
                 counts[pair] = n + k
                 split *= math.comb(n + k, n)
-        return tuple.__new__(ContactMultiset, sorted(counts.items())), split
+        return _live_multiset(tuple(sorted(counts.items()))), split
 
     def to_string(self) -> str:
         """Canonical form ``a^count(i) ...``; empty multiset is ``-``."""
         if not self:
             return "-"
         return " ".join(f"{a}^{n}({i})" for (a, i), n in self)
+
+
+# The live multiset of each item tuple.  A tuple subclass cannot be weakly
+# referenced, so the table holds its multisets for the life of the process;
+# they are those of the degrees in use, which the enumerate_multisets and
+# glue_weights memos keep anyway.  dict.get and dict.setdefault are each
+# atomic, so concurrent builders of one value all get the first one stored.
+_LIVE_MULTISETS: dict[tuple, ContactMultiset] = {}
+
+
+def _live_multiset(items: tuple) -> ContactMultiset:
+    """The one multiset of ``items``, a sorted tuple of valid
+    ``((a, i), count)`` items with nonzero counts."""
+    m = _LIVE_MULTISETS.get(items)
+    if m is None:
+        m = _LIVE_MULTISETS.setdefault(
+            items, tuple.__new__(ContactMultiset, items))
+    return m
 
 
 def multiset_stats(m: ContactMultiset) -> tuple[int, int, int, int]:

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -168,16 +170,25 @@ def tag_mul(t1: str, t2: str) -> str:
     return ";".join(parts) or "1"
 
 
-@dataclass(frozen=True, order=True)
+# The live key of each field tuple, while anything holds it.
+_LIVE_KEYS: weakref.WeakValueDictionary[tuple, "RelKey"] = (
+    weakref.WeakValueDictionary())
+_LIVE_KEYS_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, order=True, init=False)
 class RelKey:
     """Index of one coefficient: class, Euler characteristic, contacts, tag.
 
-    The keys that the algebra builds (products, units, fiber covers) come
-    from :func:`_rel_key`, one object per key while it stays in that memo,
-    so table lookups and comparisons mostly meet the same object and take
-    the identity fast path of ``dict``.  Equality and hashing never depend
-    on identity: a key built apart, unpickled, or rebuilt after the memo
-    dropped it compares and hashes by value.
+    Every way of building a key (the constructor, :func:`_rel_key`,
+    ``dataclasses.replace``, pickling, ``copy``) returns the one live key
+    of its value, kept in :data:`_LIVE_KEYS` while anything holds it, so
+    equal keys are the same object and the hash is the identity hash, a
+    pointer read.  Equality still compares the fields.  The tag is stored
+    canonical, so every spelling of one product of atoms is one key, and
+    ``chi`` and the class entries must be ``int`` before the table is
+    read, so ``1.0`` or ``True`` never finds the key of ``1``.  The
+    contacts of a key in a :class:`RelSeries` are live multisets too.
     """
 
     class_key: ClassKey
@@ -185,26 +196,33 @@ class RelKey:
     contacts: tuple[ContactMultiset, ...]
     tag: str = "1"
 
-    def __post_init__(self):
-        if type(self.tag) is not str:
-            raise GluingError(f"tag must be a str, got {self.tag!r}")
-        # equal products of atoms are one key, however the tag was written
-        object.__setattr__(self, "tag", tag_mul(self.tag, "1"))
-        if type(self.chi) is not int:
-            raise GluingError(
-                f"Euler characteristic must be an int, got {self.chi!r}")
-        if self.chi % 2:
-            raise GluingError("Euler characteristic must be even")
-        # keys are looked up far more often than built; hash the fields once
-        object.__setattr__(self, "_hash", hash(
-            (self.class_key, self.chi, self.contacts, self.tag)))
+    __hash__ = object.__hash__
 
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, class_key: ClassKey, chi: int,
+                contacts: tuple[ContactMultiset, ...], tag: str = "1"):
+        if type(tag) is not str:
+            raise GluingError(f"tag must be a str, got {tag!r}")
+        # equal products of atoms are one key, however the tag was written
+        tag = tag_mul(tag, "1")
+        if type(chi) is not int:
+            raise GluingError(
+                f"Euler characteristic must be an int, got {chi!r}")
+        if chi % 2:
+            raise GluingError("Euler characteristic must be even")
+        if any(type(x) is not int for x in class_key):
+            raise GluingError(f"class key {class_key!r} must hold ints")
+        fields = (class_key, chi, contacts, tag)
+        with _LIVE_KEYS_LOCK:
+            key = _LIVE_KEYS.get(fields)
+            if key is None:
+                key = object.__new__(cls)
+                vars(key).update(class_key=class_key, chi=chi,
+                                 contacts=contacts, tag=tag)
+                _LIVE_KEYS[fields] = key
+        return key
 
     def __reduce__(self):
-        # rebuild through the constructor: a string tag hashes differently
-        # in another process, so the cached hash must not travel
+        # rebuild through the constructor: the copy is the live key
         return RelKey, (self.class_key, self.chi, self.contacts, self.tag)
 
     def to_json(self) -> dict:
@@ -219,8 +237,11 @@ class RelKey:
 @functools.lru_cache(maxsize=2048)
 def _rel_key(class_key: ClassKey, chi: int,
              contacts: tuple[ContactMultiset, ...], tag: str) -> RelKey:
-    """The interned ``RelKey(class_key, chi, contacts, tag)``: a key met
-    again costs one memo lookup instead of a construction."""
+    """The live ``RelKey(class_key, chi, contacts, tag)``, for the keys the
+    algebra builds: a key met again costs one memo lookup instead of the
+    checks and the locked table read of the constructor.  An evicted key
+    that a table still holds is found again in the constructor's table,
+    not built a second time."""
     return RelKey(class_key, chi, contacts, tag)
 
 
@@ -229,10 +250,10 @@ class RelSeries(GradedTable):
 
     Keys are :class:`RelKey` values graded by their class.  The constructor
     checks that ``end_count`` is 0, 1 or 2 and that each key is a
-    :class:`RelKey` with ``end_count`` contact multisets, a class of
-    ``int`` entries and of the geometry's dimension, on each end
-    ``deg(contacts) == pair_v(class)``, and every contact label below
-    ``v_basis``, and then the terms as every
+    :class:`RelKey` (whose class holds ints, as its constructor checks)
+    with ``end_count`` contact multisets, a class of the geometry's
+    dimension, on each end ``deg(contacts) == pair_v(class)``, and every
+    contact label below ``v_basis``, and then the terms as every
     :class:`~sumkit.series.GradedTable` does.  :func:`convolve` accepts any
     ``glue`` map, so it still checks each glued class, once per pair of
     input classes that has a pair of terms meeting.
@@ -261,8 +282,6 @@ class RelSeries(GradedTable):
         geometry = self.geometry
         if len(key.class_key) != geometry.class_dim:
             raise GluingError("class key has wrong dimension")
-        if any(type(x) is not int for x in key.class_key):
-            raise GluingError(f"class key {key.class_key!r} must hold ints")
         if len(key.contacts) != self.end_count:
             raise GluingError("key has wrong number of ends")
         deg_v = geometry.pair_v(key.class_key)

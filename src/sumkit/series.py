@@ -180,15 +180,15 @@ class GradedTable:
     :meth:`__reduce__` rebuilds through the constructor, so a copy hashes
     anew in its own process.
 
-    ``gluing`` interns the keys its algebra builds (``gluing._rel_key``),
-    and :func:`reduced_sums` the coefficients (``_ratio``): equal values in
-    the tables the operations build are mostly one shared object.  So
-    ``==`` and the accumulators mostly meet the very same key and
-    coefficient objects, which ``dict`` matches by identity before it calls
-    ``__eq__``, and :func:`linear_combination` cancels a coefficient minus
-    the very same object with no arithmetic.  These are only fast paths:
-    equality never depends on identity, and keys or coefficients built
-    apart compare, hash and cancel by value.
+    A ``gluing.RelKey`` and its contact multisets are one object per
+    value, however they were built, and hash by identity, so a key lookup
+    hashes a pointer and ``dict`` matches the very same object before it
+    calls ``__eq__``.  :func:`reduced_sums` interns the coefficients
+    (``_ratio``), so equal coefficients in the tables the operations build
+    are mostly one shared object, and :func:`linear_combination` cancels a
+    coefficient minus the very same object with no arithmetic.  That is
+    only a fast path: coefficients built apart compare, hash and cancel by
+    value.
     """
 
     __slots__ = ("cutoff", "terms", "_hash")

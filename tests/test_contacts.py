@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import pickle
@@ -302,7 +303,7 @@ class TestProperties:
     @given(st.lists(multisets, max_size=5))
     def test_multiset_behaves_as_its_canonical_tuple(self, ms):
         for m in ms:
-            assert m == tuple(m) and hash(m) == hash(tuple(m))
+            assert m == tuple(m) and ContactMultiset(tuple(m)) is m
             back = pickle.loads(pickle.dumps(m))
             assert type(back) is ContactMultiset and back.degree == m.degree
             with pytest.raises(AttributeError):
@@ -311,6 +312,25 @@ class TestProperties:
                 m.points = 0
         assert [tuple(m) for m in sorted(ms)] == sorted(tuple(m) for m in ms)
 
+
+    def test_every_construction_returns_the_live_multiset(self):
+        m = ContactMultiset([((2, 1), 1), ((1, 0), 2)])
+        assert ContactMultiset([((1, 0), 1), ((2, 1), 1), ((1, 0), 1),
+                                ((3, 0), 0)]) is m
+        assert ContactMultiset(tuple(m)) is m
+        assert ContactMultiset([((1, 0), 2)]).merge(
+            ContactMultiset([((2, 1), 1)]))[0] is m
+        assert ContactMultiset().merge(m)[0] is m
+        live = {id(x) for x in enumerate_multisets(4, 2)}
+        assert id(m) in live
+        q = IntersectionMatrix([[0, 1], [1, Fraction(1, 2)]])
+        for x, (_, duals) in glue_weights(4, q).items():
+            assert id(x) in live
+            for dual, _, _ in duals:
+                assert id(dual) in live
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(m, protocol)) is m
+        assert copy.copy(m) is m and copy.deepcopy(m) is m
 
 class TestStrings:
     def test_canonical_form(self):

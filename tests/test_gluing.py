@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -10,11 +11,13 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from sumkit import gluing
+from sumkit import catalog, contacts, gluing
 from sumkit.contacts import (
     ContactMultiset,
     IntersectionMatrix,
@@ -144,7 +147,7 @@ class TestRelSeries:
         b = ContactMultiset([((2, 1), 1), ((1, 0), 2)])
         c = ContactMultiset(tuple(a))
         assert a == b == c
-        assert hash(a) == hash(b) == hash(c) == hash(tuple(a))
+        assert hash(a) == hash(b) == hash(c) and a is b is c
         k1 = RelKey((3, 1), -2, (a, ContactMultiset()), "p")
         k2 = RelKey((3, 1), -2, (c, ContactMultiset([])), "p")
         assert k1 == k2 and hash(k1) == hash(k2)
@@ -916,8 +919,9 @@ class TestInternedKeys:
         after = compute()
         assert after == before
         assert [hash(t) for t in after] == [hash(t) for t in before]
-        old = {id(k) for t in before for k in t.terms}
-        assert any(id(k) not in old for t in after for k in t.terms)
+        for old, new in zip(before, after):
+            for key in new.terms:
+                assert _stored_key(old, key) is key
 
     def test_keys_built_apart_find_their_values(self):
         geo = neck_geometry(base_dim=1, v_basis=2)
@@ -932,7 +936,7 @@ class TestInternedKeys:
         assert twin == ident and ident == twin
         assert hash(twin) == hash(ident)
         for key, c in apart.items():
-            assert _stored_key(ident, key) is not key
+            assert _stored_key(ident, key) is key
             assert ident.coefficient(key) == c
 
     def test_odd_chi_raises_and_caches_nothing(self):
@@ -950,6 +954,100 @@ class TestInternedKeys:
         key = ((1, 0), 2, (single(1), single(1)), "1")
         with pytest.raises(GluingError, match="is not a RelKey"):
             RelSeries(neck_geometry(base_dim=1), 2, 3, {key: 1})
+
+    def test_every_construction_returns_the_live_key(self):
+        geo = neck_geometry(base_dim=1, v_basis=2)
+        ends = (single(1), single(1, 1))
+        key = RelKey((1, 1), 0, ends, "q;p")
+        assert key.tag == "p;q"
+        assert RelKey((1, 1), 0, ends, "p;q") is key
+        assert RelKey(class_key=(1, 1), chi=0, tag="q;p",
+                      contacts=(single(1), single(1, 1))) is key
+        assert gluing._rel_key((1, 1), 0, ends, "p;q") is key
+        assert dataclasses.replace(key) is key
+        assert dataclasses.replace(RelKey((1, 1), 0, ends, "p"),
+                                   tag="q;p") is key
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(key, protocol)) is key
+        assert copy.copy(key) is key and copy.deepcopy(key) is key
+        series = RelSeries(geo, 2, 3, {key: 2}) + identity_element(
+            geo, SPHERE, 3)
+        back = pickle.loads(pickle.dumps(series))
+        assert back == series and len(back.terms) > 1
+        for k in back.terms:
+            assert _stored_key(series, k) is k
+
+    @pytest.mark.parametrize("entry", [1.0, True])
+    def test_class_entry_equal_to_an_int_is_rejected(self, entry):
+        # the live key of class (1, 0) must not answer for (1.0, 0)
+        held = RelKey((1, 0), 2, (single(1), single(1)))
+        with pytest.raises(GluingError, match="must hold ints"):
+            RelKey((entry, 0), 2, (single(1), single(1)))
+        assert held.class_key == (1, 0)
+
+    def test_an_evicted_key_is_found_again_while_a_table_holds_it(self):
+        table = catalog.p1_tw_series(20)
+        assert len(table.terms) > gluing._rel_key.cache_info().maxsize
+        gluing._rel_key.cache_clear()
+        for key in table.terms:
+            fields = (key.class_key, key.chi, key.contacts, key.tag)
+            assert RelKey(*fields) is key and gluing._rel_key(*fields) is key
+
+    def test_a_key_nothing_holds_leaves_the_live_table(self):
+        fields = ((5, 3), 4, (single(5), single(5, 1)), "lifetime")
+        key = gluing._rel_key(*fields)
+        assert gluing._LIVE_KEYS[fields] is key
+        ref = weakref.ref(key)
+        del key
+        gc.collect()
+        assert ref() is not None  # the memo still holds it
+        gluing._rel_key.cache_clear()
+        gc.collect()
+        assert ref() is None and fields not in gluing._LIVE_KEYS
+
+    def test_concurrent_builders_get_one_object_per_value(self):
+        # 200 values that no other test builds, taken out of the tables
+        items = [(((a, 700 + i), 1),) for i in range(100) for a in (1, 2)]
+        gluing._rel_key.cache_clear()
+        gc.collect()
+        for item in items:
+            contacts._LIVE_MULTISETS.pop(item, None)
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+        errors = []
+
+        def build(index):
+            try:
+                barrier.wait()
+                out = []
+                for i, item in enumerate(items):
+                    m = ContactMultiset(item)
+                    make = gluing._rel_key if i % 2 else RelKey
+                    out.append((m, make((m.degree, 0), 0, (m,), "probe")))
+                results[index] = out
+            except Exception as exc:  # reported below, in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=build, args=(i,))
+                       for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for i, item in enumerate(items):
+            m, key = results[0][i]
+            assert ContactMultiset(item) is m
+            assert RelKey((m.degree, 0), 0, (m,), "probe") is key
+            assert all(out[i][0] is m and out[i][1] is key
+                       for out in results)
 
 
 class TestDimensions:

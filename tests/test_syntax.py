@@ -137,3 +137,83 @@ def test_the_engine_does_not_import_the_oracles():
     assert importers - ORACLE_USERS - AWAITING_OWN_ROUTE == set()
     # an exemption whose module no longer imports the oracles is stale
     assert AWAITING_OWN_ROUTE - importers == set()
+
+
+# Each ContactMultiset and each RelKey is the one live object of its value,
+# and only these two constructors build one; a raw __new__ anywhere else
+# could mint a second object for a value, which would hash apart.
+LIVE_TYPES = {"ContactMultiset", "RelKey"}
+LIVE_CONSTRUCTORS = {"contacts._live_multiset", "gluing.RelKey.__new__"}
+
+
+def _raw_new(call: ast.Call, in_live_class: bool) -> bool:
+    """Whether ``call`` is ``tuple.__new__``, ``object.__new__`` or
+    ``super().__new__`` on a live type: named, or as ``cls`` or
+    ``type(...)`` inside a live class."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "__new__"
+            and call.args):
+        return False
+    owner = func.value
+    if not ((isinstance(owner, ast.Name) and owner.id in ("tuple", "object"))
+            or (isinstance(owner, ast.Call) and isinstance(owner.func, ast.Name)
+                and owner.func.id == "super")):
+        return False
+    first = call.args[0]
+    if isinstance(first, ast.Name) and first.id in LIVE_TYPES:
+        return True
+    return in_live_class and (
+        (isinstance(first, ast.Name) and first.id == "cls")
+        or (isinstance(first, ast.Call) and isinstance(first.func, ast.Name)
+            and first.func.id == "type"))
+
+
+def _raw_live_news(tree: ast.AST, module: str) -> list[str]:
+    """``module.scope:line`` of each raw ``__new__`` of a live type in
+    ``tree`` outside the two live constructors."""
+    found = []
+
+    def visit(node, scope, in_live_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], child.name in LIVE_TYPES)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name], in_live_class)
+                continue
+            if isinstance(child, ast.Call) and _raw_new(child, in_live_class):
+                where = ".".join([module] + scope)
+                if where not in LIVE_CONSTRUCTORS:
+                    found.append(f"{where}:{child.lineno}")
+            visit(child, scope, in_live_class)
+
+    visit(tree, [], False)
+    return found
+
+
+@pytest.mark.parametrize("module, source, found", [
+    ("contacts", "def _live_multiset(items):\n"
+     "    return tuple.__new__(ContactMultiset, items)", []),
+    ("contacts", "def merge(a):\n    return tuple.__new__(ContactMultiset, a)",
+     ["contacts.merge:2"]),
+    ("gluing", "class RelKey:\n    def __new__(cls):\n"
+     "        object.__new__(cls)", []),
+    ("gluing", "class RelKey:\n    @classmethod\n    def make(cls):\n"
+     "        return object.__new__(cls)", ["gluing.RelKey.make:4"]),
+    ("gluing", "class RelKey:\n    def copy(self):\n"
+     "        return super().__new__(type(self))", ["gluing.RelKey.copy:3"]),
+    ("series", "x = object.__new__(RelKey)", ["series:1"]),
+    ("series", "class Table:\n    def _trusted(cls):\n"
+     "        object.__new__(cls)", []),
+    ("series", "y = tuple.__new__(tuple, ())", []),
+])
+def test_raw_live_news_are_recognized(module, source, found):
+    assert _raw_live_news(ast.parse(source), module) == found
+
+
+def test_only_the_live_constructors_build_live_objects():
+    package = ROOT / "src/sumkit"
+    assert [where for path in sorted(package.glob("*.py"))
+            for where in _raw_live_news(
+                ast.parse(path.read_text(), filename=str(path)),
+                path.stem)] == []
