@@ -4,8 +4,10 @@ A curve hits a distinguished divisor in finitely many points, each with a
 multiplicity and each decorated by an index into a chosen homology basis of
 the divisor.  The contacts of one end are a :class:`ContactMultiset`, the
 sorted tuple of its ``((a, i), count)`` items, which compares, orders and
-pickles as that tuple.  Each value is one object, so it hashes by
-identity.  It computes its total multiplicity, its ``degree``,
+pickles as that tuple.  Each value is one object, kept in a plain table
+for the life of the process as each ``gluing.RelKey`` is, so it hashes by
+identity; a malformed item is a :class:`ContactError`, never a raw
+unpacking error.  It computes its total multiplicity, its ``degree``,
 and ``merge`` returns a union with the binomial split count that weights a
 disjoint product.  Its statistics (number of points, total multiplicity,
 product of multiplicities, factorial of the counts) weight every gluing sum;
@@ -36,15 +38,6 @@ class ContactError(ValueError):
     pass
 
 
-def _validate_pair(a: int, i: int) -> None:
-    if type(a) is not int or type(i) is not int:
-        raise ContactError(f"contact ({a!r}, {i!r}) is not a pair of ints")
-    if a < 1:
-        raise ContactError(f"contact multiplicity must be >= 1, got {a}")
-    if i < 0:
-        raise ContactError(f"basis index must be >= 0, got {i}")
-
-
 class ContactMultiset(tuple):
     """Multiset of (multiplicity, basis index) pairs: the sorted tuple of its
     ``((a, i), count)`` items, each an ``int`` with ``a >= 1``, ``i >= 0``
@@ -65,13 +58,21 @@ class ContactMultiset(tuple):
 
     def __new__(cls, counts: Iterable[tuple[ContactPair, int]] = ()):
         merged: dict[ContactPair, int] = {}
-        for (a, i), n in counts:
-            _validate_pair(a, i)
-            if type(n) is not int or n < 0:
-                raise ContactError(f"count {n!r} is not a nonnegative int")
-            if n:
-                merged[(a, i)] = merged.get((a, i), 0) + n
-        return _live_multiset(tuple(sorted(merged.items())))
+        try:
+            items = iter(counts)
+        except TypeError:
+            raise ContactError(f"malformed contact item {counts!r}") from None
+        for item in items:
+            try:
+                (a, i), n = item
+            except (TypeError, ValueError):
+                raise ContactError(f"malformed contact item {item!r}") from None
+            if not (type(a) is type(i) is type(n) is int
+                    and a >= 1 and i >= 0 and n >= 0):
+                raise ContactError(f"contact item {item!r} needs ints "
+                                   "a >= 1, i >= 0 and count >= 0")
+            merged[(a, i)] = merged.get((a, i), 0) + n
+        return _live_multiset(tuple(sorted(p for p in merged.items() if p[1])))
 
     def __reduce__(self):
         # rebuild through the constructor: the copy is the live multiset
@@ -108,11 +109,11 @@ class ContactMultiset(tuple):
         return " ".join(f"{a}^{n}({i})" for (a, i), n in self)
 
 
-# The live multiset of each item tuple.  A tuple subclass cannot be weakly
-# referenced, so the table holds its multisets for the life of the process;
-# they are those of the degrees in use, which the enumerate_multisets and
-# glue_weights memos keep anyway.  dict.get and dict.setdefault are each
-# atomic, so concurrent builders of one value all get the first one stored.
+# The live multiset of each item tuple, kept for the life of the process,
+# as gluing._LIVE_KEYS keeps each key; the multisets are those of the
+# degrees in use, which the enumerate_multisets and glue_weights memos keep
+# anyway.  dict.get and dict.setdefault are each atomic, so concurrent
+# builders of one value all get the first one stored.
 _LIVE_MULTISETS: dict[tuple, ContactMultiset] = {}
 
 

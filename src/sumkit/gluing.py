@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -170,25 +168,34 @@ def tag_mul(t1: str, t2: str) -> str:
     return ";".join(parts) or "1"
 
 
-# The live key of each field tuple, while anything holds it.
-_LIVE_KEYS: weakref.WeakValueDictionary[tuple, "RelKey"] = (
-    weakref.WeakValueDictionary())
-_LIVE_KEYS_LOCK = threading.Lock()
+def _check_chi(chi) -> None:
+    if type(chi) is not int:
+        raise GluingError(f"Euler characteristic must be an int, got {chi!r}")
+    if chi % 2:
+        raise GluingError("Euler characteristic must be even")
+
+
+def _check_class(class_key) -> None:
+    if type(class_key) is not tuple or {*map(type, class_key)} - {int}:
+        raise GluingError(f"class key {class_key!r} must hold ints in a tuple")
 
 
 @dataclass(frozen=True, order=True, init=False)
 class RelKey:
     """Index of one coefficient: class, Euler characteristic, contacts, tag.
 
-    Every way of building a key (the constructor, :func:`_rel_key`,
+    Every way of building a key (the constructor, :func:`_live_key`,
     ``dataclasses.replace``, pickling, ``copy``) returns the one live key
-    of its value, kept in :data:`_LIVE_KEYS` while anything holds it, so
-    equal keys are the same object and the hash is the identity hash, a
-    pointer read.  Equality still compares the fields.  The tag is stored
-    canonical, so every spelling of one product of atoms is one key, and
-    ``chi`` and the class entries must be ``int`` before the table is
-    read, so ``1.0`` or ``True`` never finds the key of ``1``.  The
-    contacts of a key in a :class:`RelSeries` are live multisets too.
+    of its value, kept in :data:`_LIVE_KEYS` for the life of the process,
+    as a multiset is kept in ``contacts._LIVE_MULTISETS``, so equal keys
+    are the same object and the hash is the identity hash, a pointer read.
+    Equality still compares the fields.  The tag is stored canonical, so
+    every spelling of one product of atoms is one key.  The constructor
+    checks the structure before the table is read: the class a tuple of
+    ``int``, ``chi`` an even ``int`` (so ``1.0`` or ``True`` never finds the
+    key of ``1``), and the contacts a tuple of live
+    :class:`~sumkit.contacts.ContactMultiset` (a plain tuple equal to a
+    multiset would hash apart from it).
     """
 
     class_key: ClassKey
@@ -204,22 +211,14 @@ class RelKey:
             raise GluingError(f"tag must be a str, got {tag!r}")
         # equal products of atoms are one key, however the tag was written
         tag = tag_mul(tag, "1")
-        if type(chi) is not int:
-            raise GluingError(
-                f"Euler characteristic must be an int, got {chi!r}")
-        if chi % 2:
-            raise GluingError("Euler characteristic must be even")
-        if any(type(x) is not int for x in class_key):
-            raise GluingError(f"class key {class_key!r} must hold ints")
-        fields = (class_key, chi, contacts, tag)
-        with _LIVE_KEYS_LOCK:
-            key = _LIVE_KEYS.get(fields)
-            if key is None:
-                key = object.__new__(cls)
-                vars(key).update(class_key=class_key, chi=chi,
-                                 contacts=contacts, tag=tag)
-                _LIVE_KEYS[fields] = key
-        return key
+        _check_chi(chi)
+        _check_class(class_key)
+        if type(contacts) is not tuple:
+            raise GluingError(f"contacts {contacts!r} must be a tuple")
+        for m in contacts:
+            if not isinstance(m, ContactMultiset):
+                raise GluingError(f"contact {m!r} is not a ContactMultiset")
+        return _live_key((class_key, chi, contacts, tag))
 
     def __reduce__(self):
         # rebuild through the constructor: the copy is the live key
@@ -234,15 +233,31 @@ class RelKey:
         }
 
 
-@functools.lru_cache(maxsize=2048)
-def _rel_key(class_key: ClassKey, chi: int,
-             contacts: tuple[ContactMultiset, ...], tag: str) -> RelKey:
-    """The live ``RelKey(class_key, chi, contacts, tag)``, for the keys the
-    algebra builds: a key met again costs one memo lookup instead of the
-    checks and the locked table read of the constructor.  An evicted key
-    that a table still holds is found again in the constructor's table,
-    not built a second time."""
-    return RelKey(class_key, chi, contacts, tag)
+# The live key of each field tuple, kept for the life of the process, as
+# contacts._LIVE_MULTISETS keeps each multiset.  dict.get and
+# dict.setdefault are each atomic, so concurrent builders of one value all
+# get the first one stored.
+_LIVE_KEYS: dict[tuple, RelKey] = {}
+
+
+def _live_key(fields: tuple) -> RelKey:
+    """The one live key of ``fields``, a valid ``(class_key, chi,
+    contacts, tag)`` tuple with its tag canonical: the only writer of
+    :data:`_LIVE_KEYS`.  The constructor calls it after its checks; the
+    keys the algebra builds (products, units, fiber covers) skip them, as
+    their fields are valid by construction once :func:`_glue_pairs` has
+    checked each class a caller's glue map returns."""
+    key = _LIVE_KEYS.get(fields)
+    if key is None:
+        key = object.__new__(RelKey)
+        # Keyword arguments, not zip(names, fields): filling the __dict__
+        # from pairs gave a larger, apparently split-keys dict (288 against
+        # 184 bytes) whose field reads were about 3x slower, and in-process
+        # scatter passes ran 7.7% slower.
+        vars(key).update(class_key=fields[0], chi=fields[1],
+                         contacts=fields[2], tag=fields[3])
+        key = _LIVE_KEYS.setdefault(fields, key)
+    return key
 
 
 class RelSeries(GradedTable):
@@ -280,14 +295,11 @@ class RelSeries(GradedTable):
         if not isinstance(key, RelKey):
             raise GluingError(f"key {key!r} is not a RelKey")
         geometry = self.geometry
-        if len(key.class_key) != geometry.class_dim:
-            raise GluingError("class key has wrong dimension")
         if len(key.contacts) != self.end_count:
             raise GluingError("key has wrong number of ends")
+        # pair_v checks the dimension of the class
         deg_v = geometry.pair_v(key.class_key)
         for m in key.contacts:
-            if not isinstance(m, ContactMultiset):
-                raise GluingError(f"contact {m!r} is not a ContactMultiset")
             if m.degree != deg_v:
                 raise GluingError(f"contact degree {m.degree} != class "
                                   f"pairing {deg_v} for key {key}")
@@ -301,8 +313,8 @@ class RelSeries(GradedTable):
 
     @staticmethod
     def _empty_key(geometry: Geometry, end_count: int) -> RelKey:
-        return _rel_key(geometry.zero_key(), 0,
-                        (ContactMultiset(),) * end_count, "1")
+        return _live_key((geometry.zero_key(), 0,
+                          (ContactMultiset(),) * end_count, "1"))
 
     def __repr__(self):
         return (f"RelSeries(ends={self.end_count}, cutoff={self.cutoff}, "
@@ -337,9 +349,9 @@ class RelSeries(GradedTable):
                 # stored tags are canonical: a unit factor leaves the other
                 t1, t2 = k1.tag, k2.tag
                 tag = t2 if t1 == "1" else t1 if t2 == "1" else tag_mul(t1, t2)
-                key = _rel_key(geo.add(k1.class_key, k2.class_key),
-                               k1.chi + k2.chi, contacts, tag)
-                add_ratio(acc, key, weight, d1 * d2)
+                fields = (geo.add(k1.class_key, k2.class_key),
+                          k1.chi + k2.chi, contacts, tag)
+                add_ratio(acc, _live_key(fields), weight, d1 * d2)
         return self._wrap(reduced_sums(acc), cutoff)
 
 
@@ -491,8 +503,10 @@ def _glue_pairs(x: RelSeries, indexed: FirstEndIndex, q: IntersectionMatrix,
                 ay = ky.class_key
                 out_class = out_classes.get(ay, False)
                 if out_class is False:
-                    # grade() also checks the dimension
+                    # a class of non-ints would be stored as the live key
+                    # of its int twin; grade() also checks the dimension
                     out_class = glue(ax, ay, deg_m)
+                    _check_class(out_class)
                     grade = out_geometry.grade(out_class)
                     if grade > cutoff:
                         out_class = None
@@ -507,9 +521,8 @@ def _glue_pairs(x: RelSeries, indexed: FirstEndIndex, q: IntersectionMatrix,
                 tag = ky.tag if tx == "1" else tx if ky.tag == "1" else (
                     tags.get((tx, ky.tag))
                     or tags.setdefault((tx, ky.tag), tag_mul(tx, ky.tag)))
-                key = _rel_key(out_class, chi + ky.chi,
-                               head + ky.contacts[1:], tag)
-                add_ratio(acc, key, cwn * yn, cwd * yd)
+                fields = (out_class, chi + ky.chi, head + ky.contacts[1:], tag)
+                add_ratio(acc, _live_key(fields), cwn * yn, cwd * yd)
     out = reduced_sums(acc)
     if not trusted:
         # a bad glued class is an error only if one of its terms survives;
@@ -613,14 +626,13 @@ def identity_element(geometry: Geometry, q: IntersectionMatrix,
     a = 1
     while a * fiber_grade <= cutoff:
         class_key = tuple(a * f for f in geometry.fiber)
+        ends = [ContactMultiset([((a, i), 1)]) for i in range(q.size)]
         for i in range(q.size):
             for j in range(q.size):
                 w = qinv[i, j]
                 if not w:
                     continue
-                key = _rel_key(class_key, 2,
-                               (ContactMultiset([((a, i), 1)]),
-                                ContactMultiset([((a, j), 1)])), "1")
+                key = _live_key((class_key, 2, (ends[i], ends[j]), "1"))
                 terms[key] = Fraction(1, a) * w
         a += 1
     gw = RelSeries(geometry, 2, cutoff, terms)
@@ -728,8 +740,8 @@ def neck_identity(twf: RelSeries, n: int, q: IntersectionMatrix) -> RelSeries:
     the sum stays an independent route to the inverse that :func:`s_matrix`
     computes.
     """
-    if n < 1:
-        raise GluingError("neck count must be >= 1")
+    if type(n) is not int or n < 1:
+        raise GluingError(f"neck count must be an int >= 1, got {n!r}")
     if twf.end_count != 2:
         raise GluingError("scattering input must be two-ended")
     return linear_combination(
@@ -748,18 +760,20 @@ def moduli_dimension(geometry: Geometry, class_key: ClassKey, chi: int,
     ``-2 K[A] + (chi/2)(dim X - 6) + 2 n - 2 (deg s - len s)`` where ``s``
     runs over all contact points of ``ends`` together and ``chi`` is the
     Euler characteristic of the domain.  Each contact of multiplicity ``a``
-    cuts the dimension by ``2(a - 1)``.
+    cuts the dimension by ``2(a - 1)``.  ``chi`` must be an even ``int``,
+    and ``n_points`` and ``dim_x`` must be ``int``.
     """
-    len_s = deg_s = 0
+    _check_chi(chi)
+    if type(n_points) is not int or type(dim_x) is not int:
+        raise GluingError(f"n_points {n_points!r} and dim_x {dim_x!r} "
+                          "must be ints")
     for m in ends:
         if not isinstance(m, ContactMultiset):
             raise GluingError(f"contact {m!r} is not a ContactMultiset")
-        length, degree, _, _ = multiset_stats(m)
-        len_s, deg_s = len_s + length, deg_s + degree
     return (-2 * geometry.pair_k(class_key)
             + (chi * (dim_x - 6)) // 2
             + 2 * n_points
-            - 2 * (deg_s - len_s))
+            - 2 * sum((a - 1) * n for m in ends for (a, _), n in m))
 
 
 # -- serialization -------------------------------------------------------------

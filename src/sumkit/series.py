@@ -157,7 +157,8 @@ class GradedTable:
 
     The validating constructor, :meth:`__init__`, checks every term; it is
     the boundary for caller data, unpickled tables included.  The cutoff
-    must be an ``int`` and each coefficient an ``int`` or a ``Fraction``;
+    must be an ``int``, here and in :meth:`truncate`, whose trusted result
+    must unpickle, and each coefficient an ``int`` or a ``Fraction``;
     every key is checked before a zero coefficient is dropped.  The
     operations build their results through :meth:`_trusted` instead, without
     revalidating: their inputs already hold the invariants, and each
@@ -181,7 +182,8 @@ class GradedTable:
     anew in its own process.
 
     A ``gluing.RelKey`` and its contact multisets are one object per
-    value, however they were built, and hash by identity, so a key lookup
+    value, however they were built, each kept in a plain table for the
+    life of the process, and hash by identity, so a key lookup
     hashes a pointer and ``dict`` matches the very same object before it
     calls ``__eq__``.  :func:`reduced_sums` interns the coefficients
     (``_ratio``), so equal coefficients in the tables the operations build
@@ -316,7 +318,9 @@ class GradedTable:
         return linear_combination([(c, self)])
 
     def truncate(self, cutoff: int):
-        """Drop every term of grade above ``cutoff``."""
+        """Drop every term of grade above ``cutoff``, an ``int``."""
+        if type(cutoff) is not int:
+            raise self._Error(f"cutoff {cutoff!r} is not an int")
         if cutoff > self.cutoff:
             raise self._Error("cannot raise a cutoff; recompute instead")
         grade = self._grade

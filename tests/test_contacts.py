@@ -2,6 +2,7 @@ import copy
 import hashlib
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,17 @@ class TestMultisetStats:
          "bool-multiplicity"])
 def test_multiset_rejects_a_bad_contact(counts):
     with pytest.raises(ContactError):
+        ContactMultiset(counts)
+
+
+@pytest.mark.parametrize("counts, item", [
+    ([(1, 2)], (1, 2)), ([((1, 0),)], ((1, 0),)), (5, 5),
+    ([((1, 0), 1), "ab"], "ab"), ([((1, 0), 1, 1)], ((1, 0), 1, 1)),
+    ([None], None)],
+    ids=["flat-pair", "no-count", "not-iterable", "string", "extra-entry",
+         "none"])
+def test_a_malformed_item_is_a_contact_error_naming_it(counts, item):
+    with pytest.raises(ContactError, match=re.escape(repr(item))):
         ContactMultiset(counts)
 
 

@@ -108,12 +108,23 @@ class TestRelSeries:
             RelSeries(geo, 2, 5, {first: 1, second: 1})
 
     @pytest.mark.parametrize("contact", [
-        ((((1, 0), 1),)), "1^1(0)", None, frozenset()])
+        ((((1, 0), 1),)), "1^1(0)", None, frozenset(), [((1, 0), 1)]])
     def test_contact_that_is_not_a_multiset_is_rejected(self, contact):
         geo = neck_geometry(base_dim=1)
-        key = RelKey((1, 0), 2, (contact,) * 2)
         with pytest.raises(GluingError, match="not a ContactMultiset"):
-            RelSeries(geo, 2, 3, {key: 1})
+            RelSeries(geo, 2, 3, {RelKey((1, 0), 2, (contact,) * 2): 1})
+
+    # a list is unhashable: the key rejects it before its table is read
+    @pytest.mark.parametrize("class_key, contacts, message", [
+        ([1, 0], (single(1), single(1)), "must hold ints in a tuple"),
+        ((1, 0), [single(1), single(1)], "must be a tuple"),
+    ], ids=["list-class", "list-contacts"])
+    def test_key_fields_of_the_wrong_structure_are_rejected(
+            self, class_key, contacts, message):
+        before = len(gluing._LIVE_KEYS)
+        with pytest.raises(GluingError, match=message):
+            RelKey(class_key, 2, contacts)
+        assert len(gluing._LIVE_KEYS) == before
 
     @staticmethod
     def _outside_basis():
@@ -682,6 +693,12 @@ class TestScattering:
         for n in range(1, 6):
             assert neck_identity(ident, n, POINT) == ident
 
+    @pytest.mark.parametrize("n", [0, 1.5, 1.0, True, "2"])
+    def test_neck_count_that_is_not_a_positive_int_is_rejected(self, n):
+        ident = identity_element(neck_geometry(base_dim=1), POINT, 3)
+        with pytest.raises(GluingError, match="neck count must be an int"):
+            neck_identity(ident, n, POINT)
+
     def test_explicit_square_zero_algebra(self):
         # unit + r with r*r = 0: the single-cut sum is 2*unit - (unit + r)
         geo = neck_geometry(base_dim=1, v_basis=1)
@@ -913,8 +930,7 @@ class TestInternedKeys:
                 neck_identity(twf, n, SPHERE) for n in (1, 3)]
 
         before = compute()
-        for memo in (gluing._rel_key, gluing._neck_step, gluing._neck_index,
-                     identity_element):
+        for memo in (gluing._neck_step, gluing._neck_index, identity_element):
             memo.cache_clear()
         after = compute()
         assert after == before
@@ -940,10 +956,10 @@ class TestInternedKeys:
             assert ident.coefficient(key) == c
 
     def test_odd_chi_raises_and_caches_nothing(self):
-        before = gluing._rel_key.cache_info().currsize
+        before = len(gluing._LIVE_KEYS)
         with pytest.raises(GluingError, match="must be even"):
-            gluing._rel_key((1, 0), 3, (single(1), single(1)), "1")
-        assert gluing._rel_key.cache_info().currsize == before
+            RelKey((1, 0), 3, (single(1), single(1)), "1")
+        assert len(gluing._LIVE_KEYS) == before
 
     @pytest.mark.parametrize("chi", [2.0, "2"])
     def test_chi_that_is_not_an_int_is_rejected(self, chi):
@@ -963,7 +979,7 @@ class TestInternedKeys:
         assert RelKey((1, 1), 0, ends, "p;q") is key
         assert RelKey(class_key=(1, 1), chi=0, tag="q;p",
                       contacts=(single(1), single(1, 1))) is key
-        assert gluing._rel_key((1, 1), 0, ends, "p;q") is key
+        assert gluing._live_key(((1, 1), 0, ends, "p;q")) is key
         assert dataclasses.replace(key) is key
         assert dataclasses.replace(RelKey((1, 1), 0, ends, "p"),
                                    tag="q;p") is key
@@ -987,29 +1003,26 @@ class TestInternedKeys:
 
     def test_an_evicted_key_is_found_again_while_a_table_holds_it(self):
         table = catalog.p1_tw_series(20)
-        assert len(table.terms) > gluing._rel_key.cache_info().maxsize
-        gluing._rel_key.cache_clear()
+        assert len(table.terms) == 2714
         for key in table.terms:
             fields = (key.class_key, key.chi, key.contacts, key.tag)
-            assert RelKey(*fields) is key and gluing._rel_key(*fields) is key
+            assert RelKey(*fields) is key and gluing._live_key(fields) is key
 
-    def test_a_key_nothing_holds_leaves_the_live_table(self):
+    def test_a_key_nothing_holds_stays_in_the_live_table(self):
         fields = ((5, 3), 4, (single(5), single(5, 1)), "lifetime")
-        key = gluing._rel_key(*fields)
+        key = gluing._live_key(fields)
         assert gluing._LIVE_KEYS[fields] is key
         ref = weakref.ref(key)
         del key
         gc.collect()
-        assert ref() is not None  # the memo still holds it
-        gluing._rel_key.cache_clear()
-        gc.collect()
-        assert ref() is None and fields not in gluing._LIVE_KEYS
+        assert ref() is gluing._LIVE_KEYS[fields]
+        assert RelKey(*fields) is ref() and gluing._live_key(fields) is ref()
 
     def test_concurrent_builders_get_one_object_per_value(self):
         # 200 values that no other test builds, taken out of the tables
         items = [(((a, 700 + i), 1),) for i in range(100) for a in (1, 2)]
-        gluing._rel_key.cache_clear()
-        gc.collect()
+        for fields in [f for f in gluing._LIVE_KEYS if f[3] == "probe"]:
+            del gluing._LIVE_KEYS[fields]
         for item in items:
             contacts._LIVE_MULTISETS.pop(item, None)
         n_threads = 4
@@ -1023,8 +1036,9 @@ class TestInternedKeys:
                 out = []
                 for i, item in enumerate(items):
                     m = ContactMultiset(item)
-                    make = gluing._rel_key if i % 2 else RelKey
-                    out.append((m, make((m.degree, 0), 0, (m,), "probe")))
+                    fields = ((m.degree, 0), 0, (m,), "probe")
+                    out.append((m, gluing._live_key(fields) if i % 2
+                                else RelKey(*fields)))
                 results[index] = out
             except Exception as exc:  # reported below, in the main thread
                 errors.append(exc)
@@ -1064,6 +1078,22 @@ class TestDimensions:
         geo = riemann_surface_geometry()
         assert moduli_dimension(geo, (1,), 2, 0, (single(1), single(1)),
                                 2) == 0
+
+    # a float or a bool would pass through the arithmetic as a number
+    @pytest.mark.parametrize("chi, n_points, dim_x, message", [
+        (2.0, 0, 2, "Euler characteristic must be an int, got 2.0"),
+        (True, 0, 2, "Euler characteristic must be an int, got True"),
+        (1, 0, 2, "Euler characteristic must be even"),
+        (2, 0.5, 2, "n_points 0.5 and dim_x 2 must be ints"),
+        (2, True, 2, "n_points True and dim_x 2 must be ints"),
+        (2, 0, 2.0, "n_points 0 and dim_x 2.0 must be ints"),
+    ])
+    def test_arguments_that_are_not_ints_are_rejected(self, chi, n_points,
+                                                      dim_x, message):
+        geo = riemann_surface_geometry()
+        with pytest.raises(GluingError, match=message):
+            moduli_dimension(geo, (1,), chi, n_points,
+                             (single(1), single(1)), dim_x)
 
     def test_ruled_surface_halved_dimension(self):
         # classes a*S + b*F on the twisted surface, divisor = both sections
@@ -1257,6 +1287,19 @@ class TestTrustedResults:
 
         with pytest.raises(GluingError, match="negative grading"):
             convolve(x, y, POINT, glue=overdraw_base)
+
+    @pytest.mark.parametrize("entry", [float, bool])
+    def test_custom_glue_with_a_class_not_of_ints_raises(self, entry):
+        # stored, a key of class (1.0, 1) would answer for (1, 1)
+        x, y = self._two_ended_pair()
+
+        def glue(k1, k2, deg_m):
+            return (entry(k1[0] + k2[0] - deg_m), k1[1] + k2[1])
+
+        before = dict(gluing._LIVE_KEYS)
+        with pytest.raises(GluingError, match="must hold ints"):
+            convolve(x, y, POINT, glue=glue)
+        assert gluing._LIVE_KEYS == before
 
     @staticmethod
     def _pair_meeting(meets):

@@ -235,6 +235,15 @@ class TestGradedTable:
         with pytest.raises(error, match="cannot raise a cutoff"):
             x.truncate(5)
 
+    @pytest.mark.parametrize("cutoff", [2.5, 2.0, True, "2"])
+    def test_truncate_takes_only_an_int_cutoff(self, table, cutoff):
+        # a trusted result with such a cutoff would not unpickle
+        x, _, _, error, _ = table
+        with pytest.raises(error, match="is not an int"):
+            x.truncate(cutoff)
+        cut = x.truncate(2)
+        assert pickle.loads(pickle.dumps(cut)) == cut
+
     def test_linear_combination_equals_the_scale_and_add_chain(self, table):
         x, _, grade, _, _ = table
         rng = random.Random(12)

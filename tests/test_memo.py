@@ -4,6 +4,7 @@ import importlib
 import pkgutil
 import sys
 import threading
+from collections.abc import MutableMapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,6 @@ MEMOS = (
     contacts.enumerate_multisets,
     contacts._dual_multiset_cached,
     contacts.glue_weights,
-    gluing._rel_key,
     gluing.identity_element,
     gluing._neck_index,
     gluing._neck_step,
@@ -56,6 +56,41 @@ def test_readme_lists_every_memo():
     assert f"The {NUMBER_WORDS[len(MEMOS)]} memos" in paragraph
     for memo in MEMOS:
         name = f"{memo.__module__.rpartition('.')[2]}.{memo.__name__}"
+        assert f"`{name}`" in paragraph, name
+
+
+# Two tables hold values, not results: each is the one live object of
+# every ContactMultiset or RelKey built, kept for the life of the process.
+VALUE_TABLES = {"contacts._LIVE_MULTISETS": contacts._LIVE_MULTISETS,
+                "gluing._LIVE_KEYS": gluing._LIVE_KEYS}
+
+
+def _package_value_tables():
+    """Every module-level mapping of the package that holds a live
+    multiset or key, once one of each has been built."""
+    gluing.RelKey((1, 0), 2, (ContactMultiset([((1, 0), 1)]),) * 2)
+    found = {}
+    for info in pkgutil.iter_modules(sumkit.__path__):
+        module = importlib.import_module(f"sumkit.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, MutableMapping) and any(
+                    isinstance(v, (ContactMultiset, gluing.RelKey))
+                    for v in list(value.values())):
+                found[f"{info.name}.{name}"] = value
+    return found
+
+
+def test_one_plain_dict_per_value_type():
+    found = _package_value_tables()
+    assert found.keys() == VALUE_TABLES.keys()
+    for name, table in VALUE_TABLES.items():
+        assert found[name] is table and type(table) is dict, name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph, = [p for p in readme.split("\n\n")
+                  if "there is no other memo mechanism" in p]
+    paragraph = " ".join(paragraph.split())
+    assert "for the life of the process" in paragraph
+    for name in VALUE_TABLES:
         assert f"`{name}`" in paragraph, name
 
 
